@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import difflib
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,7 +27,7 @@ from .errors import DataError, ParameterError
 PROG = "sparselasso"
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Opt:
     name: str
     kind: str  # int | float | str | bool | int_list | float_list
@@ -63,22 +63,27 @@ _WITNESS_OPTS = (
     Opt("matrix", "str", required=True, help="serialized matrix path"),
     Opt("k", "int", required=True, help="support size (first k columns)"),
     Opt("beta_min", "float", default=1.0, help="support magnitude"),
-    Opt("sign_pattern", "str", default="all_plus", choices=("all_plus", "alternating", "seeded_random"), help="support sign pattern"),
+    Opt("sign_pattern", "str", default="all_plus", choices=ensemble.SIGN_PATTERNS, help="support sign pattern"),
     Opt("sign_seed", "int", help="seed for sign_pattern=seeded_random"),
     Opt("sigma2", "float", default=0.0625, help="noise variance"),
     Opt("noise_seed", "int", required=True, help="noise seed"),
     Opt("lam", "float", required=True, help="regularization weight"),
 )
 
-_SWEEP_OPTS = (
+# The parameters of sweep.derive_k, shared by every subcommand that resolves k.
+_K_OPTS = (
     Opt("p_list", "int_list", required=True, help="ambient dimensions, comma separated"),
-    Opt("theta_grid", "float_list", required=True, help="control parameter grid, comma separated"),
-    Opt("trials", "int", required=True, help="trials per grid point"),
-    Opt("base_seed", "int", required=True, help="sweep seed"),
     Opt("sparsity_rule", "str", default="polynomial", choices=sweep.SPARSITY_RULES, help="how k is derived from p"),
     Opt("poly_exponent", "float", default=0.5, help="k = ceil(p^c) for the polynomial rule"),
     Opt("linear_alpha", "float", default=0.125, help="k = ceil(alpha p) for the linear rule"),
     Opt("k_list", "int_list", help="explicit k per p (sparsity_rule=explicit)"),
+)
+
+_SWEEP_OPTS = (
+    *_K_OPTS,
+    Opt("theta_grid", "float_list", required=True, help="control parameter grid, comma separated"),
+    Opt("trials", "int", required=True, help="trials per grid point"),
+    Opt("base_seed", "int", required=True, help="sweep seed"),
     Opt("gamma_rule", "str", default="log_over_sqrt", choices=sweep.GAMMA_RULES, help="sparsification schedule"),
     Opt("gamma_value", "float", help="gamma for gamma_rule=constant"),
     Opt("lambda_rule", "str", default="scaled", choices=sweep.LAMBDA_RULES, help="regularization schedule"),
@@ -100,11 +105,7 @@ _BOUNDS_OPTS = (
 )
 
 _CHECK_OPTS = (
-    Opt("p_list", "int_list", required=True, help="ambient dimensions, comma separated"),
-    Opt("sparsity_rule", "str", default="polynomial", choices=sweep.SPARSITY_RULES, help="how k is derived from p"),
-    Opt("poly_exponent", "float", default=0.5, help="k = ceil(p^c) for the polynomial rule"),
-    Opt("linear_alpha", "float", default=0.125, help="k = ceil(alpha p) for the linear rule"),
-    Opt("k_list", "int_list", help="explicit k per p (sparsity_rule=explicit)"),
+    *_K_OPTS,
     Opt("gamma_rule", "str", default="sixth_root", choices=theory.GAMMA_RULES, help="sparsification schedule"),
     Opt("eps", "float", default=0.0, help="sample-size slack"),
     Opt("beta_min", "float", default=1.0, help="support magnitude"),
@@ -219,8 +220,13 @@ def _json_ready(value):
     return value
 
 
+def _build(cls, cfg: dict, **given):
+    """An instance of the dataclass cls from the resolved parameters named like its fields."""
+    return cls(**{f.name: given[f.name] if f.name in given else cfg[f.name] for f in dataclasses.fields(cls)})
+
+
 def _cmd_gen(cfg: dict, prov: dict) -> int:
-    spec = ensemble.EnsembleSpec(n=cfg["n"], p=cfg["p"], gamma=cfg["gamma"], convention=cfg["convention"])
+    spec = _build(ensemble.EnsembleSpec, cfg)
     m = ensemble.sample_matrix(spec, cfg["seed"])
     if cfg["out"] is None:
         ensemble.write_matrix(m, sys.stdout)
@@ -253,11 +259,7 @@ def _cmd_solve(cfg: dict, prov: dict) -> int:
         y = np.array([float(ln) for ln in lines if ln], dtype=np.float64)
     except ValueError as exc:
         raise DataError(f"bad observation file {cfg['y']}: {exc}") from exc
-    solution = lasso.solve(
-        m,
-        y,
-        lasso.LassoConfig(lam=cfg["lam"], tol=cfg["tol"], max_iter=cfg["max_iter"], zero_tol=cfg["zero_tol"]),
-    )
+    solution = lasso.solve(m, y, _build(lasso.LassoConfig, cfg))
     out = {
         "beta_hat": solution.beta_hat.tolist(),
         "objective": solution.objective,
@@ -274,13 +276,7 @@ def _cmd_solve(cfg: dict, prov: dict) -> int:
 
 def _cmd_witness(cfg: dict, prov: dict) -> int:
     m = _read_matrix_file(cfg["matrix"])
-    sig = ensemble.SignalSpec(
-        p=m.spec.p,
-        k=cfg["k"],
-        beta_min=cfg["beta_min"],
-        sign_pattern=cfg["sign_pattern"],
-        sign_seed=cfg["sign_seed"],
-    )
+    sig = _build(ensemble.SignalSpec, cfg, p=m.spec.p)
     obs = ensemble.observe(m, ensemble.make_signal(sig), cfg["sigma2"], cfg["noise_seed"])
     report = witness.build(m, sig, obs.w, cfg["lam"])
     out = {
@@ -302,60 +298,26 @@ def _cmd_witness(cfg: dict, prov: dict) -> int:
     return 0
 
 
-def _sweep_config(cfg: dict) -> sweep.SweepConfig:
-    return sweep.SweepConfig(
-        p_list=cfg["p_list"],
-        theta_grid=cfg["theta_grid"],
-        trials=cfg["trials"],
-        base_seed=cfg["base_seed"],
-        sparsity_rule=cfg["sparsity_rule"],
-        poly_exponent=cfg["poly_exponent"],
-        linear_alpha=cfg["linear_alpha"],
-        k_list=cfg["k_list"],
-        gamma_rule=cfg["gamma_rule"],
-        gamma_value=cfg["gamma_value"],
-        lambda_rule=cfg["lambda_rule"],
-        lambda_value=cfg["lambda_value"],
-        sigma2=cfg["sigma2"],
-        beta_min=cfg["beta_min"],
-        mode=cfg["mode"],
-        convention=cfg["convention"],
-        keep_trials=cfg["keep_trials"],
-    )
-
-
 def _cmd_sweep(cfg: dict, prov: dict) -> int:
-    scfg = _sweep_config(cfg)
+    scfg = _build(sweep.SweepConfig, cfg)
     if cfg["dry_run"]:
+        points = sweep.grid_points(scfg)
         print("resolved parameters:")
         for key in sorted(cfg):
             print(f"  {key} = {cfg[key]!r}  [{prov[key]}]")
         print("grid:")
         print("  p      theta    k      n      gamma        lambda")
-        for pt in sweep.grid_points(scfg):
+        for pt in points:
             clamp = "  (gamma clamped)" if pt.gamma_clamped else ""
             print(f"  {pt.p:<6d} {pt.theta:<8.4g} {pt.k:<6d} {pt.n:<6d} {pt.gamma:<12.6g} {pt.lam:<.6g}{clamp}")
         return 0
     table = sweep.run_sweep(scfg, workers=cfg["threads"])
-    if table.trial_records is None:
-        extras = {}
-    else:
-        extras = {"trial_count": len(table.trial_records)}
-    sweep_dict = sweep.table_to_dict(table)
-    sweep_dict["provenance"] = prov
-    sweep.write_outputs(table, cfg["out_csv"], None)
-    if cfg["out_json"] is not None:
-        try:
-            with open(cfg["out_json"], "w") as fh:
-                json.dump(sweep_dict, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            raise DataError(f"cannot write {cfg['out_json']}: {exc}") from exc
+    sweep.write_outputs(table, cfg["out_csv"], cfg["out_json"], provenance=prov)
     done = f"wrote {cfg['out_csv']}"
     if cfg["out_json"] is not None:
         done += f" and {cfg['out_json']}"
-    if extras:
-        done += f" ({extras['trial_count']} trial records)"
+    if table.trial_records is not None:
+        done += f" ({len(table.trial_records)} trial records)"
     print(done)
     return 0
 
@@ -373,28 +335,22 @@ def _cmd_bounds(cfg: dict, prov: dict) -> int:
 
 
 def _cmd_check_conditions(cfg: dict, prov: dict) -> int:
-    p_list = cfg["p_list"]
-    if cfg["sparsity_rule"] == "explicit":
-        if cfg["k_list"] is None or len(cfg["k_list"]) != len(p_list):
-            raise ParameterError("sparsity_rule='explicit' requires k_list matching p_list in length")
-    print(f"{'p':>8s} {'k':>6s} {'n':>8s} {'gamma':>10s} {'lambda':>10s} {'q1':>10s} {'q2':>10s} {'q3':>10s} {'snr':>12s}")
-    for i, p in enumerate(p_list):
-        if cfg["sparsity_rule"] == "polynomial":
-            k = int(np.ceil(p ** cfg["poly_exponent"]))
-        elif cfg["sparsity_rule"] == "linear":
-            k = int(np.ceil(cfg["linear_alpha"] * p))
-        else:
-            k = cfg["k_list"][i]
+    rule = {o.name: cfg[o.name] for o in _K_OPTS}
+    sweep.derive_k(**rule)
+    lines = [f"{'p':>8s} {'k':>6s} {'n':>8s} {'gamma':>10s} {'lambda':>10s} {'q1':>10s} {'q2':>10s} {'q3':>10s} {'snr':>12s}"]
+    for i, p in enumerate(cfg["p_list"]):
+        k = sweep.derive_k(**rule, p_idx=i)
         n = theory.required_sample_size(p, k, cfg["eps"])
         gamma, clamped = theory.gamma_schedule(p, k, cfg["gamma_rule"])
         lam = theory.lambda_schedule(n, p, k)
         cond = theory.recovery_conditions(n, p, k, gamma, lam, cfg["beta_min"])
         snr = theory.snr_diagnostic(gamma, n, cfg["beta_min"])
         mark = " *clamped*" if clamped else ""
-        print(
+        lines.append(
             f"{p:>8d} {k:>6d} {n:>8d} {gamma:>10.5g} {lam:>10.5g} "
             f"{cond.q1:>10.5g} {cond.q2:>10.5g} {cond.q3:>10.5g} {snr:>12.6g}{mark}"
         )
+    print("\n".join(lines))
     return 0
 
 

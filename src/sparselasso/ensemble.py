@@ -29,6 +29,7 @@ from .errors import CapacityError, DataError, ParameterError
 from . import rng
 
 CONVENTIONS = ("standard", "rescaled")
+SIGN_PATTERNS = ("all_plus", "alternating", "seeded_random")
 
 # Generation is vectorized over row blocks; the block size bounds the
 # transient uint64 workspace at ~128 MB regardless of n * p.
@@ -216,7 +217,7 @@ class SignalSpec:
             raise ParameterError(f"need 1 <= k <= p/2, got k={self.k}, p={self.p}")
         if not self.beta_min > 0:
             raise ParameterError(f"beta_min must be positive, got {self.beta_min!r}")
-        if self.sign_pattern not in ("all_plus", "alternating", "seeded_random"):
+        if self.sign_pattern not in SIGN_PATTERNS:
             raise ParameterError(f"unknown sign_pattern {self.sign_pattern!r}")
         if self.sign_pattern == "seeded_random" and self.sign_seed is None:
             raise ParameterError("sign_pattern='seeded_random' requires sign_seed")

@@ -15,7 +15,10 @@ directly comparable at equal sigma2.
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -59,8 +62,6 @@ class SweepConfig:
         object.__setattr__(self, "theta_grid", tuple(float(t) for t in self.theta_grid))
         if self.k_list is not None:
             object.__setattr__(self, "k_list", tuple(int(k) for k in self.k_list))
-        if not self.p_list:
-            raise ParameterError("p_list must be non-empty")
         if not self.theta_grid:
             raise ParameterError("theta_grid must be non-empty")
         if len(self.p_list) > 2**16 or len(self.theta_grid) > 2**16:
@@ -73,15 +74,7 @@ class SweepConfig:
             raise CapacityError("at most 2^32 trials per grid point")
         if not 0 <= self.base_seed < 2**64:
             raise ParameterError(f"base_seed must be a 64-bit unsigned integer, got {self.base_seed}")
-        if self.sparsity_rule not in SPARSITY_RULES:
-            raise ParameterError(f"sparsity_rule must be one of {SPARSITY_RULES}, got {self.sparsity_rule!r}")
-        if self.sparsity_rule == "explicit":
-            if self.k_list is None or len(self.k_list) != len(self.p_list):
-                raise ParameterError("sparsity_rule='explicit' requires k_list matching p_list in length")
-        if self.sparsity_rule == "polynomial" and not 0 < self.poly_exponent <= 1:
-            raise ParameterError(f"poly_exponent must lie in (0, 1], got {self.poly_exponent!r}")
-        if self.sparsity_rule == "linear" and not 0 < self.linear_alpha <= 0.5:
-            raise ParameterError(f"linear_alpha must lie in (0, 0.5], got {self.linear_alpha!r}")
+        derive_k(self.p_list, self.sparsity_rule, self.poly_exponent, self.linear_alpha, self.k_list)
         if self.gamma_rule not in GAMMA_RULES:
             raise ParameterError(f"gamma_rule must be one of {GAMMA_RULES}, got {self.gamma_rule!r}")
         if self.gamma_rule == "constant":
@@ -167,13 +160,34 @@ class SweepTable:
     trial_records: Optional[list] = None
 
 
-def _derive_k(cfg: SweepConfig, p_idx: int, p: int) -> int:
-    if cfg.sparsity_rule == "polynomial":
-        k = math.ceil(p**cfg.poly_exponent)
-    elif cfg.sparsity_rule == "linear":
-        k = math.ceil(cfg.linear_alpha * p)
+def derive_k(p_list, sparsity_rule="polynomial", poly_exponent=0.5, linear_alpha=0.125, k_list=None, p_idx=None):
+    """The sparsity rule: checks its parameters against p_list and, given
+    p_idx, returns the k of p_list[p_idx], which must lie in [1, p/2].
+
+    Sweeps and the tabulated recovery conditions both resolve k here, so
+    theory and simulation are evaluated at the same (p, k) points.
+    """
+    if not p_list:
+        raise ParameterError("p_list must be non-empty")
+    if sparsity_rule not in SPARSITY_RULES:
+        raise ParameterError(f"sparsity_rule must be one of {SPARSITY_RULES}, got {sparsity_rule!r}")
+    if sparsity_rule == "explicit" and (k_list is None or len(k_list) != len(p_list)):
+        raise ParameterError("sparsity_rule='explicit' requires k_list matching p_list in length")
+    if sparsity_rule == "polynomial" and not 0 < poly_exponent <= 1:
+        raise ParameterError(f"poly_exponent must lie in (0, 1], got {poly_exponent!r}")
+    if sparsity_rule == "linear" and not 0 < linear_alpha <= 0.5:
+        raise ParameterError(f"linear_alpha must lie in (0, 0.5], got {linear_alpha!r}")
+    if p_idx is None:
+        return None
+    p = p_list[p_idx]
+    if p < 1:
+        raise ParameterError(f"p must be positive, got {p}")
+    if sparsity_rule == "polynomial":
+        k = math.ceil(p**poly_exponent)
+    elif sparsity_rule == "linear":
+        k = math.ceil(linear_alpha * p)
     else:
-        k = cfg.k_list[p_idx]
+        k = k_list[p_idx]
     if not 1 <= k <= p // 2:
         raise ParameterError(f"derived k={k} outside [1, p/2] for p={p}")
     return k
@@ -183,7 +197,7 @@ def _point_for(cfg: SweepConfig, p_idx: int, theta_idx: int) -> GridPoint:
     p = cfg.p_list[p_idx]
     theta = cfg.theta_grid[theta_idx]
     try:
-        k = _derive_k(cfg, p_idx, p)
+        k = derive_k(cfg.p_list, cfg.sparsity_rule, cfg.poly_exponent, cfg.linear_alpha, cfg.k_list, p_idx)
         n = math.ceil(theta * 2.0 * k * theory._log_gap(p, k))
         if cfg.gamma_rule == "constant":
             gamma, clamped = float(cfg.gamma_value), False
@@ -403,22 +417,34 @@ def table_to_dict(table: SweepTable) -> dict:
     return out
 
 
-def write_json(table: SweepTable, fh) -> None:
-    import json
-
-    json.dump(table_to_dict(table), fh, indent=2, sort_keys=True)
+def write_json(table: SweepTable, fh, provenance: Optional[dict] = None) -> None:
+    """JSON mirror of the table; provenance, when given, records where each parameter came from."""
+    out = table_to_dict(table)
+    if provenance is not None:
+        out["provenance"] = provenance
+    json.dump(out, fh, indent=2, sort_keys=True)
     fh.write("\n")
 
 
-def write_outputs(table: SweepTable, path_csv, path_json=None) -> None:
-    try:
-        with open(path_csv, "w") as fh:
-            write_csv(table, fh)
-    except OSError as exc:
-        raise DataError(f"cannot write {path_csv}: {exc}") from exc
+def write_outputs(table: SweepTable, path_csv, path_json=None, provenance: Optional[dict] = None) -> None:
+    """Write each file to a temporary sibling, then move all of them into
+    place, so a failure or interrupt leaves any earlier outputs intact."""
+    jobs = [(path_csv, lambda fh: write_csv(table, fh))]
     if path_json is not None:
-        try:
-            with open(path_json, "w") as fh:
-                write_json(table, fh)
-        except OSError as exc:
-            raise DataError(f"cannot write {path_json}: {exc}") from exc
+        jobs.append((path_json, lambda fh: write_json(table, fh, provenance)))
+    staged = []
+    try:
+        for path, write in jobs:
+            tmp = os.fspath(path) + ".tmp"
+            try:
+                with open(tmp, "w") as fh:
+                    staged.append(tmp)
+                    write(fh)
+            except OSError as exc:
+                raise DataError(f"cannot write {path}: {exc}") from exc
+        for tmp, (path, _) in zip(staged, jobs):
+            os.replace(tmp, path)
+    finally:
+        for tmp in staged:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)

@@ -1,11 +1,17 @@
+import contextlib
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparselasso import read_matrix
+from sparselasso import EnsembleSpec, LassoConfig, ParameterError, SignalSpec, SweepConfig, grid_points, read_matrix
+from sparselasso import cli
 from sparselasso.cli import main
+from sparselasso.sweep import SPARSITY_RULES
 
 
 def _gen_args(path, n=16, p=6, gamma=0.7, seed=3, convention="standard"):
@@ -127,6 +133,14 @@ def test_sweep_dry_run_writes_nothing(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sweep_dry_run_resolves_grid_before_printing(capsys):
+    rc = main(["sweep", "--p-list", "128,4", "--theta-grid", "1.0", "--trials", "1", "--base-seed", "1", "--dry-run"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "grid point p=4" in err
+
+
 def test_sweep_outputs_are_reproducible(tmp_path, capsys):
     c1, c2 = tmp_path / "a.csv", tmp_path / "b.csv"
     j1 = tmp_path / "a.json"
@@ -236,3 +250,86 @@ def test_check_conditions_explicit_k(capsys):
     ])
     assert rc == 0
     assert main(["check-conditions", "--p-list", "128,256", "--sparsity-rule", "explicit", "--k-list", "4"]) == 2
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--p-list", "128", "--sparsity-rule", "linear", "--linear-alpha", "0.9"],
+        ["--p-list", "128", "--sparsity-rule", "explicit", "--k-list", "100"],
+        ["--p-list", "128", "--poly-exponent", "0"],
+        ["--p-list", "128", "--sparsity-rule", "explicit", "--k-list", "0"],
+        ["--p-list", "128,4"],
+        ["--p-list=-4"],
+        ["--p-list", ","],
+    ],
+    ids=["linear_alpha", "k_above_half_p", "poly_exponent", "k_zero", "late_bad_p", "negative_p", "empty_p_list"],
+)
+def test_check_conditions_rejects_points_no_sweep_can_run(extra, capsys):
+    assert main(["check-conditions", *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error" in err
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rule=st.sampled_from(SPARSITY_RULES),
+    p_list=st.lists(st.integers(-4, 4096), max_size=3),
+    poly_exponent=st.floats(-0.5, 1.5),
+    linear_alpha=st.floats(-0.5, 1.5),
+    k_list=st.none() | st.lists(st.integers(-2, 2100), min_size=1, max_size=3),
+)
+def test_check_conditions_and_sweep_agree_on_k(rule, p_list, poly_exponent, linear_alpha, k_list):
+    """Theory is tabulated exactly where a sweep runs: same k, or both reject."""
+    try:
+        cfg = SweepConfig(
+            p_list=p_list,
+            theta_grid=(1.0,),
+            trials=1,
+            base_seed=0,
+            sparsity_rule=rule,
+            poly_exponent=poly_exponent,
+            linear_alpha=linear_alpha,
+            k_list=k_list,
+        )
+        sweep_k = [pt.k for pt in grid_points(cfg)]
+    except ParameterError:
+        sweep_k = None
+
+    argv = [
+        "check-conditions",
+        "--p-list", ",".join(map(str, p_list)),
+        "--sparsity-rule", rule,
+        f"--poly-exponent={poly_exponent!r}",
+        f"--linear-alpha={linear_alpha!r}",
+    ]
+    if k_list is not None:
+        argv.append("--k-list=" + ",".join(map(str, k_list)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    if sweep_k is None:
+        assert (rc, out.getvalue()) == (2, "")
+    else:
+        assert rc == 0, err.getvalue()
+        assert [int(line.split()[1]) for line in out.getvalue().splitlines()[1:]] == sweep_k
+
+
+_OPT_DEFAULTS = [
+    pytest.param(opt, field, id=f"{cls.__name__}.{opt.name}")
+    for opts, cls in (
+        (cli._SWEEP_OPTS, SweepConfig),
+        (cli._GEN_OPTS, EnsembleSpec),
+        (cli._SOLVE_OPTS, LassoConfig),
+        (cli._WITNESS_OPTS, SignalSpec),
+    )
+    for field in dataclasses.fields(cls)
+    for opt in opts
+    if opt.name == field.name and not opt.required
+]
+
+
+@pytest.mark.parametrize("opt, field", _OPT_DEFAULTS)
+def test_cli_defaults_match_dataclass_defaults(opt, field):
+    assert opt.default == field.default

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import math
 
 import pytest
@@ -16,7 +17,8 @@ from sparselasso import (
     run_trial,
     write_outputs,
 )
-from sparselasso.sweep import CSV_HEADER, read_csv, table_to_dict, trial_seed, write_csv
+from sparselasso import sweep
+from sparselasso.sweep import CSV_HEADER, read_csv, table_to_dict, trial_seed, write_csv, write_json
 
 
 def _small_cfg(**overrides):
@@ -255,3 +257,29 @@ def test_table_to_dict_omits_trials_when_not_kept():
     cfg = _small_cfg()
     table = run_sweep(cfg)
     assert "trials" not in table_to_dict(table)
+
+
+def test_write_json_provenance_is_optional():
+    table = run_sweep(_small_cfg())
+    plain, tagged = io.StringIO(), io.StringIO()
+    write_json(table, plain)
+    write_json(table, tagged, provenance={"trials": "flag"})
+    payload = json.loads(tagged.getvalue())
+    assert payload.pop("provenance") == {"trials": "flag"}
+    assert payload == json.loads(plain.getvalue())
+
+
+def test_write_outputs_leaves_earlier_files_intact_on_failure(tmp_path, monkeypatch):
+    csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+    write_outputs(run_sweep(_small_cfg()), csv_path, json_path)
+    before = (csv_path.read_bytes(), json_path.read_bytes())
+
+    def interrupted(table, fh, provenance=None):
+        fh.write('{"config": ')
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sweep, "write_json", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_outputs(run_sweep(_small_cfg(base_seed=12)), csv_path, json_path)
+    assert (csv_path.read_bytes(), json_path.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json"]
