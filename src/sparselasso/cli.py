@@ -339,12 +339,15 @@ def _cmd_check_conditions(cfg: dict, prov: dict) -> int:
     sweep.derive_k(**rule)
     lines = [f"{'p':>8s} {'k':>6s} {'n':>8s} {'gamma':>10s} {'lambda':>10s} {'q1':>10s} {'q2':>10s} {'q3':>10s} {'snr':>12s}"]
     for i, p in enumerate(cfg["p_list"]):
-        k = sweep.derive_k(**rule, p_idx=i)
-        n = theory.required_sample_size(p, k, cfg["eps"])
-        gamma, clamped = theory.gamma_schedule(p, k, cfg["gamma_rule"])
-        lam = theory.lambda_schedule(n, p, k)
-        cond = theory.recovery_conditions(n, p, k, gamma, lam, cfg["beta_min"])
-        snr = theory.snr_diagnostic(gamma, n, cfg["beta_min"])
+        try:
+            k = sweep.derive_k(**rule, p_idx=i)
+            n = theory.required_sample_size(p, k, cfg["eps"])
+            gamma, clamped = theory.gamma_schedule(p, k, cfg["gamma_rule"])
+            lam = theory.lambda_schedule(n, p, k)
+            cond = theory.recovery_conditions(n, p, k, gamma, lam, cfg["beta_min"])
+            snr = theory.snr_diagnostic(gamma, n, cfg["beta_min"])
+        except ParameterError as exc:
+            raise type(exc)(f"p={p}: {exc}") from exc
         mark = " *clamped*" if clamped else ""
         lines.append(
             f"{p:>8d} {k:>6d} {n:>8d} {gamma:>10.5g} {lam:>10.5g} "

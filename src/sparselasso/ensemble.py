@@ -31,9 +31,13 @@ from . import rng
 CONVENTIONS = ("standard", "rescaled")
 SIGN_PATTERNS = ("all_plus", "alternating", "seeded_random")
 
-# Generation is vectorized over row blocks; the block size bounds the
-# transient uint64 workspace at ~128 MB regardless of n * p.
-_BLOCK_ENTRIES = 1 << 24
+# The pattern is hashed in row blocks of max(1, _BLOCK_ENTRIES // p) rows,
+# so its two reused uint64 buffers and its bool mask hold at most
+# max(_BLOCK_ENTRIES, p) entries each: 17 * max(2^16, p) bytes, a
+# cache-sized ~1.1 MB while p <= 2^16, but a whole row beyond that.
+# Values are drawn once for all kept entries, so that workspace grows
+# with nnz, as the output does.
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -120,14 +124,30 @@ class SparseMeasurementMatrix:
         if self.nnz:
             if self.indices.min() < 0 or self.indices.max() >= p:
                 raise DataError("column index out of range")
-            for i in range(n):
-                row = self.indices[self.indptr[i] : self.indptr[i + 1]]
-                if np.any(np.diff(row) <= 0):
-                    raise DataError(f"row {i} columns must be strictly increasing")
+            # np.diff(indices)[t] compares entries t and t + 1, which share a
+            # row unless t + 1 starts one.
+            starts = self.indptr[1:-1]
+            same_row = np.ones(self.nnz - 1, dtype=bool)
+            same_row[starts[(starts > 0) & (starts < self.nnz)] - 1] = False
+            bad = (np.diff(self.indices) <= 0) & same_row
+            if bad.any():
+                i = int(np.searchsorted(self.indptr, np.argmax(bad), side="right")) - 1
+                raise DataError(f"row {i} columns must be strictly increasing")
             if not np.all(np.isfinite(self.values)):
                 raise DataError("stored values must be finite")
             if np.any(self.values == 0.0):
                 raise DataError("stored values must be non-zero")
+
+
+def _pattern(key: int, n: int, p: int, threshold: np.uint64) -> tuple:
+    """Per-row kept counts and the kept columns (row-major) of the Bernoulli pattern."""
+    counts = np.empty(n, dtype=np.int64)
+    cols = []
+    for r0, bits in rng.grid_bits(key, n, p, _BLOCK_ENTRIES):
+        mask = bits < threshold
+        counts[r0 : r0 + len(mask)] = np.count_nonzero(mask, axis=1)
+        cols.append(np.flatnonzero(mask) % p)
+    return counts, np.concatenate(cols)
 
 
 def sample_matrix(spec: EnsembleSpec, seed: int, value_seed: Optional[int] = None) -> SparseMeasurementMatrix:
@@ -142,34 +162,18 @@ def sample_matrix(spec: EnsembleSpec, seed: int, value_seed: Optional[int] = Non
     value_seed_eff = rng.derive_key(seed if value_seed is None else value_seed, rng.TAG_VALUE)
 
     n, p, gamma = spec.n, spec.p, spec.gamma
-    dense = gamma == 1.0
-    threshold = None if dense else np.uint64(rng.bernoulli_threshold(gamma))
-    scale = 1.0 if spec.convention == "standard" else 1.0 / math.sqrt(gamma)
-
-    rows_per_block = max(1, _BLOCK_ENTRIES // p)
-    counts = np.zeros(n, dtype=np.int64)
-    idx_parts = []
-    val_parts = []
-    cols = np.arange(p, dtype=np.uint64)
-    for r0 in range(0, n, rows_per_block):
-        r1 = min(n, r0 + rows_per_block)
-        counters = (np.arange(r0, r1, dtype=np.uint64)[:, None] << np.uint64(32)) | cols[None, :]
-        if dense:
-            nz_counters = counters.ravel()
-            counts[r0:r1] = p
-            idx_parts.append(np.tile(np.arange(p, dtype=np.int64), r1 - r0))
-        else:
-            mask = rng.bits_at(pattern_seed, counters) < threshold
-            counts[r0:r1] = mask.sum(axis=1)
-            nz_counters = counters[mask]
-            idx_parts.append(np.nonzero(mask)[1].astype(np.int64))
-        draws = rng.normals_at(value_seed_eff, nz_counters)
-        val_parts.append(draws if scale == 1.0 else draws * scale)
+    if gamma == 1.0:
+        counts = np.full(n, p, dtype=np.int64)
+        indices = np.tile(np.arange(p, dtype=np.int64), n)
+    else:
+        counts, indices = _pattern(pattern_seed, n, p, np.uint64(rng.bernoulli_threshold(gamma)))
+    rows = np.repeat(np.arange(n, dtype=np.uint64), counts)
+    values = rng.normals_at(value_seed_eff, (rows << np.uint64(32)) | indices.astype(np.uint64))
+    if spec.convention == "rescaled":
+        values *= 1.0 / math.sqrt(gamma)
 
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    indices = np.concatenate(idx_parts) if idx_parts else np.zeros(0, dtype=np.int64)
-    values = np.concatenate(val_parts) if val_parts else np.zeros(0)
     info = SeedInfo(
         seed=seed,
         pattern_seed=pattern_seed,

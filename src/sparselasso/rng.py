@@ -35,11 +35,19 @@ GENERATOR_NAME = "splitmix64"
 NORMAL_METHOD = "inverse_cdf"
 
 
-def _finalize(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
-    """splitmix64 output finalizer; bijective on 64-bit words."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _finalize(z: np.ndarray | np.uint64, scratch: np.ndarray | None = None) -> np.ndarray | np.uint64:
+    """splitmix64 output finalizer; bijective on 64-bit words.
+
+    Given `scratch`, a uint64 array shaped like the array `z`, the words of
+    z are mixed in place (scratch holds the shifted words) and z is
+    returned, so no temporary is allocated.
+    """
+    out = None if scratch is None else z
+    for shift, mult in ((np.uint64(30), _MIX1), (np.uint64(27), _MIX2), (np.uint64(31), None)):
+        z = np.bitwise_xor(z, np.right_shift(z, shift, out=scratch), out=out)
+        if mult is not None:
+            z = np.multiply(z, mult, out=out)
+    return z
 
 
 def derive_key(seed: int, *tags: int) -> int:
@@ -57,20 +65,49 @@ def derive_key(seed: int, *tags: int) -> int:
 
 def bits_at(key: int, counters: np.ndarray) -> np.ndarray:
     """64-bit words of the stream `key` at the given counters (uint64 array)."""
-    with np.errstate(over="ignore"):
-        z = np.uint64(key) + _PHI * (np.asarray(counters, dtype=np.uint64) + np.uint64(1))
-        return _finalize(z)
+    z = np.array(counters, dtype=np.uint64)
+    z += np.uint64(1)
+    z *= _PHI
+    z += np.uint64(key)
+    return _finalize(z, np.empty_like(z))
+
+
+def grid_bits(key: int, n: int, p: int, block_entries: int):
+    """bits_at(key, (i << 32) | j) over the n x p grid (p < 2^32), in row blocks.
+
+    Yields (r0, bits) where bits[r, j] is the word at row r0 + r, column j,
+    for blocks of max(1, block_entries // p) rows.  As j < 2^32 the packed
+    counter is a sum, so its pre-mix word key + PHI * (counter + 1) is the
+    row term key + PHI * ((i << 32) + 1) plus the column term PHI * j: one
+    broadcast add per block, then mixed in place.  `bits` is a view of a
+    buffer that the next block overwrites; consume it before advancing.
+    """
+    rows_per_block = max(1, block_entries // p)
+    col_words = np.arange(p, dtype=np.uint64) * _PHI
+    words = np.empty((min(n, rows_per_block), p), dtype=np.uint64)
+    scratch = np.empty_like(words)
+    for r0 in range(0, n, rows_per_block):
+        r1 = min(n, r0 + rows_per_block)
+        rows = np.arange(r0, r1, dtype=np.uint64)
+        row_words = ((rows << np.uint64(32)) + np.uint64(1)) * _PHI + np.uint64(key)
+        z = np.add(row_words[:, None], col_words, out=words[: r1 - r0])
+        yield r0, _finalize(z, scratch[: r1 - r0])
 
 
 def uniforms_at(key: int, counters: np.ndarray) -> np.ndarray:
     """Uniforms in the open interval (0, 1) at the given counters."""
     b = bits_at(key, counters)
-    return (b >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+    b >>= np.uint64(11)
+    u = b.astype(np.float64)
+    u *= 2.0**-53
+    u += 2.0**-54
+    return u
 
 
 def normals_at(key: int, counters: np.ndarray) -> np.ndarray:
     """Standard normals at the given counters (fixed inverse-CDF method)."""
-    return ndtri(uniforms_at(key, counters))
+    u = uniforms_at(key, counters)
+    return ndtri(u, out=u)
 
 
 def bernoulli_threshold(prob: float) -> int:

@@ -272,6 +272,13 @@ def test_check_conditions_rejects_points_no_sweep_can_run(extra, capsys):
     assert "error" in err
 
 
+def test_check_conditions_names_the_failing_p(capsys):
+    assert main(["check-conditions", "--p-list", "128,4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: p=4: " in err
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     rule=st.sampled_from(SPARSITY_RULES),

@@ -4,6 +4,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparselasso import (
     CapacityError,
@@ -19,6 +21,8 @@ from sparselasso import (
     signal_signs,
     write_matrix,
 )
+
+from oracles import sample_matrix_unblocked
 
 GOLDEN_MATRIX = pathlib.Path(__file__).parent / "golden" / "matrix_n6_p4_seed3.txt"
 
@@ -180,9 +184,33 @@ def test_serialization_golden():
         ("4 4 0.5 standard 1\n0 0 0.0\n", "non-zero"),
         ("4 4 0.5 standard 1\n0 0\n", "expected"),
         ("4 4 0.5 standard 1\n0 0 abc\n", "could not convert"),
+        ("4 4 0.5 standard 1\n0 0 1.5\n1 1 1.0\n2 3 1.0\n2 3 2.0\n3 0 1.0\n", "row 2 columns must be strictly increasing"),
     ],
 )
 def test_read_matrix_rejects_malformed(text, fragment):
     with pytest.raises(DataError) as err:
         read_matrix(io.StringIO(text))
     assert fragment in str(err.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    p=st.integers(1, 1500),
+    gamma=st.sampled_from([1.0, 0.5]) | st.floats(1e-3, 1.0),
+    convention=st.sampled_from(["standard", "rescaled"]),
+    seed=st.integers(0, 2**64 - 1),
+    value_seed=st.none() | st.integers(0, 2**64 - 1),
+)
+@example(n=300, p=700, gamma=0.1, convention="rescaled", seed=5, value_seed=None)  # 4 blocks, the last partial
+@example(n=3, p=70_000, gamma=0.05, convention="standard", seed=9, value_seed=2)  # p above the block: one row each
+@example(n=2, p=70_000, gamma=1.0, convention="rescaled", seed=1, value_seed=None)
+@example(n=1, p=1, gamma=0.3, convention="standard", seed=0, value_seed=None)
+def test_sample_matrix_matches_unblocked_oracle(n, p, gamma, convention, seed, value_seed):
+    spec = EnsembleSpec(n=n, p=p, gamma=gamma, convention=convention)
+    got = sample_matrix(spec, seed, value_seed=value_seed)
+    want = sample_matrix_unblocked(spec, seed, value_seed=value_seed)
+    for name in ("indptr", "indices", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.seed_info == want.seed_info

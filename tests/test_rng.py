@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparselasso import rng
 
@@ -29,6 +31,41 @@ def test_bits_order_independent():
     assert np.array_equal(rng.bits_at(key, shuffled), batch[::-1])
     single = np.array([rng.bits_at(key, np.array([c], dtype=np.uint64))[0] for c in counters[:16]])
     assert np.array_equal(single, batch[:16])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    key=st.integers(0, 2**64 - 1),
+    counters=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300),
+    data=st.data(),
+)
+def test_bits_depend_only_on_key_and_counter(key, counters, data):
+    """Any permutation or slice of the counters gets the matching slice of the batch."""
+    counters = np.array(counters, dtype=np.uint64)
+    batch = rng.bits_at(key, counters)
+    perm = np.array(data.draw(st.permutations(range(counters.size))), dtype=np.int64)
+    assert np.array_equal(rng.bits_at(key, counters[perm]), batch[perm])
+    lo = data.draw(st.integers(0, counters.size))
+    hi = data.draw(st.integers(lo, counters.size))
+    assert np.array_equal(rng.bits_at(key, counters[lo:hi]), batch[lo:hi])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    key=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 40),
+    p=st.integers(1, 60),
+    block_entries=st.integers(1, 500),
+)
+def test_grid_bits_blocks_equal_bits_at_on_packed_counters(key, n, p, block_entries):
+    counters = (np.arange(n, dtype=np.uint64)[:, None] << np.uint64(32)) | np.arange(p, dtype=np.uint64)
+    expected = rng.bits_at(key, counters)
+    r_next = 0
+    for r0, bits in rng.grid_bits(key, n, p, block_entries):
+        assert r0 == r_next and bits.shape[1] == p
+        assert np.array_equal(bits, expected[r0 : r0 + len(bits)])
+        r_next = r0 + len(bits)
+    assert r_next == n
 
 
 def test_uniforms_open_interval():
