@@ -292,8 +292,7 @@ def write_matrix(m: SparseMeasurementMatrix, fh: IO[str]) -> None:
     spec = m.spec
     fh.write(f"{spec.n} {spec.p} {spec.gamma:.17g} {spec.convention} {m.seed_info.seed}\n")
     rows = np.repeat(np.arange(spec.n), np.diff(m.indptr))
-    for r, c, v in zip(rows, m.indices, m.values):
-        fh.write(f"{r} {c} {v:.17g}\n")
+    fh.writelines(f"{r} {c} {v:.17g}\n" for r, c, v in zip(rows.tolist(), m.indices.tolist(), m.values.tolist()))
 
 
 def read_matrix(fh: IO[str]) -> SparseMeasurementMatrix:

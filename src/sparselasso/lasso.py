@@ -153,14 +153,17 @@ def solve(
                 delta_max = max(delta_max, abs(bj_new - bj))
         history.append(0.5 / n * (r @ r) + lam * np.abs(beta).sum())
         if delta_max <= tol:
-            if kkt_residual(Xc, y, lam, beta, config.zero_tol) <= 10.0 * tol:
+            kkt = kkt_residual(Xc, y, lam, beta, config.zero_tol)
+            if kkt <= 10.0 * tol:
                 converged = True
                 break
+    if not converged:
+        kkt = kkt_residual(Xc, y, lam, beta, config.zero_tol)
 
     return LassoSolution(
         beta_hat=beta,
         objective=history[-1],
-        kkt_residual=kkt_residual(Xc, y, lam, beta, config.zero_tol),
+        kkt_residual=kkt,
         iterations=it,
         converged=converged,
         objective_history=np.asarray(history),

@@ -8,6 +8,12 @@ instances are trials of the acceptance sweeps, drawn with
 (gamma = 1), a standard-convention and a `value_seed` instance.  The file
 was recorded from the one-shot sampler (2-D counter blocks of 2^24
 entries); any rewrite of the sampler must reproduce it unchanged.
+
+The witness margins call `witness.build` directly, outside the sweep's
+single-threaded BLAS scope, and were recorded with OpenBLAS's default
+threading (two threads on the recording machine).  Multi-threaded BLAS
+sums in a different order, so under `OPENBLAS_NUM_THREADS=1` the
+criterion-2 p=1024 dual margin differs in its last digits.
 """
 
 import dataclasses

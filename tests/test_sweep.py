@@ -17,7 +17,7 @@ from sparselasso import (
     run_trial,
     write_outputs,
 )
-from sparselasso import sweep
+from sparselasso import blas, sweep
 from sparselasso.sweep import CSV_HEADER, read_csv, table_to_dict, trial_seed, write_csv, write_json
 
 
@@ -283,3 +283,59 @@ def test_write_outputs_leaves_earlier_files_intact_on_failure(tmp_path, monkeypa
         write_outputs(run_sweep(_small_cfg(base_seed=12)), csv_path, json_path)
     assert (csv_path.read_bytes(), json_path.read_bytes()) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json"]
+
+
+CRITERION_2 = dict(
+    p_list=(256, 512, 1024),
+    theta_grid=(0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0),
+    trials=100,
+    base_seed=1002,
+    sparsity_rule="linear",
+    linear_alpha=0.125,
+)
+
+
+@pytest.fixture
+def caller_blas():
+    """The process's OpenBLAS thread counts, restored after the test."""
+    saved = blas.thread_counts()
+    yield saved
+    blas.set_thread_counts(saved)
+
+
+def _fields(rec):
+    return {k: v for k, v in dataclasses.asdict(rec).items() if k != "elapsed"}
+
+
+def test_trial_floats_do_not_depend_on_caller_blas_threads(caller_blas):
+    # n=3481, k=128: a support Gram large enough for threaded BLAS to sum differently
+    cfg = SweepConfig(**CRITERION_2)
+    results = []
+    for counts in ((1,) * len(caller_blas), caller_blas):
+        blas.set_thread_counts(counts)
+        results.append(_fields(run_trial(cfg, 1024, 2.0, 0)))
+        assert blas.thread_counts() == counts
+    assert results[0] == results[1]
+    assert results[0]["n"] == 3481 and results[0]["k"] == 128
+
+
+def test_sweep_and_trial_restore_blas_threads_when_a_trial_raises(caller_blas, monkeypatch):
+    cfg = _small_cfg()
+    for counts in ((1,) * len(caller_blas), caller_blas):
+        blas.set_thread_counts(counts)
+        run_sweep(cfg)
+        run_trial(cfg, 32, 0.5, 0)
+        assert blas.thread_counts() == counts
+    monkeypatch.setattr(sweep.witness, "build", lambda *a: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        run_trial(cfg, 32, 0.5, 0)
+    with pytest.raises(ZeroDivisionError):
+        run_sweep(cfg)
+    assert blas.thread_counts() == caller_blas
+
+
+def test_sweep_without_openblas_matches_pinned_sweep(monkeypatch):
+    cfg = SweepConfig(**dict(CRITERION_2, p_list=(256,), theta_grid=(1.0, 2.0), trials=8))
+    pinned = _csv_of(run_sweep(cfg))
+    monkeypatch.setattr(blas, "_libraries", lambda: ())
+    assert _csv_of(run_sweep(cfg)) == pinned
