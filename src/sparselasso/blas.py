@@ -8,6 +8,12 @@ BLAS also sums in a different order, so a trial's float outputs would
 depend on the thread count and not only on its seeds.  `single_threaded`
 pins every loaded OpenBLAS to one thread for the duration of a block.
 
+It decorates each function whose results come from dense BLAS/LAPACK:
+`witness.build`, `witness.h_vector`, `witness.dual_identity_check`,
+`lasso.solve` and `theory.singular_extremes`.  Sweeps, the CLI and
+direct calls all reach the dense algebra through these, so they compute
+the same floats whatever thread count the caller has set.
+
 The libraries are found once per process from the memory map (Linux
 only) and driven through their exported getter and setter via ctypes,
 so no third-party package or environment variable is involved.  Where

@@ -19,6 +19,7 @@ matrix.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import IO, Optional
 
@@ -38,6 +39,9 @@ SIGN_PATTERNS = ("all_plus", "alternating", "seeded_random")
 # Values are drawn once for all kept entries, so that workspace grows
 # with nnz, as the output does.
 _BLOCK_ENTRIES = 1 << 16
+
+# One `row col value` line of the text format.
+_ENTRY_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -104,13 +108,7 @@ class SparseMeasurementMatrix:
         cols = np.asarray(cols, dtype=np.int64)
         if cols.size and (cols.min() < 0 or cols.max() >= self.spec.p):
             raise ParameterError("column index out of range")
-        out = np.zeros((self.spec.n, cols.size))
-        pos = np.full(self.spec.p, -1, dtype=np.int64)
-        pos[cols] = np.arange(cols.size)
-        hit = pos[self.indices] >= 0
-        rows = np.repeat(np.arange(self.spec.n), np.diff(self.indptr))
-        out[rows[hit], pos[self.indices[hit]]] = self.values[hit]
-        return out
+        return self.to_csr()[:, cols].toarray()
 
     def validate(self) -> None:
         """Check the structural invariants; raises DataError on violation."""
@@ -312,35 +310,25 @@ def read_matrix(fh: IO[str]) -> SparseMeasurementMatrix:
     except ParameterError as exc:
         raise DataError(f"bad matrix header: {exc}") from exc
 
-    rows, cols, vals = [], [], []
-    for lineno, line in enumerate(fh, start=2):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 3:
-            raise DataError(f"line {lineno}: expected 'row col value'")
-        try:
-            rows.append(int(parts[0]))
-            cols.append(int(parts[1]))
-            vals.append(float(parts[2]))
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: {exc}") from exc
+    try:
+        with warnings.catch_warnings():  # a header-only file is an empty matrix
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            body = np.loadtxt(fh, dtype=_ENTRY_DTYPE, ndmin=1, comments=None)
+    except ValueError as exc:
+        raise DataError(f"expected 'row col value' lines after the header: {str(exc).split(';')[0]}") from exc
 
-    rows_a = np.asarray(rows, dtype=np.int64)
-    cols_a = np.asarray(cols, dtype=np.int64)
-    vals_a = np.asarray(vals, dtype=np.float64)
-    if rows_a.size and (rows_a.min() < 0 or rows_a.max() >= n):
+    rows = body["row"]
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
         raise DataError("row index out of range")
-    order = np.lexsort((cols_a, rows_a))
-    rows_a, cols_a, vals_a = rows_a[order], cols_a[order], vals_a[order]
+    body = body[np.lexsort((body["col"], rows))]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr[1:], rows_a, 1)
+    np.add.at(indptr[1:], body["row"], 1)
     np.cumsum(indptr, out=indptr)
     m = SparseMeasurementMatrix(
         spec=spec,
         indptr=indptr,
-        indices=cols_a,
-        values=vals_a,
+        indices=np.ascontiguousarray(body["col"]),
+        values=np.ascontiguousarray(body["value"]),
         seed_info=SeedInfo(seed=seed, pattern_seed=0, value_seed=0, generator="file", normal_method="file"),
     )
     m.validate()

@@ -14,6 +14,7 @@ from typing import Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
+from . import blas
 from .ensemble import SparseMeasurementMatrix
 from .errors import DataError, ParameterError
 
@@ -101,6 +102,7 @@ def signed_support(beta: np.ndarray, zero_tol: float = 1e-8) -> np.ndarray:
     return out
 
 
+@blas.single_threaded()
 def solve(
     X: MatrixLike,
     y: np.ndarray,

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import blas, ensemble, lasso, rng, theory, witness
+from . import ensemble, lasso, rng, theory, witness
 from .errors import CapacityError, DataError, ParameterError
 
 SPARSITY_RULES = ("polynomial", "linear", "explicit")
@@ -236,9 +236,6 @@ def trial_seed(base_seed: int, p_idx: int, theta_idx: int, trial_index: int) -> 
     return rng.derive_key(base_seed, rng.TAG_TRIAL, packed)
 
 
-# Every trial, serial, in a pool worker or through run_trial, runs here on
-# single-threaded BLAS, so its floats depend on its seeds alone.
-@blas.single_threaded()
 def _execute(cfg: SweepConfig, point: GridPoint, trial_index: int) -> TrialRecord:
     t0 = time.perf_counter()
     seed = trial_seed(cfg.base_seed, point.p_idx, point.theta_idx, trial_index)

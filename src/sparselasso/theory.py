@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import blas
 from .ensemble import SparseMeasurementMatrix
 from .errors import ParameterError
 
@@ -185,6 +186,7 @@ def sv_deviation(gamma: float, k: int, p: int, theta_frac: float, t: float) -> f
     return math.sqrt(max(first, second)) / gamma
 
 
+@blas.single_threaded()
 def singular_extremes(m: SparseMeasurementMatrix, cols: Sequence[int]) -> tuple[float, float]:
     """(s_min, s_max) / sqrt(n) of the dense submatrix on the given columns."""
     cols = np.asarray(cols, dtype=np.int64)

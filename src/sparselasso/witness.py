@@ -30,7 +30,7 @@ import scipy.linalg
 from .ensemble import SignalSpec, SparseMeasurementMatrix, make_signal, signal_signs
 from .errors import ParameterError
 from .lasso import LassoSolution, signed_support
-from . import rng
+from . import blas, rng
 
 # Relative floor on the restricted Gram's Cholesky pivots below which the
 # support block is reported as numerically singular.
@@ -101,6 +101,7 @@ def check_events(r: WitnessReport, lam: float, beta_min: float) -> Events:
     return _events(_margins(r.u, r.va + r.vb, lam, beta_min, r.signs))
 
 
+@blas.single_threaded()
 def build(m: SparseMeasurementMatrix, s: SignalSpec, w: np.ndarray, lam: float) -> WitnessReport:
     """Construct the witness for one realized instance."""
     if not lam > 0:
@@ -151,6 +152,7 @@ def build(m: SparseMeasurementMatrix, s: SignalSpec, w: np.ndarray, lam: float) 
 HVector = namedtuple("HVector", ["h", "squared_norm"])
 
 
+@blas.single_threaded()
 def h_vector(m: SparseMeasurementMatrix, s: SignalSpec) -> HVector:
     """h = (1/n) X_S (X_S^T X_S / n)^{-1} 1 on the first-k support.
 
@@ -182,6 +184,7 @@ def thinned_squared_norm(h: np.ndarray, gamma: float, seed: int) -> float:
     return float(kept @ kept)
 
 
+@blas.single_threaded()
 def dual_identity_check(
     m: SparseMeasurementMatrix,
     s: SignalSpec,

@@ -2,14 +2,19 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sparselasso
 from sparselasso import EnsembleSpec, LassoConfig, ParameterError, SignalSpec, SweepConfig, grid_points, read_matrix
-from sparselasso import cli
+from sparselasso import cli, sample_matrix, write_matrix
 from sparselasso.cli import main
 from sparselasso.sweep import SPARSITY_RULES
 
@@ -340,3 +345,28 @@ _OPT_DEFAULTS = [
 @pytest.mark.parametrize("opt, field", _OPT_DEFAULTS)
 def test_cli_defaults_match_dataclass_defaults(opt, field):
     assert opt.default == field.default
+
+
+def test_witness_output_does_not_depend_on_blas_threads(tmp_path):
+    # The smallest criterion-2 shape whose witness differed between one and
+    # two OpenBLAS threads while only sweep trials pinned BLAS: p=1024 at
+    # theta=0.2, so n=349 and k=128.
+    (pt,) = grid_points(SweepConfig(p_list=(1024,), theta_grid=(0.2,), trials=1, base_seed=0, sparsity_rule="linear"))
+    assert (pt.n, pt.k) == (349, 128)
+    path = tmp_path / "m.txt"
+    with open(path, "w") as fh:
+        write_matrix(sample_matrix(pt.spec, seed=1), fh)
+    src = str(pathlib.Path(sparselasso.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sparselasso.cli", "witness", "--matrix", str(path), "--k", str(pt.k),
+             "--lam", repr(pt.lam), "--noise-seed", "2"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert json.loads(outputs[0])["invertible"] is True
+    assert outputs[0] == outputs[1]

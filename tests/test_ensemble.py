@@ -1,6 +1,7 @@
 import io
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,16 @@ def test_dense_columns_matches_csr():
     assert np.array_equal(m.dense_columns(cols), m.to_csr().toarray()[:, cols])
     with pytest.raises(ParameterError):
         m.dense_columns([20])
+    with pytest.raises(ParameterError):
+        m.dense_columns([-1])
+
+
+def test_dense_columns_keeps_duplicate_and_unordered_columns():
+    m = sample_matrix(EnsembleSpec(n=30, p=20, gamma=0.6), seed=4)
+    cols = [5, 0, 0, 19, 5]
+    got = m.dense_columns(cols)
+    assert np.array_equal(got, m.to_csr().toarray()[:, cols])
+    assert np.array_equal(got[:, 1], got[:, 2]) and np.any(got[:, 1])
 
 
 def test_signal_patterns():
@@ -191,6 +202,18 @@ def test_read_matrix_rejects_malformed(text, fragment):
     with pytest.raises(DataError) as err:
         read_matrix(io.StringIO(text))
     assert fragment in str(err.value)
+
+
+def test_read_matrix_accepts_header_only_and_blank_lines():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        empty = read_matrix(io.StringIO("4 3 0.5 standard 1\n"))
+        assert empty.nnz == 0 and np.array_equal(empty.indptr, np.zeros(5))
+        assert empty.indices.dtype == np.int64 and empty.values.dtype == np.float64
+        m = read_matrix(io.StringIO("4 3 0.5 standard 1\n\n3 1 2.5\n  \n0 2 -1.5\n0 0 1.0\n"))
+    assert np.array_equal(m.indptr, [0, 2, 2, 2, 3])
+    assert np.array_equal(m.indices, [0, 2, 1])
+    assert np.array_equal(m.values, [1.0, -1.5, 2.5])
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,11 +9,12 @@ instances are trials of the acceptance sweeps, drawn with
 was recorded from the one-shot sampler (2-D counter blocks of 2^24
 entries); any rewrite of the sampler must reproduce it unchanged.
 
-The witness margins call `witness.build` directly, outside the sweep's
-single-threaded BLAS scope, and were recorded with OpenBLAS's default
-threading (two threads on the recording machine).  Multi-threaded BLAS
-sums in a different order, so under `OPENBLAS_NUM_THREADS=1` the
-criterion-2 p=1024 dual margin differs in its last digits.
+`witness.build` runs its dense algebra on single-threaded BLAS, so the
+margins are the ones a sweep records for the same trial, whatever the
+caller's thread count.  The criterion-2 p=1024 dual margin was
+re-recorded once, when `build` began to pin BLAS itself: the first
+recording had summed its Gram on two threads and differed in the last
+digits.
 """
 
 import dataclasses

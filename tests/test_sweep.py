@@ -17,7 +17,7 @@ from sparselasso import (
     run_trial,
     write_outputs,
 )
-from sparselasso import blas, sweep
+from sparselasso import blas, ensemble, lasso, sweep, witness
 from sparselasso.sweep import CSV_HEADER, read_csv, table_to_dict, trial_seed, write_csv, write_json
 
 
@@ -319,6 +319,30 @@ def test_trial_floats_do_not_depend_on_caller_blas_threads(caller_blas):
     assert results[0]["n"] == 3481 and results[0]["k"] == 128
 
 
+def test_direct_calls_do_not_depend_on_caller_blas_threads(caller_blas):
+    # the same trial, through witness.build and lasso.solve called directly
+    cfg = SweepConfig(**CRITERION_2)
+    pt = grid_points(cfg)[-1]
+    assert (pt.p, pt.theta, pt.n, pt.k) == (1024, 2.0, 3481, 128)
+    seed = trial_seed(cfg.base_seed, pt.p_idx, pt.theta_idx, 0)
+    m = ensemble.sample_matrix(pt.spec, seed)
+    sig = ensemble.SignalSpec(p=pt.p, k=pt.k, beta_min=cfg.beta_min)
+    w = ensemble.noise_vector(pt.n, cfg.sigma2, seed)
+    y = m.to_csr() @ ensemble.make_signal(sig) + w
+    results = []
+    # at least two threads on the second pass, also when the caller runs on one
+    for counts in ((1,) * len(caller_blas), tuple(max(2, c) for c in caller_blas)):
+        blas.set_thread_counts(counts)
+        rep = witness.build(m, sig, w, pt.lam)
+        sol = lasso.solve(m, y, lasso.LassoConfig(lam=pt.lam))
+        assert blas.thread_counts() == counts
+        results.append((
+            rep.margins, rep.u.tobytes(), rep.va.tobytes(), rep.vb.tobytes(),
+            sol.beta_hat.tobytes(), sol.objective, sol.kkt_residual, sol.iterations,
+        ))
+    assert results[0] == results[1]
+
+
 def test_sweep_and_trial_restore_blas_threads_when_a_trial_raises(caller_blas, monkeypatch):
     cfg = _small_cfg()
     for counts in ((1,) * len(caller_blas), caller_blas):
@@ -326,12 +350,22 @@ def test_sweep_and_trial_restore_blas_threads_when_a_trial_raises(caller_blas, m
         run_sweep(cfg)
         run_trial(cfg, 32, 0.5, 0)
         assert blas.thread_counts() == counts
-    monkeypatch.setattr(sweep.witness, "build", lambda *a: 1 / 0)
-    with pytest.raises(ZeroDivisionError):
-        run_trial(cfg, 32, 0.5, 0)
-    with pytest.raises(ZeroDivisionError):
-        run_sweep(cfg)
-    assert blas.thread_counts() == caller_blas
+
+    def failing_factor(*args):
+        # raise inside the pinned scope of witness.build
+        assert blas.thread_counts() == (1,) * len(caller_blas)
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(witness, "_factor_gram", failing_factor)
+    m = ensemble.sample_matrix(ensemble.EnsembleSpec(n=40, p=32, gamma=0.5), seed=1)
+    for call in (
+        lambda: run_trial(cfg, 32, 0.5, 0),
+        lambda: run_sweep(cfg),
+        lambda: witness.build(m, ensemble.SignalSpec(p=32, k=4), [0.0] * 40, 0.5),
+    ):
+        with pytest.raises(ZeroDivisionError):
+            call()
+        assert blas.thread_counts() == caller_blas
 
 
 def test_sweep_without_openblas_matches_pinned_sweep(monkeypatch):
