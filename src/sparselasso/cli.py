@@ -15,8 +15,8 @@ import argparse
 import configparser
 import dataclasses
 import difflib
-import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from typing import Optional
 
 import numpy as np
@@ -210,16 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_ready(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, tuple):
-        return [_json_ready(v) for v in value]
-    return value
-
-
 def _build(cls, cfg: dict, **given):
     """An instance of the dataclass cls from the resolved parameters named like its fields."""
     return cls(**{f.name: given[f.name] if f.name in given else cfg[f.name] for f in dataclasses.fields(cls)})
@@ -259,18 +249,19 @@ def _cmd_solve(cfg: dict, prov: dict) -> int:
         y = np.array([float(ln) for ln in lines if ln], dtype=np.float64)
     except ValueError as exc:
         raise DataError(f"bad observation file {cfg['y']}: {exc}") from exc
+    if y.size != m.spec.n:
+        raise DataError(f"observation file {cfg['y']} has {y.size} values, but the matrix has n={m.spec.n} rows")
     solution = lasso.solve(m, y, _build(lasso.LassoConfig, cfg))
     out = {
-        "beta_hat": solution.beta_hat.tolist(),
+        "beta_hat": solution.beta_hat,
         "objective": solution.objective,
         "kkt_residual": solution.kkt_residual,
         "iterations": solution.iterations,
         "converged": solution.converged,
-        "config": {k: _json_ready(v) for k, v in cfg.items()},
+        "config": cfg,
         "provenance": prov,
     }
-    json.dump(out, sys.stdout, indent=2, sort_keys=True)
-    print()
+    sweep.dump_json(out, sys.stdout)
     return 0
 
 
@@ -281,20 +272,19 @@ def _cmd_witness(cfg: dict, prov: dict) -> int:
     report = witness.build(m, sig, obs.w, cfg["lam"])
     out = {
         "invertible": report.invertible,
-        "u": _json_ready(report.u),
-        "va": _json_ready(report.va),
-        "vb": _json_ready(report.vb),
+        "u": report.u,
+        "va": report.va,
+        "vb": report.vb,
         "event_v": report.event_v,
         "event_u": report.event_u,
         "sign_consistent": report.sign_consistent,
         "success": report.success,
         "margins": None if report.margins is None else dict(report.margins._asdict()),
         "noise_variance": obs.noise_variance,
-        "config": {k: _json_ready(v) for k, v in cfg.items()},
+        "config": cfg,
         "provenance": prov,
     }
-    json.dump(out, sys.stdout, indent=2, sort_keys=True)
-    print()
+    sweep.dump_json(out, sys.stdout)
     return 0
 
 
@@ -379,7 +369,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"{PROG} {args.subcommand}: error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, BrokenProcessPool) as exc:
         print(f"{PROG} {args.subcommand}: error: {exc}", file=sys.stderr)
         return 1
 

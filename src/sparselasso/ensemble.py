@@ -32,14 +32,6 @@ from . import rng
 CONVENTIONS = ("standard", "rescaled")
 SIGN_PATTERNS = ("all_plus", "alternating", "seeded_random")
 
-# The pattern is hashed in row blocks of max(1, _BLOCK_ENTRIES // p) rows,
-# so its two reused uint64 buffers and its bool mask hold at most
-# max(_BLOCK_ENTRIES, p) entries each: 17 * max(2^16, p) bytes, a
-# cache-sized ~1.1 MB while p <= 2^16, but a whole row beyond that.
-# Values are drawn once for all kept entries, so that workspace grows
-# with nnz, as the output does.
-_BLOCK_ENTRIES = 1 << 16
-
 # One `row col value` line of the text format.
 _ENTRY_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 
@@ -137,17 +129,6 @@ class SparseMeasurementMatrix:
                 raise DataError("stored values must be non-zero")
 
 
-def _pattern(key: int, n: int, p: int, threshold: np.uint64) -> tuple:
-    """Per-row kept counts and the kept columns (row-major) of the Bernoulli pattern."""
-    counts = np.empty(n, dtype=np.int64)
-    cols = []
-    for r0, bits in rng.grid_bits(key, n, p, _BLOCK_ENTRIES):
-        mask = bits < threshold
-        counts[r0 : r0 + len(mask)] = np.count_nonzero(mask, axis=1)
-        cols.append(np.flatnonzero(mask) % p)
-    return counts, np.concatenate(cols)
-
-
 def sample_matrix(spec: EnsembleSpec, seed: int, value_seed: Optional[int] = None) -> SparseMeasurementMatrix:
     """Draw a matrix from the ensemble.
 
@@ -160,18 +141,18 @@ def sample_matrix(spec: EnsembleSpec, seed: int, value_seed: Optional[int] = Non
     value_seed_eff = rng.derive_key(seed if value_seed is None else value_seed, rng.TAG_VALUE)
 
     n, p, gamma = spec.n, spec.p, spec.gamma
-    if gamma == 1.0:
-        counts = np.full(n, p, dtype=np.int64)
-        indices = np.tile(np.arange(p, dtype=np.int64), n)
-    else:
-        counts, indices = _pattern(pattern_seed, n, p, np.uint64(rng.bernoulli_threshold(gamma)))
-    rows = np.repeat(np.arange(n, dtype=np.uint64), counts)
-    values = rng.normals_at(value_seed_eff, (rows << np.uint64(32)) | indices.astype(np.uint64))
+    flat = rng.kept_entries(pattern_seed, n, p, gamma)
+    indptr = np.searchsorted(flat, np.arange(n + 1, dtype=np.int64) * p)
+    rows, indices = np.divmod(flat, p)
+    # Entry (i, j)'s value counter (i << 32) | j is its flat index i * p + j
+    # plus i * (2^32 - p), so the index buffer becomes the counters in place.
+    counters = flat.view(np.uint64)
+    counters += rows.view(np.uint64) * np.uint64((1 << 32) - p)
+    del rows
+    values = rng.normals_at(value_seed_eff, counters)
     if spec.convention == "rescaled":
         values *= 1.0 / math.sqrt(gamma)
 
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
     info = SeedInfo(
         seed=seed,
         pattern_seed=pattern_seed,

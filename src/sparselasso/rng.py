@@ -31,6 +31,14 @@ TAG_SIGNS = 0x5349474E53  # "SIGNS"
 TAG_TRIAL = 0x545249414C  # "TRIAL"
 TAG_THIN = 0x5448494E  # "THIN"
 
+# kept_entries hashes the grid in row blocks of max(1, BLOCK_ENTRIES // p)
+# rows, so its two reused uint64 buffers and its bool mask hold at most
+# max(BLOCK_ENTRIES, p) entries each: 17 * max(2^16, p) bytes, a
+# cache-sized ~1.1 MB while p <= 2^16, but a whole row beyond that.  The
+# kept indices, and the values drawn for them, grow with nnz, as the
+# output does.
+BLOCK_ENTRIES = 1 << 16
+
 GENERATOR_NAME = "splitmix64"
 NORMAL_METHOD = "inverse_cdf"
 
@@ -72,26 +80,34 @@ def bits_at(key: int, counters: np.ndarray) -> np.ndarray:
     return _finalize(z, np.empty_like(z))
 
 
-def grid_bits(key: int, n: int, p: int, block_entries: int):
-    """bits_at(key, (i << 32) | j) over the n x p grid (p < 2^32), in row blocks.
+def kept_entries(key: int, n: int, p: int, prob: float) -> np.ndarray:
+    """Ascending flat indices i * p + j of the n x p grid entries (p < 2^32)
+    kept with probability `prob`: those whose word bits_at(key, (i << 32) | j)
+    is below bernoulli_threshold(prob).  prob == 1 keeps every entry unhashed.
 
-    Yields (r0, bits) where bits[r, j] is the word at row r0 + r, column j,
-    for blocks of max(1, block_entries // p) rows.  As j < 2^32 the packed
-    counter is a sum, so its pre-mix word key + PHI * (counter + 1) is the
-    row term key + PHI * ((i << 32) + 1) plus the column term PHI * j: one
-    broadcast add per block, then mixed in place.  `bits` is a view of a
-    buffer that the next block overwrites; consume it before advancing.
+    The grid is hashed in row blocks of max(1, BLOCK_ENTRIES // p) rows.  As
+    j < 2^32 the packed counter is a sum, so its pre-mix word
+    key + PHI * (counter + 1) is the row term key + PHI * ((i << 32) + 1)
+    plus the column term PHI * j: one broadcast add per block into a reused
+    buffer, then mixed in place.
     """
-    rows_per_block = max(1, block_entries // p)
+    if prob == 1.0:
+        return np.arange(n * p, dtype=np.int64)
+    threshold = np.uint64(bernoulli_threshold(prob))
+    rows_per_block = max(1, BLOCK_ENTRIES // max(p, 1))
     col_words = np.arange(p, dtype=np.uint64) * _PHI
     words = np.empty((min(n, rows_per_block), p), dtype=np.uint64)
     scratch = np.empty_like(words)
+    kept = []
     for r0 in range(0, n, rows_per_block):
         r1 = min(n, r0 + rows_per_block)
         rows = np.arange(r0, r1, dtype=np.uint64)
         row_words = ((rows << np.uint64(32)) + np.uint64(1)) * _PHI + np.uint64(key)
         z = np.add(row_words[:, None], col_words, out=words[: r1 - r0])
-        yield r0, _finalize(z, scratch[: r1 - r0])
+        flat = np.flatnonzero(_finalize(z, scratch[: r1 - r0]) < threshold)
+        flat += r0 * p
+        kept.append(flat)
+    return np.concatenate(kept)
 
 
 def uniforms_at(key: int, counters: np.ndarray) -> np.ndarray:
@@ -113,10 +129,10 @@ def normals_at(key: int, counters: np.ndarray) -> np.ndarray:
 def bernoulli_threshold(prob: float) -> int:
     """uint64 threshold t such that (bits < t) has probability `prob`.
 
-    Exact for prob = 1 by construction elsewhere (callers treat prob == 1
-    as "all pass"); here prob must be in [0, 1).  The product prob * 2^64
-    is an exact float scaling of the 53-bit mantissa, so the threshold is
-    platform-independent.
+    prob must be in [0, 1): no uint64 threshold passes every word, so
+    kept_entries keeps every entry for prob == 1 without hashing.  The
+    product prob * 2^64 is an exact float scaling of the 53-bit mantissa,
+    so the threshold is platform-independent.
     """
     if not 0.0 <= prob < 1.0:
         raise ValueError("bernoulli_threshold requires 0 <= prob < 1")

@@ -21,6 +21,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -341,8 +342,14 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepTable:
     if workers == 1 or len(points) == 1:
         batches = [_point_batch((cfg, pt)) for pt in points]
     else:
+        batches = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_point_batch, [(cfg, pt) for pt in points]))
+            try:
+                for batch in pool.map(_point_batch, [(cfg, pt) for pt in points]):
+                    batches.append(batch)
+            except BrokenProcessPool as exc:
+                pt = points[len(batches)]
+                raise BrokenProcessPool(f"grid point p={pt.p}, theta={pt.theta:g}: {exc}") from exc
 
     rows = [_aggregate(cfg, pt, recs) for pt, recs in zip(points, batches)]
     table = SweepTable(config=cfg, rows=rows)
@@ -422,7 +429,12 @@ def write_json(table: SweepTable, fh, provenance: Optional[dict] = None) -> None
     out = table_to_dict(table)
     if provenance is not None:
         out["provenance"] = provenance
-    json.dump(out, fh, indent=2, sort_keys=True)
+    dump_json(out, fh)
+
+
+def dump_json(obj, fh) -> None:
+    """The one JSON format of every output: indent 2, sorted keys, arrays as lists, trailing newline."""
+    json.dump(obj, fh, indent=2, sort_keys=True, default=lambda o: o.tolist())
     fh.write("\n")
 
 

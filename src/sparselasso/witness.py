@@ -176,11 +176,7 @@ def thinned_squared_norm(h: np.ndarray, gamma: float, seed: int) -> float:
     if not 0.0 < gamma <= 1.0:
         raise ParameterError(f"gamma must lie in (0, 1], got {gamma!r}")
     h = np.asarray(h, dtype=np.float64)
-    if gamma == 1.0:
-        return float(h @ h)
-    key = rng.derive_key(seed, rng.TAG_THIN)
-    bits = rng.bits_at(key, np.arange(h.size, dtype=np.uint64))
-    kept = h[bits < np.uint64(rng.bernoulli_threshold(gamma))]
+    kept = h[rng.kept_entries(rng.derive_key(seed, rng.TAG_THIN), 1, h.size, gamma)]
     return float(kept @ kept)
 
 

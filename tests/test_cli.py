@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 
 import sparselasso
 from sparselasso import EnsembleSpec, LassoConfig, ParameterError, SignalSpec, SweepConfig, grid_points, read_matrix
-from sparselasso import cli, sample_matrix, write_matrix
+from sparselasso import cli, sample_matrix, sweep, write_matrix
 from sparselasso.cli import main
-from sparselasso.sweep import SPARSITY_RULES
+from sparselasso.sweep import SPARSITY_RULES, _point_batch
 
 
 def _gen_args(path, n=16, p=6, gamma=0.7, seed=3, convention="standard"):
@@ -92,6 +93,17 @@ def test_solve_missing_matrix_exits_1(tmp_path, capsys):
     assert "cannot read matrix file" in capsys.readouterr().err
 
 
+def test_solve_wrong_length_observations_exit_1(tmp_path, capsys):
+    mat, yfile = tmp_path / "m.txt", tmp_path / "y.txt"
+    assert main(_gen_args(mat, n=8, p=4, seed=5)) == 0
+    yfile.write_text("1.0\n" * 7)
+    capsys.readouterr()
+    assert main(["solve", "--matrix", str(mat), "--y", str(yfile), "--lam", "0.1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"sparselasso solve: error: observation file {yfile} has 7 values, but the matrix has n=8 rows\n"
+
+
 def test_witness_report_fields(tmp_path, capsys):
     mat = tmp_path / "m.txt"
     assert main(_gen_args(mat, n=40, p=10, gamma=0.5, seed=101, convention="rescaled")) == 0
@@ -158,6 +170,25 @@ def test_sweep_outputs_are_reproducible(tmp_path, capsys):
     assert payload["config"]["base_seed"] == 7
     assert len(payload["rows"]) == 2
     assert "trials" not in payload
+
+
+def _die_at_first_point(args):
+    cfg, point = args
+    if point.theta == cfg.theta_grid[0]:
+        os._exit(3)
+    return _point_batch(args)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patched worker must be inherited by fork")
+def test_sweep_crashed_worker_exits_1_naming_the_point(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sweep, "_point_batch", _die_at_first_point)
+    csv, js = tmp_path / "s.csv", tmp_path / "s.json"
+    rc = main(_sweep_args(["--threads", "2", "--out-csv", str(csv), "--out-json", str(js)]))
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.startswith("sparselasso sweep: error: grid point p=32, theta=0.5: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_keep_trials_flag(tmp_path, capsys):

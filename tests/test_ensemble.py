@@ -105,6 +105,22 @@ def test_rescale_coupled_roundtrip():
     assert np.allclose(back.values, m.values, rtol=1e-15)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    p=st.integers(1, 40),
+    gamma=st.sampled_from([1.0]) | st.floats(1e-3, 1.0),
+    convention=st.sampled_from(["standard", "rescaled"]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_rescale_coupled_twice_is_the_identity(n, p, gamma, convention, seed):
+    m = sample_matrix(EnsembleSpec(n=n, p=p, gamma=gamma, convention=convention), seed)
+    back = rescale_coupled(rescale_coupled(m))
+    assert back.spec == m.spec and back.seed_info == m.seed_info
+    assert np.array_equal(back.indptr, m.indptr) and np.array_equal(back.indices, m.indices)
+    assert np.allclose(back.values, m.values, rtol=1e-15, atol=0.0)
+
+
 def test_rescaled_matches_coupled_standard_exactly():
     # Same seed under the two conventions draws the same pattern and the
     # same normals; only the scale differs.
@@ -174,6 +190,30 @@ def test_serialization_roundtrip():
     assert np.array_equal(back.indptr, m.indptr)
     assert np.array_equal(back.indices, m.indices)
     assert np.array_equal(back.values, m.values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    p=st.integers(1, 30),
+    gamma=st.sampled_from([1.0]) | st.floats(1e-3, 1.0),
+    convention=st.sampled_from(["standard", "rescaled"]),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_serialization_roundtrips_bit_for_bit(n, p, gamma, convention, seed, data):
+    """Any finite non-zero values, subnormals and extremes included, come back with the same bits."""
+    m = sample_matrix(EnsembleSpec(n=n, p=p, gamma=gamma, convention=convention), seed)
+    finite = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+    m.values = np.array(data.draw(st.lists(finite, min_size=m.nnz, max_size=m.nnz)), dtype=np.float64)
+    buf = io.StringIO()
+    write_matrix(m, buf)
+    buf.seek(0)
+    back = read_matrix(buf)
+    assert back.spec == m.spec and back.seed_info.seed == seed
+    for name in ("indptr", "indices", "values"):
+        a, b = getattr(back, name), getattr(m, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_serialization_golden():

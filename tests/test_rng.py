@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,22 +52,59 @@ def test_bits_depend_only_on_key_and_counter(key, counters, data):
     assert np.array_equal(rng.bits_at(key, counters[lo:hi]), batch[lo:hi])
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     key=st.integers(0, 2**64 - 1),
     n=st.integers(1, 40),
-    p=st.integers(1, 60),
+    p=st.integers(0, 60),
+    prob=st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.just(1.0)),
     block_entries=st.integers(1, 500),
 )
-def test_grid_bits_blocks_equal_bits_at_on_packed_counters(key, n, p, block_entries):
+def test_kept_entries_equal_thresholded_bits_at_on_packed_counters(key, n, p, prob, block_entries):
+    """Any block size, including blocks of one row and a partial last block, keeps the same entries."""
     counters = (np.arange(n, dtype=np.uint64)[:, None] << np.uint64(32)) | np.arange(p, dtype=np.uint64)
-    expected = rng.bits_at(key, counters)
-    r_next = 0
-    for r0, bits in rng.grid_bits(key, n, p, block_entries):
-        assert r0 == r_next and bits.shape[1] == p
-        assert np.array_equal(bits, expected[r0 : r0 + len(bits)])
-        r_next = r0 + len(bits)
-    assert r_next == n
+    if prob == 1.0:
+        expected = np.arange(n * p)
+    else:
+        expected = np.flatnonzero(rng.bits_at(key, counters) < np.uint64(rng.bernoulli_threshold(prob)))
+    with mock.patch.object(rng, "BLOCK_ENTRIES", block_entries):
+        kept = rng.kept_entries(key, n, p, prob)
+    assert kept.dtype == np.int64
+    assert np.array_equal(kept, expected)
+
+
+def _unfinalize(z: int) -> int:
+    """Inverse of rng._finalize on one 64-bit word, in Python integers."""
+    mask = 2**64 - 1
+    for shift, mult in ((31, 0x94D049BB133111EB), (27, 0xBF58476D1CE4E5B9), (30, None)):
+        x = z
+        for _ in range(64 // shift):  # undo z ^= z >> shift, shift bits per pass
+            x = z ^ (x >> shift)
+        z = x
+        if mult is not None:
+            z = (z * pow(mult, -1, 2**64)) & mask
+    return z
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+def test_finalize_is_inverted_by_unfinalize(words):
+    mixed = rng._finalize(np.array(words, dtype=np.uint64))
+    assert [_unfinalize(int(z)) for z in mixed] == words
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    tags=st.lists(st.integers(0, 2**64 - 1), max_size=3),
+    tag=st.integers(0, 2**64 - 1),
+)
+def test_derive_key_step_is_injective(seed, tags, tag):
+    """Each derivation step inverts back to the key it absorbed, so distinct inputs give distinct keys."""
+    phi = 0x9E3779B97F4A7C15
+    assert (_unfinalize(rng.derive_key(seed)) - phi) % 2**64 == seed
+    prev = rng.derive_key(seed, *tags)
+    assert ((_unfinalize(rng.derive_key(seed, *tags, tag)) ^ tag) - phi) % 2**64 == prev
 
 
 def test_uniforms_open_interval():

@@ -24,6 +24,7 @@ from sparselasso import (
     solve,
     thinned_squared_norm,
 )
+from sparselasso import rng
 
 
 def _matrix(n, p, entries, gamma=1.0, convention="standard"):
@@ -302,3 +303,17 @@ def test_thinned_squared_norm():
         thinned_squared_norm(h, 0.0, seed=1)
     with pytest.raises(ParameterError):
         thinned_squared_norm(h, 1.5, seed=1)
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 0.085, 0.5, 0.97, 1.0])
+@pytest.mark.parametrize("size", [0, 1, 70_001])
+def test_thinned_squared_norm_matches_unblocked_rule(gamma, size):
+    """Same float as thresholding bits_at over all of h at once, with gamma = 1
+    keeping everything; an empty h has norm 0.0."""
+    h = np.random.default_rng(size).standard_normal(size)
+    if gamma == 1.0:
+        kept = h
+    else:
+        bits = rng.bits_at(rng.derive_key(5, rng.TAG_THIN), np.arange(size, dtype=np.uint64))
+        kept = h[bits < np.uint64(rng.bernoulli_threshold(gamma))]
+    assert thinned_squared_norm(h, gamma, seed=5) == float(kept @ kept)
