@@ -39,7 +39,6 @@ from .theory import (
     singular_extremes,
     snr_diagnostic,
     sv_deviation,
-    tail_bound,
 )
 from .witness import HVector, Margins, WitnessReport, build, check_events, dual_identity_check, h_vector, thinned_squared_norm
 
@@ -89,7 +88,6 @@ __all__ = [
     "singular_extremes",
     "snr_diagnostic",
     "sv_deviation",
-    "tail_bound",
     "HVector",
     "Margins",
     "WitnessReport",

@@ -17,7 +17,7 @@ import dataclasses
 import difflib
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,11 +26,35 @@ from .errors import DataError, ParameterError
 
 PROG = "sparselasso"
 
+_TRUE_WORDS = {"1", "true", "yes", "on"}
+_FALSE_WORDS = {"0", "false", "no", "off"}
+
+
+def boolean(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in _TRUE_WORDS:
+        return True
+    if low in _FALSE_WORDS:
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _items(raw: str) -> list:
+    return [x.strip() for x in raw.split(",") if x.strip()]
+
+
+def int_list(raw: str) -> tuple:
+    return tuple(map(int, _items(raw)))
+
+
+def float_list(raw: str) -> tuple:
+    return tuple(map(float, _items(raw)))
+
 
 @dataclasses.dataclass(frozen=True)
 class Opt:
     name: str
-    kind: str  # int | float | str | bool | int_list | float_list
+    kind: Callable  # converts the raw flag or config string
     default: object = None
     required: bool = False
     help: str = ""
@@ -42,108 +66,79 @@ class Opt:
 
 
 _GEN_OPTS = (
-    Opt("n", "int", required=True, help="number of rows"),
-    Opt("p", "int", required=True, help="number of columns"),
-    Opt("gamma", "float", required=True, help="sparsification level in (0, 1]"),
-    Opt("convention", "str", default="standard", choices=ensemble.CONVENTIONS, help="entry variance convention"),
-    Opt("seed", "int", required=True, help="matrix seed"),
-    Opt("out", "str", help="output path (default: standard output)"),
+    Opt("n", int, required=True, help="number of rows"),
+    Opt("p", int, required=True, help="number of columns"),
+    Opt("gamma", float, required=True, help="sparsification level in (0, 1]"),
+    Opt("convention", str, default="standard", choices=ensemble.CONVENTIONS, help="entry variance convention"),
+    Opt("seed", int, required=True, help="matrix seed"),
+    Opt("out", str, help="output path (default: standard output)"),
 )
 
 _SOLVE_OPTS = (
-    Opt("matrix", "str", required=True, help="serialized matrix path"),
-    Opt("y", "str", required=True, help="observation vector path, one value per line"),
-    Opt("lam", "float", required=True, help="regularization weight"),
-    Opt("tol", "float", default=1e-8, help="convergence tolerance"),
-    Opt("max_iter", "int", default=10000, help="sweep cap"),
-    Opt("zero_tol", "float", default=1e-8, help="support threshold"),
+    Opt("matrix", str, required=True, help="serialized matrix path"),
+    Opt("y", str, required=True, help="observation vector path, one value per line"),
+    Opt("lam", float, required=True, help="regularization weight"),
+    Opt("tol", float, default=1e-8, help="convergence tolerance"),
+    Opt("max_iter", int, default=10000, help="sweep cap"),
+    Opt("zero_tol", float, default=1e-8, help="support threshold"),
 )
 
 _WITNESS_OPTS = (
-    Opt("matrix", "str", required=True, help="serialized matrix path"),
-    Opt("k", "int", required=True, help="support size (first k columns)"),
-    Opt("beta_min", "float", default=1.0, help="support magnitude"),
-    Opt("sign_pattern", "str", default="all_plus", choices=ensemble.SIGN_PATTERNS, help="support sign pattern"),
-    Opt("sign_seed", "int", help="seed for sign_pattern=seeded_random"),
-    Opt("sigma2", "float", default=0.0625, help="noise variance"),
-    Opt("noise_seed", "int", required=True, help="noise seed"),
-    Opt("lam", "float", required=True, help="regularization weight"),
+    Opt("matrix", str, required=True, help="serialized matrix path"),
+    Opt("k", int, required=True, help="support size (first k columns)"),
+    Opt("beta_min", float, default=1.0, help="support magnitude"),
+    Opt("sign_pattern", str, default="all_plus", choices=ensemble.SIGN_PATTERNS, help="support sign pattern"),
+    Opt("sign_seed", int, help="seed for sign_pattern=seeded_random"),
+    Opt("sigma2", float, default=0.0625, help="noise variance"),
+    Opt("noise_seed", int, required=True, help="noise seed"),
+    Opt("lam", float, required=True, help="regularization weight"),
 )
 
 # The parameters of sweep.derive_k, shared by every subcommand that resolves k.
 _K_OPTS = (
-    Opt("p_list", "int_list", required=True, help="ambient dimensions, comma separated"),
-    Opt("sparsity_rule", "str", default="polynomial", choices=sweep.SPARSITY_RULES, help="how k is derived from p"),
-    Opt("poly_exponent", "float", default=0.5, help="k = ceil(p^c) for the polynomial rule"),
-    Opt("linear_alpha", "float", default=0.125, help="k = ceil(alpha p) for the linear rule"),
-    Opt("k_list", "int_list", help="explicit k per p (sparsity_rule=explicit)"),
+    Opt("p_list", int_list, required=True, help="ambient dimensions, comma separated"),
+    Opt("sparsity_rule", str, default="polynomial", choices=sweep.SPARSITY_RULES, help="how k is derived from p"),
+    Opt("poly_exponent", float, default=0.5, help="k = ceil(p^c) for the polynomial rule"),
+    Opt("linear_alpha", float, default=0.125, help="k = ceil(alpha p) for the linear rule"),
+    Opt("k_list", int_list, help="explicit k per p (sparsity_rule=explicit)"),
 )
 
 _SWEEP_OPTS = (
     *_K_OPTS,
-    Opt("theta_grid", "float_list", required=True, help="control parameter grid, comma separated"),
-    Opt("trials", "int", required=True, help="trials per grid point"),
-    Opt("base_seed", "int", required=True, help="sweep seed"),
-    Opt("gamma_rule", "str", default="log_over_sqrt", choices=sweep.GAMMA_RULES, help="sparsification schedule"),
-    Opt("gamma_value", "float", help="gamma for gamma_rule=constant"),
-    Opt("lambda_rule", "str", default="scaled", choices=sweep.LAMBDA_RULES, help="regularization schedule"),
-    Opt("lambda_value", "float", help="lambda for lambda_rule=constant"),
-    Opt("sigma2", "float", default=0.0625, help="noise variance"),
-    Opt("beta_min", "float", default=1.0, help="support magnitude"),
-    Opt("mode", "str", default="witness", choices=sweep.MODES, help="trial evaluation mode"),
-    Opt("convention", "str", default="rescaled", choices=ensemble.CONVENTIONS, help="matrix ensemble convention"),
-    Opt("keep_trials", "bool", default=False, help="retain per-trial records in the JSON output"),
-    Opt("out_csv", "str", default="sweep.csv", help="aggregate CSV path"),
-    Opt("out_json", "str", help="JSON mirror path (optional)"),
-    Opt("threads", "int", default=1, help="worker process cap"),
-    Opt("dry_run", "bool", default=False, help="print the resolved grid and exit"),
+    Opt("theta_grid", float_list, required=True, help="control parameter grid, comma separated"),
+    Opt("trials", int, required=True, help="trials per grid point"),
+    Opt("base_seed", int, required=True, help="sweep seed"),
+    Opt("gamma_rule", str, default="log_over_sqrt", choices=sweep.GAMMA_RULES, help="sparsification schedule"),
+    Opt("gamma_value", float, help="gamma for gamma_rule=constant"),
+    Opt("lambda_rule", str, default="scaled", choices=sweep.LAMBDA_RULES, help="regularization schedule"),
+    Opt("lambda_value", float, help="lambda for lambda_rule=constant"),
+    Opt("sigma2", float, default=0.0625, help="noise variance"),
+    Opt("beta_min", float, default=1.0, help="support magnitude"),
+    Opt("mode", str, default="witness", choices=sweep.MODES, help="trial evaluation mode"),
+    Opt("convention", str, default="rescaled", choices=ensemble.CONVENTIONS, help="matrix ensemble convention"),
+    Opt("keep_trials", boolean, default=False, help="retain per-trial records in the JSON output"),
+    Opt("out_csv", str, default="sweep.csv", help="aggregate CSV path"),
+    Opt("out_json", str, help="JSON mirror path (optional)"),
+    Opt("threads", int, default=1, help="worker process cap"),
+    Opt("dry_run", boolean, default=False, help="print the resolved grid and exit"),
 )
 
 _BOUNDS_OPTS = (
-    Opt("seed", "int", required=True, help="sampling seed"),
-    Opt("samples", "int", default=100_000, help="Monte Carlo samples per bound"),
+    Opt("seed", int, required=True, help="sampling seed"),
+    Opt("samples", int, default=100_000, help="Monte Carlo samples per bound"),
 )
 
 _CHECK_OPTS = (
     *_K_OPTS,
-    Opt("gamma_rule", "str", default="sixth_root", choices=theory.GAMMA_RULES, help="sparsification schedule"),
-    Opt("eps", "float", default=0.0, help="sample-size slack"),
-    Opt("beta_min", "float", default=1.0, help="support magnitude"),
+    Opt("gamma_rule", str, default="sixth_root", choices=theory.GAMMA_RULES, help="sparsification schedule"),
+    Opt("eps", float, default=0.0, help="sample-size slack"),
+    Opt("beta_min", float, default=1.0, help="support magnitude"),
 )
-
-SUBCOMMANDS = {
-    "gen": ("generate and serialize a measurement matrix", _GEN_OPTS),
-    "solve": ("solve the Lasso on a matrix and observation file", _SOLVE_OPTS),
-    "witness": ("build the recovery witness for a serialized matrix", _WITNESS_OPTS),
-    "sweep": ("run a Monte Carlo phase-transition sweep", _SWEEP_OPTS),
-    "bounds": ("Monte Carlo domination check of the tail bounds", _BOUNDS_OPTS),
-    "check-conditions": ("tabulate schedules and recovery condition scalars", _CHECK_OPTS),
-}
-
-_TRUE_WORDS = {"1", "true", "yes", "on"}
-_FALSE_WORDS = {"0", "false", "no", "off"}
 
 
 def _convert(opt: Opt, raw: str, source: str):
     try:
-        if opt.kind == "int":
-            value = int(raw)
-        elif opt.kind == "float":
-            value = float(raw)
-        elif opt.kind == "bool":
-            low = raw.strip().lower()
-            if low in _TRUE_WORDS:
-                value = True
-            elif low in _FALSE_WORDS:
-                value = False
-            else:
-                raise ValueError(f"not a boolean: {raw!r}")
-        elif opt.kind == "int_list":
-            value = tuple(int(x.strip()) for x in raw.split(",") if x.strip())
-        elif opt.kind == "float_list":
-            value = tuple(float(x.strip()) for x in raw.split(",") if x.strip())
-        else:
-            value = raw
+        value = opt.kind(raw)
     except ValueError as exc:
         raise ParameterError(f"bad value for '{opt.name}' (from {source}): {exc}") from exc
     if opt.choices is not None and value not in opt.choices:
@@ -199,14 +194,14 @@ def _resolve(sub: str, args: argparse.Namespace) -> tuple[dict, dict]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=PROG, description="Lasso signed-support recovery toolkit")
     subs = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-    for name, (desc, opts) in SUBCOMMANDS.items():
+    for name, (desc, opts, _) in SUBCOMMANDS.items():
         sp = subs.add_parser(name, help=desc, description=desc)
         sp.add_argument("--config", help="INI config file; section [%s]" % name)
         for opt in opts:
-            if opt.kind == "bool":
+            if opt.kind is boolean:  # a bare flag means true
                 sp.add_argument(opt.flag, dest=opt.name, nargs="?", const="true", default=None, metavar="BOOL", help=opt.help)
             else:
-                sp.add_argument(opt.flag, dest=opt.name, default=None, metavar=opt.kind.upper(), help=opt.help)
+                sp.add_argument(opt.flag, dest=opt.name, default=None, metavar=opt.kind.__name__.upper(), help=opt.help)
     return parser
 
 
@@ -347,13 +342,13 @@ def _cmd_check_conditions(cfg: dict, prov: dict) -> int:
     return 0
 
 
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "solve": _cmd_solve,
-    "witness": _cmd_witness,
-    "sweep": _cmd_sweep,
-    "bounds": _cmd_bounds,
-    "check-conditions": _cmd_check_conditions,
+SUBCOMMANDS = {
+    "gen": ("generate and serialize a measurement matrix", _GEN_OPTS, _cmd_gen),
+    "solve": ("solve the Lasso on a matrix and observation file", _SOLVE_OPTS, _cmd_solve),
+    "witness": ("build the recovery witness for a serialized matrix", _WITNESS_OPTS, _cmd_witness),
+    "sweep": ("run a Monte Carlo phase-transition sweep", _SWEEP_OPTS, _cmd_sweep),
+    "bounds": ("Monte Carlo domination check of the tail bounds", _BOUNDS_OPTS, _cmd_bounds),
+    "check-conditions": ("tabulate schedules and recovery condition scalars", _CHECK_OPTS, _cmd_check_conditions),
 }
 
 
@@ -365,7 +360,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         cfg, prov = _resolve(args.subcommand, args)
-        return _HANDLERS[args.subcommand](cfg, prov)
+        return SUBCOMMANDS[args.subcommand][2](cfg, prov)
     except ParameterError as exc:
         print(f"{PROG} {args.subcommand}: error: {exc}", file=sys.stderr)
         return 2

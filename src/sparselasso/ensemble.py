@@ -114,15 +114,10 @@ class SparseMeasurementMatrix:
         if self.nnz:
             if self.indices.min() < 0 or self.indices.max() >= p:
                 raise DataError("column index out of range")
-            # np.diff(indices)[t] compares entries t and t + 1, which share a
-            # row unless t + 1 starts one.
-            starts = self.indptr[1:-1]
-            same_row = np.ones(self.nnz - 1, dtype=bool)
-            same_row[starts[(starts > 0) & (starts < self.nnz)] - 1] = False
-            bad = (np.diff(self.indices) <= 0) & same_row
+            rows = np.repeat(np.arange(n), np.diff(self.indptr))
+            bad = (np.diff(self.indices) <= 0) & (np.diff(rows) == 0)
             if bad.any():
-                i = int(np.searchsorted(self.indptr, np.argmax(bad), side="right")) - 1
-                raise DataError(f"row {i} columns must be strictly increasing")
+                raise DataError(f"row {rows[np.argmax(bad)]} columns must be strictly increasing")
             if not np.all(np.isfinite(self.values)):
                 raise DataError("stored values must be finite")
             if np.any(self.values == 0.0):
@@ -302,12 +297,9 @@ def read_matrix(fh: IO[str]) -> SparseMeasurementMatrix:
     if rows.size and (rows.min() < 0 or rows.max() >= n):
         raise DataError("row index out of range")
     body = body[np.lexsort((body["col"], rows))]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr[1:], body["row"], 1)
-    np.cumsum(indptr, out=indptr)
     m = SparseMeasurementMatrix(
         spec=spec,
-        indptr=indptr,
+        indptr=np.searchsorted(body["row"], np.arange(n + 1)),
         indices=np.ascontiguousarray(body["col"]),
         values=np.ascontiguousarray(body["value"]),
         seed_info=SeedInfo(seed=seed, pattern_seed=0, value_seed=0, generator="file", normal_method="file"),

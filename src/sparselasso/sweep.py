@@ -18,11 +18,12 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,6 +37,13 @@ LAMBDA_RULES = ("scaled", "constant")
 MODES = ("witness", "full", "both")
 
 CSV_HEADER = "theta,n,p,k,gamma,lambda,sigma2,mode,trials,successes,success_rate,base_seed"
+
+
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name}: expected an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -59,10 +67,12 @@ class SweepConfig:
     keep_trials: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p_list", tuple(int(p) for p in self.p_list))
+        object.__setattr__(self, "p_list", tuple(_integer("p_list", p) for p in self.p_list))
         object.__setattr__(self, "theta_grid", tuple(float(t) for t in self.theta_grid))
         if self.k_list is not None:
-            object.__setattr__(self, "k_list", tuple(int(k) for k in self.k_list))
+            object.__setattr__(self, "k_list", tuple(_integer("k_list", k) for k in self.k_list))
+        object.__setattr__(self, "trials", _integer("trials", self.trials))
+        object.__setattr__(self, "base_seed", _integer("base_seed", self.base_seed))
         if not self.theta_grid:
             raise ParameterError("theta_grid must be non-empty")
         if len(self.p_list) > 2**16 or len(self.theta_grid) > 2**16:
@@ -81,11 +91,15 @@ class SweepConfig:
         if self.gamma_rule == "constant":
             if self.gamma_value is None or not 0.0 < self.gamma_value <= 1.0:
                 raise ParameterError("gamma_rule='constant' requires gamma_value in (0, 1]")
+        elif self.gamma_value is not None:
+            raise ParameterError(f"gamma_value is read only by gamma_rule='constant', not {self.gamma_rule!r}")
         if self.lambda_rule not in LAMBDA_RULES:
             raise ParameterError(f"lambda_rule must be one of {LAMBDA_RULES}, got {self.lambda_rule!r}")
         if self.lambda_rule == "constant":
             if self.lambda_value is None or not self.lambda_value > 0:
                 raise ParameterError("lambda_rule='constant' requires a positive lambda_value")
+        elif self.lambda_value is not None:
+            raise ParameterError(f"lambda_value is read only by lambda_rule='constant', not {self.lambda_rule!r}")
         if self.sigma2 < 0:
             raise ParameterError(f"sigma2 must be non-negative, got {self.sigma2!r}")
         if not self.beta_min > 0:
@@ -174,6 +188,8 @@ def derive_k(p_list, sparsity_rule="polynomial", poly_exponent=0.5, linear_alpha
         raise ParameterError(f"sparsity_rule must be one of {SPARSITY_RULES}, got {sparsity_rule!r}")
     if sparsity_rule == "explicit" and (k_list is None or len(k_list) != len(p_list)):
         raise ParameterError("sparsity_rule='explicit' requires k_list matching p_list in length")
+    if sparsity_rule != "explicit" and k_list is not None:
+        raise ParameterError(f"k_list is read only by sparsity_rule='explicit', not {sparsity_rule!r}")
     if sparsity_rule == "polynomial" and not 0 < poly_exponent <= 1:
         raise ParameterError(f"poly_exponent must lie in (0, 1], got {poly_exponent!r}")
     if sparsity_rule == "linear" and not 0 < linear_alpha <= 0.5:
@@ -249,12 +265,10 @@ def _execute(cfg: SweepConfig, point: GridPoint, trial_index: int) -> TrialRecor
     if cfg.mode in ("witness", "both"):
         rep = witness.build(m, sig, w, point.lam)
         invertible = rep.invertible
+        witness_success = bool(rep.success)
         if rep.invertible:
-            witness_success = bool(rep.success)
             dual_ratio = (point.lam - rep.margins.dual) / point.lam
             u_ratio = (cfg.beta_min - rep.margins.magnitude) / cfg.beta_min
-        else:
-            witness_success = False
     if cfg.mode in ("full", "both"):
         beta_star = ensemble.make_signal(sig)
         y = m.to_csr() @ beta_star + w

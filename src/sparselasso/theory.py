@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -150,17 +150,6 @@ def gaussian_bound(sigma2: float, delta: float) -> float:
     if delta < 0:
         raise ParameterError(f"delta must be non-negative, got {delta!r}")
     return 2.0 * math.exp(-delta * delta / (2.0 * sigma2))
-
-
-def tail_bound(kind: str, **params) -> float:
-    """Dispatch to one of the closed-form tail bounds; unclamped (may exceed 1)."""
-    if kind == "hoeffding":
-        return hoeffding_bound(**params)
-    if kind == "chi2":
-        return chi2_bound(**params)
-    if kind == "gaussian":
-        return gaussian_bound(**params)
-    raise ParameterError(f"kind must be one of ('hoeffding', 'chi2', 'gaussian'), got {kind!r}")
 
 
 def sv_deviation(gamma: float, k: int, p: int, theta_frac: float, t: float) -> float:

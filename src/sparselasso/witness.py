@@ -29,7 +29,7 @@ import scipy.linalg
 
 from .ensemble import SignalSpec, SparseMeasurementMatrix, make_signal, signal_signs
 from .errors import ParameterError
-from .lasso import LassoSolution, signed_support
+from .lasso import LassoSolution
 from . import blas, rng
 
 # Relative floor on the restricted Gram's Cholesky pivots below which the

@@ -6,6 +6,7 @@ protocols at full scale, so this module is the slow part of the suite.
 """
 
 import io
+import os
 import pathlib
 
 import numpy as np
@@ -63,7 +64,8 @@ def _crossing(thetas, rates):
 
 
 def _phase_transition_check(num, name, cfg):
-    table = run_sweep(cfg)
+    # The table is identical for any worker count (criterion 9).
+    table = run_sweep(cfg, workers=os.cpu_count() or 1)
     by_p = {}
     for row in table.rows:
         by_p.setdefault(row.p, []).append((row.theta, row.success_rate))

@@ -158,6 +158,26 @@ def test_sweep_dry_run_resolves_grid_before_printing(capsys):
     assert "grid point p=4" in err
 
 
+_PLAIN_SWEEP = ["sweep", "--p-list", "64", "--theta-grid", "1", "--trials", "1", "--base-seed", "1", "--dry-run"]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (_PLAIN_SWEEP + ["--gamma-value", "0.3"], "gamma_value"),
+        (_PLAIN_SWEEP + ["--lambda-value", "0.3"], "lambda_value"),
+        (_PLAIN_SWEEP + ["--k-list", "4"], "k_list"),
+        (["check-conditions", "--p-list", "128", "--k-list", "4"], "k_list"),
+    ],
+    ids=["sweep_gamma_value", "sweep_lambda_value", "sweep_k_list", "check_conditions_k_list"],
+)
+def test_value_its_rule_does_not_read_exits_2(argv, name, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {name} is read only by " in err
+
+
 def test_sweep_outputs_are_reproducible(tmp_path, capsys):
     c1, c2 = tmp_path / "a.csv", tmp_path / "b.csv"
     j1 = tmp_path / "a.json"
@@ -252,6 +272,14 @@ def test_missing_config_file(capsys):
 
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_help_names_each_option_kind(capsys):
+    assert main(["sweep", "--help"]) == 0
+    out = capsys.readouterr().out
+    for shown in ("--p-list INT_LIST", "--theta-grid FLOAT_LIST", "--trials INT", "--sigma2 FLOAT", "--mode STR",
+                  "--keep-trials [BOOL]"):
+        assert shown in out
 
 
 def test_bounds_command(capsys):

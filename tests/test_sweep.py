@@ -3,6 +3,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from sparselasso import (
@@ -64,6 +65,45 @@ def test_config_validation():
         _small_cfg(sigma2=-0.1)
     with pytest.raises(CapacityError):
         _small_cfg(trials=2**32 + 1)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(gamma_rule="log_over_sqrt", gamma_value=0.3),
+        dict(lambda_rule="scaled", lambda_value=0.3),
+        dict(sparsity_rule="polynomial", k_list=(4, 4)),
+        dict(sparsity_rule="linear", k_list=(4, 4)),
+    ],
+    ids=["gamma_value", "lambda_value", "k_list_polynomial", "k_list_linear"],
+)
+def test_config_rejects_a_value_its_rule_does_not_read(overrides):
+    with pytest.raises(ParameterError, match="is read only by"):
+        _small_cfg(**overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(p_list=(64.7,)),
+        dict(sparsity_rule="explicit", p_list=(64,), k_list=(4.9,)),
+        dict(trials=2.5),
+        dict(base_seed=1.5),
+        dict(p_list=("64",)),
+    ],
+    ids=["p_list", "k_list", "trials", "base_seed", "p_list_str"],
+)
+def test_config_rejects_non_integer_counts(overrides):
+    with pytest.raises(ParameterError, match="expected an integer"):
+        _small_cfg(**overrides)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = _small_cfg(
+        p_list=(np.int64(64),), sparsity_rule="explicit", k_list=(np.int32(4),), trials=np.uint8(2), base_seed=np.uint64(3)
+    )
+    assert (cfg.p_list, cfg.k_list, cfg.trials, cfg.base_seed) == ((64,), (4,), 2, 3)
+    assert all(type(v) is int for v in (*cfg.p_list, *cfg.k_list, cfg.trials, cfg.base_seed))
 
 
 def test_grid_point_derivation():

@@ -17,7 +17,6 @@ from sparselasso import (
     singular_extremes,
     snr_diagnostic,
     sv_deviation,
-    tail_bound,
 )
 from sparselasso.theory import (
     DOMINATION_GRID,
@@ -155,14 +154,6 @@ def test_tail_bounds():
         gaussian_bound(0.0, 1.0)
     with pytest.raises(ParameterError):
         hoeffding_bound(0, 0.1)
-
-
-def test_tail_bound_dispatch():
-    assert tail_bound("hoeffding", n=100, delta=0.1) == hoeffding_bound(100, 0.1)
-    assert tail_bound("chi2", m=16, delta=0.25) == chi2_bound(16, 0.25)
-    assert tail_bound("gaussian", sigma2=1.0, delta=2.0) == gaussian_bound(1.0, 2.0)
-    with pytest.raises(ParameterError):
-        tail_bound("cauchy", delta=0.1)
 
 
 def test_sv_deviation():
