@@ -18,6 +18,26 @@ The libraries are found once per process from the memory map (Linux
 only) and driven through their exported getter and setter via ctypes,
 so no third-party package or environment variable is involved.  Where
 nothing is found every function here is a no-op.
+
+Forked processes.  OpenBLAS shuts its thread pool down before a fork and
+rebuilds it in the child on the child's first setter call, whatever
+count that call asks for; the new pool threads then busy-wait before
+they sleep.  A sweep worker that pinned itself on its first trial grew
+from 1 to 3 threads and burned about 0.1 s of CPU doing nothing.  Two
+rules keep that from happening:
+
+- `set_thread_counts` calls a library's setter only when the count
+  differs.  The getter only reads a number and starts no thread.
+- `sweep.run_sweep` forks its workers inside `single_threaded()`.  They
+  start with every OpenBLAS at one thread, so their pinned calls change
+  nothing and no pool thread is ever started in them.
+
+Medians of 10 alternating `perfbench/run.py --workload witness_linear_par
+--seconds 30` pairs on a 2-vCPU VM (more in the README):
+
+    sweep workers             trials/s   CPU s/trial
+    pin themselves               81.3       0.0224
+    are forked pinned           106.7       0.0168
 """
 
 from __future__ import annotations
@@ -71,9 +91,11 @@ def thread_counts() -> tuple:
 
 
 def set_thread_counts(counts) -> None:
-    """Set each loaded OpenBLAS to the matching entry of `counts` (as from thread_counts)."""
-    for (_, set_), n in zip(_libraries(), counts):
-        set_(n)
+    """Set each loaded OpenBLAS to the matching entry of `counts` (as from
+    thread_counts), calling the setter only where the count differs."""
+    for (get, set_), n in zip(_libraries(), counts):
+        if get() != n:
+            set_(n)
 
 
 @contextlib.contextmanager

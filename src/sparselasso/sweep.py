@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import ensemble, lasso, rng, theory, witness
+from . import blas, ensemble, lasso, rng, theory, witness
 from .errors import CapacityError, DataError, ParameterError
 
 SPARSITY_RULES = ("polynomial", "linear", "explicit")
@@ -77,8 +77,14 @@ class SweepConfig:
             raise ParameterError("theta_grid must be non-empty")
         if len(self.p_list) > 2**16 or len(self.theta_grid) > 2**16:
             raise CapacityError("at most 2^16 p values and 2^16 theta values per sweep")
+        if not all(math.isfinite(t) for t in self.theta_grid):
+            raise ParameterError(f"theta_grid values must be finite, got {self.theta_grid!r}")
         if any(t <= 0 for t in self.theta_grid):
             raise ParameterError("theta_grid values must be positive")
+        for name in ("sigma2", "beta_min", "gamma_value", "lambda_value"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
         if self.trials < 1:
             raise ParameterError(f"trials must be at least 1, got {self.trials}")
         if self.trials > 2**32:
@@ -357,7 +363,9 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepTable:
         batches = [_point_batch((cfg, pt)) for pt in points]
     else:
         batches = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Fork the workers with every OpenBLAS already on one thread, so
+        # their pinned trials never call a setter (see the blas module).
+        with blas.single_threaded(), ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
             try:
                 for batch in pool.map(_point_batch, [(cfg, pt) for pt in points]):
                     batches.append(batch)

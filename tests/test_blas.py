@@ -46,3 +46,31 @@ def test_single_threaded_pins_and_restores(caller_counts):
             raise RuntimeError("trial failed")
     assert blas.thread_counts() == (2,) * len(caller_counts)
 
+
+class _CountingLibrary:
+    """A fake OpenBLAS: a thread count behind a getter and a setter that count their calls."""
+
+    def __init__(self, count):
+        self.count, self.gets, self.sets = count, 0, 0
+
+    def get(self):
+        self.gets += 1
+        return self.count
+
+    def set(self, n):
+        self.sets += 1
+        self.count = n
+
+
+def test_single_threaded_calls_a_setter_only_to_change_a_count(monkeypatch):
+    libs = [_CountingLibrary(1), _CountingLibrary(1)]
+    monkeypatch.setattr(blas, "_libraries", lambda: tuple((lib.get, lib.set) for lib in libs))
+    with blas.single_threaded():
+        assert blas.thread_counts() == (1, 1)
+    assert [lib.sets for lib in libs] == [0, 0] and all(lib.gets > 0 for lib in libs)
+
+    libs[:] = [_CountingLibrary(2), _CountingLibrary(1)]
+    with blas.single_threaded():
+        assert blas.thread_counts() == (1, 1)
+    assert blas.thread_counts() == (2, 1)
+    assert [lib.sets for lib in libs] == [2, 0]

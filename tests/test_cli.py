@@ -178,6 +178,27 @@ def test_value_its_rule_does_not_read_exits_2(argv, name, capsys):
     assert f"error: {name} is read only by " in err
 
 
+@pytest.mark.parametrize(
+    "extra, name",
+    [
+        (["--theta-grid", "nan"], "theta_grid"),
+        (["--theta-grid", "1,inf"], "theta_grid"),
+        (["--theta-grid", "1", "--sigma2", "nan"], "sigma2"),
+        (["--theta-grid", "1", "--beta-min", "inf"], "beta_min"),
+        (["--theta-grid", "1", "--gamma-rule", "constant", "--gamma-value", "nan"], "gamma_value"),
+        (["--theta-grid", "1", "--lambda-rule", "constant", "--lambda-value", "inf"], "lambda_value"),
+    ],
+    ids=["theta_nan", "theta_inf", "sigma2_nan", "beta_min_inf", "gamma_value_nan", "lambda_value_inf"],
+)
+def test_sweep_non_finite_float_exits_2(extra, name, capsys):
+    argv = ["sweep", "--p-list", "64", "--trials", "1", "--base-seed", "1", "--dry-run"] + extra
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {name} " in err and "must be finite, got " in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_sweep_outputs_are_reproducible(tmp_path, capsys):
     c1, c2 = tmp_path / "a.csv", tmp_path / "b.csv"
     j1 = tmp_path / "a.json"

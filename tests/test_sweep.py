@@ -2,6 +2,10 @@ import dataclasses
 import io
 import json
 import math
+import multiprocessing
+import os
+import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -65,6 +69,25 @@ def test_config_validation():
         _small_cfg(sigma2=-0.1)
     with pytest.raises(CapacityError):
         _small_cfg(trials=2**32 + 1)
+
+
+@pytest.mark.parametrize(
+    "overrides, name",
+    [
+        (dict(theta_grid=(0.5, float("nan"))), "theta_grid"),
+        (dict(theta_grid=(float("inf"),)), "theta_grid"),
+        (dict(sigma2=float("nan")), "sigma2"),
+        (dict(sigma2=float("inf")), "sigma2"),
+        (dict(beta_min=float("nan")), "beta_min"),
+        (dict(beta_min=float("inf")), "beta_min"),
+        (dict(gamma_value=float("nan")), "gamma_value"),
+        (dict(lambda_rule="constant", lambda_value=float("inf")), "lambda_value"),
+    ],
+    ids=["theta_nan", "theta_inf", "sigma2_nan", "sigma2_inf", "beta_min_nan", "beta_min_inf", "gamma_value_nan", "lambda_value_inf"],
+)
+def test_config_rejects_non_finite_floats(overrides, name):
+    with pytest.raises(ParameterError, match=f"^{name} (values )?must be finite"):
+        _small_cfg(**overrides)
 
 
 @pytest.mark.parametrize(
@@ -139,6 +162,20 @@ def test_worker_count_does_not_change_results():
     assert _csv_of(t1) == _csv_of(t2)
     with pytest.raises(ParameterError):
         run_sweep(cfg, workers=0)
+
+
+def test_pool_is_sized_to_the_grid(monkeypatch):
+    sizes = []
+
+    class RecordingPool(sweep.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    cfg = _small_cfg(p_list=(32,), trials=1)
+    assert _csv_of(run_sweep(cfg, workers=8)) == _csv_of(run_sweep(cfg))
+    assert sizes == [2]
 
 
 def test_run_trial_matches_sweep_records():
@@ -413,3 +450,37 @@ def test_sweep_without_openblas_matches_pinned_sweep(monkeypatch):
     pinned = _csv_of(run_sweep(cfg))
     monkeypatch.setattr(blas, "_libraries", lambda: ())
     assert _csv_of(run_sweep(cfg)) == pinned
+
+
+_real_point_batch = sweep._point_batch
+
+
+def _batch_starting_no_threads(args):
+    before = len(os.listdir("/proc/self/task"))
+    batch = _real_point_batch(args)
+    after = len(os.listdir("/proc/self/task"))
+    if after > before:
+        raise RuntimeError(f"worker grew from {before} to {after} threads")
+    return batch
+
+
+def _exit_in_worker(args):
+    os._exit(3)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or multiprocessing.get_start_method() != "fork",
+    reason="counts /proc/self/task in workers that inherit the patched batch by fork",
+)
+def test_forked_workers_start_no_blas_threads(caller_blas, monkeypatch):
+    # a caller on more than one thread, so that pinning in a worker would be a change
+    counts = tuple(max(2, c) for c in caller_blas)
+    blas.set_thread_counts(counts)
+    monkeypatch.setattr(sweep, "_point_batch", _batch_starting_no_threads)
+    cfg = SweepConfig(**dict(CRITERION_2, p_list=(256,), theta_grid=(1.0, 2.0), trials=2))
+    run_sweep(cfg, workers=2)
+    assert blas.thread_counts() == counts
+    monkeypatch.setattr(sweep, "_point_batch", _exit_in_worker)
+    with pytest.raises(BrokenProcessPool):
+        run_sweep(cfg, workers=2)
+    assert blas.thread_counts() == counts
