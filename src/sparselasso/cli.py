@@ -15,6 +15,7 @@ import argparse
 import configparser
 import dataclasses
 import difflib
+import math
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Optional
@@ -143,6 +144,10 @@ def _convert(opt: Opt, raw: str, source: str):
         raise ParameterError(f"bad value for '{opt.name}' (from {source}): {exc}") from exc
     if opt.choices is not None and value not in opt.choices:
         raise ParameterError(f"'{opt.name}' must be one of {opt.choices}, got {value!r}")
+    items = value if opt.kind is float_list else (value,) if opt.kind is float else ()
+    for item in items:
+        if not math.isfinite(item):
+            raise ParameterError(f"{opt.name} must be finite, got {item!r}")
     return value
 
 
@@ -216,11 +221,7 @@ def _cmd_gen(cfg: dict, prov: dict) -> int:
     if cfg["out"] is None:
         ensemble.write_matrix(m, sys.stdout)
     else:
-        try:
-            with open(cfg["out"], "w") as fh:
-                ensemble.write_matrix(m, fh)
-        except OSError as exc:
-            raise DataError(f"cannot write {cfg['out']}: {exc}") from exc
+        sweep.write_files([(cfg["out"], lambda fh: ensemble.write_matrix(m, fh))])
         print(f"wrote {m.nnz} entries to {cfg['out']}")
     return 0
 

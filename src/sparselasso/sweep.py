@@ -36,7 +36,22 @@ GAMMA_RULES = ("constant",) + theory.GAMMA_RULES
 LAMBDA_RULES = ("scaled", "constant")
 MODES = ("witness", "full", "both")
 
-CSV_HEADER = "theta,n,p,k,gamma,lambda,sigma2,mode,trials,successes,success_rate,base_seed"
+# The sweep CSV, one entry per column: (header name, parser, cell of a row and its config).
+_CSV_COLUMNS = (
+    ("theta", float, lambda r, cfg: r.theta),
+    ("n", int, lambda r, cfg: r.n),
+    ("p", int, lambda r, cfg: r.p),
+    ("k", int, lambda r, cfg: r.k),
+    ("gamma", float, lambda r, cfg: r.gamma),
+    ("lambda", float, lambda r, cfg: r.lam),
+    ("sigma2", float, lambda r, cfg: cfg.sigma2),
+    ("mode", str, lambda r, cfg: cfg.mode),
+    ("trials", int, lambda r, cfg: r.trials),
+    ("successes", int, lambda r, cfg: r.successes),
+    ("success_rate", float, lambda r, cfg: r.success_rate),
+    ("base_seed", int, lambda r, cfg: cfg.base_seed),
+)
+CSV_HEADER = ",".join(name for name, _, _ in _CSV_COLUMNS)
 
 
 def _integer(name: str, value) -> int:
@@ -181,7 +196,7 @@ class SweepTable:
     trial_records: Optional[list] = None
 
 
-def derive_k(p_list, sparsity_rule="polynomial", poly_exponent=0.5, linear_alpha=0.125, k_list=None, p_idx=None):
+def derive_k(p_list, sparsity_rule, poly_exponent, linear_alpha, k_list, p_idx=None):
     """The sparsity rule: checks its parameters against p_list and, given
     p_idx, returns the k of p_list[p_idx], which must lie in [1, p/2].
 
@@ -221,7 +236,7 @@ def _point_for(cfg: SweepConfig, p_idx: int, theta_idx: int) -> GridPoint:
     theta = cfg.theta_grid[theta_idx]
     try:
         k = derive_k(cfg.p_list, cfg.sparsity_rule, cfg.poly_exponent, cfg.linear_alpha, cfg.k_list, p_idx)
-        n = math.ceil(theta * 2.0 * k * theory._log_gap(p, k))
+        n = theory.sample_size(theta, p, k)
         if cfg.gamma_rule == "constant":
             gamma, clamped = float(cfg.gamma_value), False
         else:
@@ -381,8 +396,8 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepTable:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return "%.10g" % value
@@ -390,23 +405,8 @@ def _fmt(value) -> str:
 
 def write_csv(table: SweepTable, fh) -> None:
     fh.write(CSV_HEADER + "\n")
-    cfg = table.config
     for r in table.rows:
-        cells = (
-            _fmt(r.theta),
-            _fmt(r.n),
-            _fmt(r.p),
-            _fmt(r.k),
-            _fmt(r.gamma),
-            _fmt(r.lam),
-            _fmt(cfg.sigma2),
-            cfg.mode,
-            _fmt(r.trials),
-            _fmt(r.successes),
-            _fmt(r.success_rate),
-            _fmt(cfg.base_seed),
-        )
-        fh.write(",".join(cells) + "\n")
+        fh.write(",".join(_fmt(cell(r, table.config)) for _, _, cell in _CSV_COLUMNS) + "\n")
 
 
 def read_csv(fh) -> list:
@@ -414,25 +414,15 @@ def read_csv(fh) -> list:
     header = fh.readline().rstrip("\n")
     if header != CSV_HEADER:
         raise DataError(f"unexpected sweep CSV header: {header!r}")
-    names = header.split(",")
-    int_cols = {"n", "p", "k", "trials", "successes", "base_seed"}
     rows = []
     for lineno, line in enumerate(fh, start=2):
         line = line.rstrip("\n")
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != len(names):
-            raise DataError(f"line {lineno}: expected {len(names)} cells, got {len(parts)}")
-        row = {}
-        for name, cell in zip(names, parts):
-            if name == "mode":
-                row[name] = cell
-            elif name in int_cols:
-                row[name] = int(cell)
-            else:
-                row[name] = float(cell)
-        rows.append(row)
+        if len(parts) != len(_CSV_COLUMNS):
+            raise DataError(f"line {lineno}: expected {len(_CSV_COLUMNS)} cells, got {len(parts)}")
+        rows.append({name: parse(cell) for (name, parse, _), cell in zip(_CSV_COLUMNS, parts)})
     return rows
 
 
@@ -460,12 +450,10 @@ def dump_json(obj, fh) -> None:
     fh.write("\n")
 
 
-def write_outputs(table: SweepTable, path_csv, path_json=None, provenance: Optional[dict] = None) -> None:
-    """Write each file to a temporary sibling, then move all of them into
-    place, so a failure or interrupt leaves any earlier outputs intact."""
-    jobs = [(path_csv, lambda fh: write_csv(table, fh))]
-    if path_json is not None:
-        jobs.append((path_json, lambda fh: write_json(table, fh, provenance)))
+def write_files(jobs) -> None:
+    """Write each (path, write) job to a temporary sibling through
+    write(fh), then move all of them into place, so a failure or
+    interrupt leaves any earlier outputs intact and no partial file."""
     staged = []
     try:
         for path, write in jobs:
@@ -482,3 +470,11 @@ def write_outputs(table: SweepTable, path_csv, path_json=None, provenance: Optio
         for tmp in staged:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
+
+
+def write_outputs(table: SweepTable, path_csv, path_json=None, provenance: Optional[dict] = None) -> None:
+    """The sweep CSV and, when path_json is given, its JSON mirror, written together by write_files."""
+    jobs = [(path_csv, lambda fh: write_csv(table, fh))]
+    if path_json is not None:
+        jobs.append((path_json, lambda fh: write_json(table, fh, provenance)))
+    write_files(jobs)

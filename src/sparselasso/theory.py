@@ -47,6 +47,11 @@ def control_parameter(n: int, p: int, k: int) -> float:
     return n / (2.0 * k * _log_gap(p, k))
 
 
+def sample_size(theta: float, p: int, k: int) -> int:
+    """n = ceil(theta 2 k log(p - k)), the sample size at control parameter theta."""
+    return math.ceil(theta * 2.0 * k * _log_gap(p, k))
+
+
 def required_sample_size(p: int, k: int, eps: float = 0.0) -> int:
     """Smallest n strictly greater than (2 + eps) k log(p - k)."""
     if eps < 0:
@@ -206,7 +211,7 @@ DOMINATION_GRID = (
 )
 
 
-def run_bound_checks(seed: int, samples: int = 100_000, grid=DOMINATION_GRID) -> list[BoundCheck]:
+def run_bound_checks(seed: int, samples: int) -> list[BoundCheck]:
     """Monte Carlo estimate of each tail probability against its bound.
 
     A check passes when the empirical exceedance is at most
@@ -216,7 +221,7 @@ def run_bound_checks(seed: int, samples: int = 100_000, grid=DOMINATION_GRID) ->
         raise ParameterError(f"samples must be at least 1, got {samples}")
     gen = np.random.default_rng(seed)
     out = []
-    for kind, params in grid:
+    for kind, params in DOMINATION_GRID:
         if kind == "hoeffding":
             n, prob, delta = params["n"], params["prob"], params["delta"]
             bound = hoeffding_bound(n, delta)
@@ -226,12 +231,10 @@ def run_bound_checks(seed: int, samples: int = 100_000, grid=DOMINATION_GRID) ->
             m_dof, delta = params["m"], params["delta"]
             bound = chi2_bound(m_dof, delta)
             exceed = gen.chisquare(m_dof, size=samples) >= m_dof * (1.0 + delta)
-        elif kind == "gaussian":
+        else:  # gaussian
             sigma2, delta = params["sigma2"], params["delta"]
             bound = gaussian_bound(sigma2, delta)
             exceed = np.abs(gen.normal(0.0, math.sqrt(sigma2), size=samples)) >= delta
-        else:
-            raise ParameterError(f"unknown bound kind {kind!r}")
         estimate = float(exceed.mean())
         limit = bound + 3.0 * math.sqrt(bound * (1.0 - bound) / samples)
         out.append(BoundCheck(kind=kind, params=dict(params), bound=bound, estimate=estimate, limit=limit, ok=estimate <= limit))

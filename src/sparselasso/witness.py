@@ -61,15 +61,12 @@ class WitnessReport:
 
 def _factor_gram(Xs: np.ndarray, n: int):
     G = Xs.T @ Xs / n
-    gmax = float(G.diagonal().max(initial=0.0))
-    if gmax <= 0.0:
-        return None
     try:
         fac = scipy.linalg.cho_factor(G, lower=True)
     except scipy.linalg.LinAlgError:
         return None
     pivots = np.diagonal(fac[0])
-    if float(pivots.min()) ** 2 <= _SINGULAR_REL * gmax:
+    if float(pivots.min()) ** 2 <= _SINGULAR_REL * float(G.diagonal().max()):
         return None
     return fac
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import sparselasso
 from sparselasso import EnsembleSpec, LassoConfig, ParameterError, SignalSpec, SweepConfig, grid_points, read_matrix
-from sparselasso import cli, sample_matrix, sweep, write_matrix
+from sparselasso import cli, ensemble, sample_matrix, sweep, write_matrix
 from sparselasso.cli import main
 from sparselasso.sweep import SPARSITY_RULES, _point_batch
 
@@ -66,6 +66,39 @@ def test_gen_unwritable_path_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_gen_failing_write_leaves_no_file(tmp_path, monkeypatch, capsys):
+    def partial(m, fh):
+        fh.write("16 6 0.7 standard 3\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ensemble, "write_matrix", partial)
+    assert main(_gen_args(tmp_path / "m.txt")) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "disk full" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["sweep", "--p-list", "32", "--theta-grid", "1", "--trials", "1", "--base-seed", "1", "--mode", "dry"],
+         "'mode' must be one of"),
+        (_gen_args("m.txt", convention="dense"), "'convention' must be one of"),
+        (["sweep", "--p-list", "32", "--theta-grid", "1", "--trials", "1", "--base-seed", "1", "--keep-trials", "maybe"],
+         "bad value for 'keep_trials'"),
+    ],
+    ids=["sweep_mode", "gen_convention", "keep_trials_word"],
+)
+def test_bad_option_value_exits_2(argv, fragment, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert fragment in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_round_trip(tmp_path, capsys):
     mat = tmp_path / "m.txt"
     assert main(_gen_args(mat, n=30, p=8, gamma=1.0, seed=5)) == 0
@@ -102,6 +135,23 @@ def test_solve_wrong_length_observations_exit_1(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"sparselasso solve: error: observation file {yfile} has 7 values, but the matrix has n=8 rows\n"
+
+
+@pytest.mark.parametrize(
+    "y_text, fragment",
+    [(None, "cannot read observation file"), ("1.0\nabc\n", "bad observation file")],
+    ids=["missing", "non_numeric"],
+)
+def test_solve_unreadable_observations_exit_1(y_text, fragment, tmp_path, capsys):
+    mat, yfile = tmp_path / "m.txt", tmp_path / "y.txt"
+    assert main(_gen_args(mat, n=8, p=4, seed=5)) == 0
+    if y_text is not None:
+        yfile.write_text(y_text)
+    capsys.readouterr()
+    assert main(["solve", "--matrix", str(mat), "--y", str(yfile), "--lam", "0.1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and fragment in err
 
 
 def test_witness_report_fields(tmp_path, capsys):
@@ -199,6 +249,39 @@ def test_sweep_non_finite_float_exits_2(extra, name, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+_WITNESS = ["witness", "--matrix", "{m}", "--k", "3", "--noise-seed", "5"]
+_SOLVE = ["solve", "--matrix", "{m}", "--y", "{y}"]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (_WITNESS + ["--lam", "0.25", "--sigma2", "nan"], "sigma2"),
+        (_WITNESS + ["--lam", "0.25", "--sigma2", "inf"], "sigma2"),
+        (_WITNESS + ["--lam", "inf"], "lam"),
+        (_WITNESS + ["--lam", "0.25", "--beta-min", "inf"], "beta_min"),
+        (_SOLVE + ["--lam", "inf"], "lam"),
+        (_SOLVE + ["--lam", "0.1", "--tol", "inf"], "tol"),
+        (_SOLVE + ["--lam", "0.1", "--zero-tol", "inf"], "zero_tol"),
+        (["check-conditions", "--p-list", "1024", "--eps", "nan"], "eps"),
+        (["check-conditions", "--p-list", "1024", "--eps", "inf"], "eps"),
+        (["check-conditions", "--p-list", "1024", "--beta-min", "inf"], "beta_min"),
+    ],
+    ids=["witness_sigma2_nan", "witness_sigma2_inf", "witness_lam_inf", "witness_beta_min_inf", "solve_lam_inf",
+         "solve_tol_inf", "solve_zero_tol_inf", "check_eps_nan", "check_eps_inf", "check_beta_min_inf"],
+)
+def test_non_finite_float_exits_2_on_every_subcommand(argv, name, tmp_path, capsys):
+    mat, yfile = tmp_path / "m.txt", tmp_path / "y.txt"
+    assert main(["gen", "--n", "20", "--p", "40", "--gamma", "0.5", "--seed", "1", "--out", str(mat)]) == 0
+    yfile.write_text("0.5\n" * 20)
+    capsys.readouterr()
+    assert main([a.format(m=mat, y=yfile) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {name} must be finite, got " in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_sweep_outputs_are_reproducible(tmp_path, capsys):
     c1, c2 = tmp_path / "a.csv", tmp_path / "b.csv"
     j1 = tmp_path / "a.json"
@@ -240,6 +323,13 @@ def test_sweep_keep_trials_flag(tmp_path, capsys):
     assert "(6 trial records)" in capsys.readouterr().out
     payload = json.loads(jsn.read_text())
     assert len(payload["trials"]) == 6
+
+
+def test_sweep_keep_trials_no_keeps_none(tmp_path, capsys):
+    jsn = tmp_path / "t.json"
+    assert main(_sweep_args(["--out-csv", str(tmp_path / "t.csv"), "--out-json", str(jsn), "--keep-trials", "no"])) == 0
+    assert "trial records" not in capsys.readouterr().out
+    assert "trials" not in json.loads(jsn.read_text())
 
 
 def test_config_file_precedence(tmp_path, capsys):

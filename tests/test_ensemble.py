@@ -236,6 +236,9 @@ def test_serialization_golden():
         ("4 4 0.5 standard 1\n0 0\n", "expected"),
         ("4 4 0.5 standard 1\n0 0 abc\n", "could not convert"),
         ("4 4 0.5 standard 1\n0 0 1.5\n1 1 1.0\n2 3 1.0\n2 3 2.0\n3 0 1.0\n", "row 2 columns must be strictly increasing"),
+        ("4 4 0.5 standard 1\n0 0 nan\n", "finite"),
+        ("4 4 0.5 standard 1\n0 0 -inf\n", "finite"),
+        ("4 4.5 0.5 standard 1\n", "bad matrix header"),
     ],
 )
 def test_read_matrix_rejects_malformed(text, fragment):

@@ -1,4 +1,5 @@
-"""Every import a library module binds is used in that module."""
+"""Every import a library module binds is used in that module, and no
+module reads a private name of another."""
 
 import ast
 import pathlib
@@ -29,3 +30,34 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_reads(source: str, siblings) -> list:
+    """Each `<sibling>._name` read and `from .<sibling> import _name` in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in siblings:
+            if _is_private(node.attr):
+                found.append(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            found.extend(f"{node.module}.{alias.name}" for alias in node.names if _is_private(alias.name))
+    return sorted(found)
+
+
+def test_private_sibling_read_is_found():
+    source = (
+        "from . import rng, theory\n"
+        "from .lasso import _soft, solve\n"
+        "x = theory._log_gap(3, 1) + rng.derive_key(1) + len(rng.__name__)\n"
+        "y = x._private\n"
+    )
+    assert _private_reads(source, {"lasso", "rng", "theory"}) == ["lasso._soft", "theory._log_gap"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_reads_no_private_sibling_name(path):
+    assert _private_reads(path.read_text(), {p.stem for p in MODULES}) == []

@@ -258,6 +258,17 @@ def test_mode_both_aggregates():
         assert r.success == r.witness_success
 
 
+def test_mode_full_counts_full_solves():
+    table = run_sweep(_small_cfg(mode="full", keep_trials=True))
+    for row in table.rows:
+        batch = [r for r in table.trial_records if (r.p, r.theta) == (row.p, row.theta)]
+        assert row.successes == sum(1 for r in batch if r.full_success)
+        assert (row.invertible_trials, row.mean_dual_ratio, row.mean_u_ratio) == (None, None, None)
+    # both modes draw the same trial seeds, so full mode's successes are both mode's full_successes
+    both = run_sweep(_small_cfg(mode="both"))
+    assert [r["successes"] for r in read_csv(io.StringIO(_csv_of(table)))] == [r.full_successes for r in both.rows]
+
+
 def test_deep_success_region():
     # noiseless, unsparsified, far above the transition: the witness
     # should succeed essentially always

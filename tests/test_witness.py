@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sparselasso import (
     EnsembleSpec,
@@ -79,6 +80,36 @@ def test_non_invertible_support():
     with pytest.raises(ParameterError):
         check_events(r, 0.1, 1.0)
     with pytest.raises(ParameterError):
+        h_vector(m, s)
+
+
+_RAMP = np.arange(1.0, 6.0)
+
+
+@pytest.mark.parametrize(
+    "support, factorizes",
+    [
+        # 1e-5 off collinear: the factorization succeeds, but the last pivot
+        # squared (about 1.1e-11) is far below the floor 1e-10 * 11.
+        (np.column_stack([_RAMP, _RAMP + 1e-5 * np.eye(5)[4]]), True),
+        (np.column_stack([_RAMP, np.zeros(5)]), False),
+        (np.zeros((5, 2)), False),
+    ],
+    ids=["near_collinear", "zero_column", "zero_support"],
+)
+def test_singular_support_is_rejected(support, factorizes):
+    gram = support.T @ support / 5
+    if factorizes:
+        scipy.linalg.cho_factor(gram, lower=True)  # so the pivot floor is what rejects it
+    else:
+        with pytest.raises(scipy.linalg.LinAlgError):
+            scipy.linalg.cho_factor(gram, lower=True)
+    dense = np.column_stack([support, np.eye(5)[:, :2]])
+    m = _matrix(5, 4, [(i, j, float(v)) for (i, j), v in np.ndenumerate(dense) if v])
+    s = SignalSpec(p=4, k=2, beta_min=1.0, sign_pattern="all_plus")
+    r = build(m, s, np.zeros(5), lam=0.1)
+    assert r.invertible is False and r.success is False
+    with pytest.raises(ParameterError, match="support gram block is singular"):
         h_vector(m, s)
 
 
