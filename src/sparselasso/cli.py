@@ -15,7 +15,6 @@ import argparse
 import configparser
 import dataclasses
 import difflib
-import math
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Optional
@@ -23,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ensemble, lasso, sweep, theory, witness
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, non_negative, positive
 
 PROG = "sparselasso"
 
@@ -144,10 +143,6 @@ def _convert(opt: Opt, raw: str, source: str):
         raise ParameterError(f"bad value for '{opt.name}' (from {source}): {exc}") from exc
     if opt.choices is not None and value not in opt.choices:
         raise ParameterError(f"'{opt.name}' must be one of {opt.choices}, got {value!r}")
-    items = value if opt.kind is float_list else (value,) if opt.kind is float else ()
-    for item in items:
-        if not math.isfinite(item):
-            raise ParameterError(f"{opt.name} must be finite, got {item!r}")
     return value
 
 
@@ -235,6 +230,7 @@ def _read_matrix_file(path: str) -> ensemble.SparseMeasurementMatrix:
 
 
 def _cmd_solve(cfg: dict, prov: dict) -> int:
+    config = _build(lasso.LassoConfig, cfg)  # a bad parameter is reported before any file is read
     m = _read_matrix_file(cfg["matrix"])
     try:
         with open(cfg["y"]) as fh:
@@ -247,7 +243,7 @@ def _cmd_solve(cfg: dict, prov: dict) -> int:
         raise DataError(f"bad observation file {cfg['y']}: {exc}") from exc
     if y.size != m.spec.n:
         raise DataError(f"observation file {cfg['y']} has {y.size} values, but the matrix has n={m.spec.n} rows")
-    solution = lasso.solve(m, y, _build(lasso.LassoConfig, cfg))
+    solution = lasso.solve(m, y, config)
     out = {
         "beta_hat": solution.beta_hat,
         "objective": solution.objective,
@@ -323,6 +319,8 @@ def _cmd_bounds(cfg: dict, prov: dict) -> int:
 def _cmd_check_conditions(cfg: dict, prov: dict) -> int:
     rule = {o.name: cfg[o.name] for o in _K_OPTS}
     sweep.derive_k(**rule)
+    non_negative("eps", cfg["eps"])  # once, so the error is not tied to one p
+    positive("beta_min", cfg["beta_min"])
     lines = [f"{'p':>8s} {'k':>6s} {'n':>8s} {'gamma':>10s} {'lambda':>10s} {'q1':>10s} {'q2':>10s} {'q3':>10s} {'snr':>12s}"]
     for i, p in enumerate(cfg["p_list"]):
         try:

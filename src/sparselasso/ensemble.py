@@ -26,7 +26,7 @@ from typing import IO, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CapacityError, DataError, ParameterError
+from .errors import CapacityError, DataError, ParameterError, integer, non_negative, positive, unit_interval
 from . import rng
 
 CONVENTIONS = ("standard", "rescaled")
@@ -46,19 +46,15 @@ class EnsembleSpec:
     convention: str = "standard"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not isinstance(self.p, int):
-            raise ParameterError("n and p must be integers")
-        if self.n < 1 or self.p < 1:
-            raise ParameterError(f"n and p must be positive, got n={self.n}, p={self.p}")
+        object.__setattr__(self, "n", integer("n", self.n, 1))
+        object.__setattr__(self, "p", integer("p", self.p, 1))
         if self.n >= 2**32 or self.p >= 2**32:
             raise CapacityError("n and p must each be < 2^32 (entry counters pack row and column into 64 bits)")
         if self.n * self.p > 2**40:
             raise CapacityError(f"n * p = {self.n * self.p} exceeds the supported 2^40 entries")
-        if not (isinstance(self.gamma, (int, float)) and 0.0 < float(self.gamma) <= 1.0):
-            raise ParameterError(f"gamma must lie in (0, 1], got {self.gamma!r}")
+        object.__setattr__(self, "gamma", unit_interval("gamma", self.gamma))
         if self.convention not in CONVENTIONS:
             raise ParameterError(f"convention must be one of {CONVENTIONS}, got {self.convention!r}")
-        object.__setattr__(self, "gamma", float(self.gamma))
 
 
 @dataclass(frozen=True)
@@ -189,12 +185,11 @@ class SignalSpec:
     sign_seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or not isinstance(self.k, int):
-            raise ParameterError("p and k must be integers")
+        object.__setattr__(self, "p", integer("p", self.p))
+        object.__setattr__(self, "k", integer("k", self.k))
         if self.k < 1 or 2 * self.k > self.p:
             raise ParameterError(f"need 1 <= k <= p/2, got k={self.k}, p={self.p}")
-        if not self.beta_min > 0:
-            raise ParameterError(f"beta_min must be positive, got {self.beta_min!r}")
+        positive("beta_min", self.beta_min)
         if self.sign_pattern not in SIGN_PATTERNS:
             raise ParameterError(f"unknown sign_pattern {self.sign_pattern!r}")
         if self.sign_pattern == "seeded_random" and self.sign_seed is None:
@@ -233,10 +228,8 @@ class ObservationSet:
 
 def noise_vector(n: int, variance: float, noise_seed: int) -> np.ndarray:
     """Gaussian noise of length n at the given variance, from the NOISE stream."""
-    if variance < 0:
-        raise ParameterError(f"noise variance must be non-negative, got {variance!r}")
     key = rng.derive_key(noise_seed, rng.TAG_NOISE)
-    return math.sqrt(variance) * rng.normals_at(key, np.arange(n, dtype=np.uint64))
+    return math.sqrt(non_negative("variance", variance)) * rng.normals_at(key, np.arange(n, dtype=np.uint64))
 
 
 def observe(m: SparseMeasurementMatrix, beta_star: np.ndarray, sigma2: float, noise_seed: int) -> ObservationSet:
@@ -249,8 +242,7 @@ def observe(m: SparseMeasurementMatrix, beta_star: np.ndarray, sigma2: float, no
     beta_star = np.asarray(beta_star, dtype=np.float64)
     if beta_star.shape != (m.spec.p,):
         raise ParameterError(f"beta_star must have length p={m.spec.p}")
-    if sigma2 < 0:
-        raise ParameterError(f"sigma2 must be non-negative, got {sigma2!r}")
+    non_negative("sigma2", sigma2)
     variance = sigma2 / m.spec.gamma if m.spec.convention == "rescaled" else sigma2
     w = noise_vector(m.spec.n, variance, noise_seed)
     y = m.to_csr() @ beta_star + w

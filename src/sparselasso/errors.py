@@ -1,8 +1,19 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the parameter domain rules.
 
 Two families only: bad parameters (caller mistakes, CLI exit code 2) and bad
 data (unreadable or inconsistent inputs discovered at run time, exit code 1).
+
+Public constructors and entry points check each scalar parameter where they
+take it, with one of five rules. Each returns the value as a plain int or float
+(numpy scalars included) or raises ParameterError naming the parameter:
+`integer(name, value, low=None)` (at least low when given), `finite` (a real
+number, neither NaN nor infinite), `positive`, `non_negative` and
+`unit_interval` (finite and in (0, 1]).
 """
+
+import math
+import numbers
+import operator
 
 
 class ParameterError(ValueError):
@@ -15,3 +26,43 @@ class CapacityError(ParameterError):
 
 class DataError(RuntimeError):
     """Input data is unreadable, inconsistent, or violates a stated precondition."""
+
+
+def integer(name: str, value, low=None) -> int:
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name}: expected an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ParameterError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
+def finite(name: str, value) -> float:
+    if not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name}: expected a real number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def positive(name: str, value) -> float:
+    value = finite(name, value)
+    if not value > 0:
+        raise ParameterError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def non_negative(name: str, value) -> float:
+    value = finite(name, value)
+    if value < 0:
+        raise ParameterError(f"{name} must be non-negative, got {value!r}")
+    return value
+
+
+def unit_interval(name: str, value) -> float:
+    value = finite(name, value)
+    if not 0.0 < value <= 1.0:
+        raise ParameterError(f"{name} must lie in (0, 1], got {value!r}")
+    return value

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from . import blas
 from .ensemble import SparseMeasurementMatrix
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, integer, non_negative, positive
 
 MatrixLike = Union[SparseMeasurementMatrix, sp.spmatrix, np.ndarray]
 
@@ -29,14 +29,10 @@ class LassoConfig:
     zero_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise ParameterError(f"lam must be positive, got {self.lam!r}")
-        if not self.tol > 0:
-            raise ParameterError(f"tol must be positive, got {self.tol!r}")
-        if self.max_iter < 1:
-            raise ParameterError(f"max_iter must be at least 1, got {self.max_iter!r}")
-        if not self.zero_tol >= 0:
-            raise ParameterError(f"zero_tol must be non-negative, got {self.zero_tol!r}")
+        positive("lam", self.lam)
+        positive("tol", self.tol)
+        integer("max_iter", self.max_iter, 1)
+        non_negative("zero_tol", self.zero_tol)
 
 
 @dataclass

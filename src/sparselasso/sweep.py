@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import blas, ensemble, lasso, rng, theory, witness
-from .errors import CapacityError, DataError, ParameterError
+from .errors import CapacityError, DataError, ParameterError, finite, integer, non_negative, positive, unit_interval
 
 SPARSITY_RULES = ("polynomial", "linear", "explicit")
 GAMMA_RULES = ("constant",) + theory.GAMMA_RULES
@@ -54,13 +53,6 @@ _CSV_COLUMNS = (
 CSV_HEADER = ",".join(name for name, _, _ in _CSV_COLUMNS)
 
 
-def _integer(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name}: expected an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     p_list: tuple
@@ -82,26 +74,18 @@ class SweepConfig:
     keep_trials: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p_list", tuple(_integer("p_list", p) for p in self.p_list))
-        object.__setattr__(self, "theta_grid", tuple(float(t) for t in self.theta_grid))
+        object.__setattr__(self, "p_list", tuple(integer("p_list", p) for p in self.p_list))
+        object.__setattr__(self, "theta_grid", tuple(positive("theta_grid", t) for t in self.theta_grid))
         if self.k_list is not None:
-            object.__setattr__(self, "k_list", tuple(_integer("k_list", k) for k in self.k_list))
-        object.__setattr__(self, "trials", _integer("trials", self.trials))
-        object.__setattr__(self, "base_seed", _integer("base_seed", self.base_seed))
+            object.__setattr__(self, "k_list", tuple(integer("k_list", k) for k in self.k_list))
+        object.__setattr__(self, "trials", integer("trials", self.trials, 1))
+        object.__setattr__(self, "base_seed", integer("base_seed", self.base_seed))
         if not self.theta_grid:
             raise ParameterError("theta_grid must be non-empty")
         if len(self.p_list) > 2**16 or len(self.theta_grid) > 2**16:
             raise CapacityError("at most 2^16 p values and 2^16 theta values per sweep")
-        if not all(math.isfinite(t) for t in self.theta_grid):
-            raise ParameterError(f"theta_grid values must be finite, got {self.theta_grid!r}")
-        if any(t <= 0 for t in self.theta_grid):
-            raise ParameterError("theta_grid values must be positive")
-        for name in ("sigma2", "beta_min", "gamma_value", "lambda_value"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value!r}")
-        if self.trials < 1:
-            raise ParameterError(f"trials must be at least 1, got {self.trials}")
+        non_negative("sigma2", self.sigma2)
+        positive("beta_min", self.beta_min)
         if self.trials > 2**32:
             raise CapacityError("at most 2^32 trials per grid point")
         if not 0 <= self.base_seed < 2**64:
@@ -109,22 +93,20 @@ class SweepConfig:
         derive_k(self.p_list, self.sparsity_rule, self.poly_exponent, self.linear_alpha, self.k_list)
         if self.gamma_rule not in GAMMA_RULES:
             raise ParameterError(f"gamma_rule must be one of {GAMMA_RULES}, got {self.gamma_rule!r}")
-        if self.gamma_rule == "constant":
-            if self.gamma_value is None or not 0.0 < self.gamma_value <= 1.0:
-                raise ParameterError("gamma_rule='constant' requires gamma_value in (0, 1]")
-        elif self.gamma_value is not None:
+        if self.gamma_value is not None:
+            unit_interval("gamma_value", self.gamma_value)
+        if self.gamma_rule == "constant" and self.gamma_value is None:
+            raise ParameterError("gamma_rule='constant' requires gamma_value in (0, 1]")
+        if self.gamma_rule != "constant" and self.gamma_value is not None:
             raise ParameterError(f"gamma_value is read only by gamma_rule='constant', not {self.gamma_rule!r}")
         if self.lambda_rule not in LAMBDA_RULES:
             raise ParameterError(f"lambda_rule must be one of {LAMBDA_RULES}, got {self.lambda_rule!r}")
-        if self.lambda_rule == "constant":
-            if self.lambda_value is None or not self.lambda_value > 0:
-                raise ParameterError("lambda_rule='constant' requires a positive lambda_value")
-        elif self.lambda_value is not None:
+        if self.lambda_value is not None:
+            positive("lambda_value", self.lambda_value)
+        if self.lambda_rule == "constant" and self.lambda_value is None:
+            raise ParameterError("lambda_rule='constant' requires a positive lambda_value")
+        if self.lambda_rule != "constant" and self.lambda_value is not None:
             raise ParameterError(f"lambda_value is read only by lambda_rule='constant', not {self.lambda_rule!r}")
-        if self.sigma2 < 0:
-            raise ParameterError(f"sigma2 must be non-negative, got {self.sigma2!r}")
-        if not self.beta_min > 0:
-            raise ParameterError(f"beta_min must be positive, got {self.beta_min!r}")
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.convention not in ensemble.CONVENTIONS:
@@ -211,15 +193,15 @@ def derive_k(p_list, sparsity_rule, poly_exponent, linear_alpha, k_list, p_idx=N
         raise ParameterError("sparsity_rule='explicit' requires k_list matching p_list in length")
     if sparsity_rule != "explicit" and k_list is not None:
         raise ParameterError(f"k_list is read only by sparsity_rule='explicit', not {sparsity_rule!r}")
-    if sparsity_rule == "polynomial" and not 0 < poly_exponent <= 1:
-        raise ParameterError(f"poly_exponent must lie in (0, 1], got {poly_exponent!r}")
+    finite("poly_exponent", poly_exponent)  # under every rule: the JSON mirror records both
+    finite("linear_alpha", linear_alpha)
+    if sparsity_rule == "polynomial":
+        unit_interval("poly_exponent", poly_exponent)
     if sparsity_rule == "linear" and not 0 < linear_alpha <= 0.5:
         raise ParameterError(f"linear_alpha must lie in (0, 0.5], got {linear_alpha!r}")
     if p_idx is None:
         return None
-    p = p_list[p_idx]
-    if p < 1:
-        raise ParameterError(f"p must be positive, got {p}")
+    p = integer("p", p_list[p_idx], 1)
     if sparsity_rule == "polynomial":
         k = math.ceil(p**poly_exponent)
     elif sparsity_rule == "linear":
@@ -333,7 +315,8 @@ def run_trial(cfg: SweepConfig, p: int, theta: float, trial_index: int) -> Trial
         theta_idx = cfg.theta_grid.index(float(theta))
     except ValueError:
         raise ParameterError(f"theta={theta} is not in the configured theta_grid") from None
-    if not 0 <= trial_index < cfg.trials:
+    trial_index = integer("trial_index", trial_index, 0)
+    if trial_index >= cfg.trials:
         raise ParameterError(f"trial_index must lie in [0, {cfg.trials}), got {trial_index}")
     return _execute(cfg, _point_for(cfg, p_idx, theta_idx), trial_index)
 
@@ -371,8 +354,7 @@ def _aggregate(cfg: SweepConfig, point: GridPoint, records: list) -> SweepRow:
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepTable:
     """Execute the full grid; output is identical for any worker count."""
-    if workers < 1:
-        raise ParameterError(f"workers must be at least 1, got {workers}")
+    workers = integer("workers", workers, 1)
     points = grid_points(cfg)
     if workers == 1 or len(points) == 1:
         batches = [_point_batch((cfg, pt)) for pt in points]
@@ -422,7 +404,13 @@ def read_csv(fh) -> list:
         parts = line.split(",")
         if len(parts) != len(_CSV_COLUMNS):
             raise DataError(f"line {lineno}: expected {len(_CSV_COLUMNS)} cells, got {len(parts)}")
-        rows.append({name: parse(cell) for (name, parse, _), cell in zip(_CSV_COLUMNS, parts)})
+        row = {}
+        for (name, parse, _), cell in zip(_CSV_COLUMNS, parts):
+            try:
+                row[name] = parse(cell)
+            except ValueError as exc:
+                raise DataError(f"line {lineno}: column {name}: {exc}") from exc
+        rows.append(row)
     return rows
 
 

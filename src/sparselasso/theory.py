@@ -20,14 +20,13 @@ import numpy as np
 
 from . import blas
 from .ensemble import SparseMeasurementMatrix
-from .errors import ParameterError
+from .errors import ParameterError, finite, integer, non_negative, positive, unit_interval
 
 GAMMA_RULES = ("sixth_root", "log_over_sqrt")
 
 
 def _log_gap(p: int, k: int) -> float:
-    if k < 1:
-        raise ParameterError(f"k must be at least 1, got {k}")
+    p, k = integer("p", p), integer("k", k, 1)
     if p - k < 2:
         raise ParameterError(f"need p - k >= 2 so log(p - k) is positive, got p - k = {p - k}")
     return math.log(p - k)
@@ -42,21 +41,17 @@ def _loglog_gap(p: int, k: int) -> float:
 
 def control_parameter(n: int, p: int, k: int) -> float:
     """theta = n / (2 k log(p - k)); recovery transitions near theta = 1."""
-    if n < 1:
-        raise ParameterError(f"n must be at least 1, got {n}")
-    return n / (2.0 * k * _log_gap(p, k))
+    return integer("n", n, 1) / (2.0 * k * _log_gap(p, k))
 
 
 def sample_size(theta: float, p: int, k: int) -> int:
     """n = ceil(theta 2 k log(p - k)), the sample size at control parameter theta."""
-    return math.ceil(theta * 2.0 * k * _log_gap(p, k))
+    return math.ceil(positive("theta", theta) * 2.0 * k * _log_gap(p, k))
 
 
 def required_sample_size(p: int, k: int, eps: float = 0.0) -> int:
     """Smallest n strictly greater than (2 + eps) k log(p - k)."""
-    if eps < 0:
-        raise ParameterError(f"eps must be non-negative, got {eps!r}")
-    return math.floor((2.0 + eps) * k * _log_gap(p, k)) + 1
+    return math.floor((2.0 + non_negative("eps", eps)) * k * _log_gap(p, k)) + 1
 
 
 def clamp_unit(value: float) -> tuple[float, bool]:
@@ -89,8 +84,7 @@ def gamma_schedule(p: int, k: int, rule: str) -> GammaSchedule:
 
 def lambda_schedule(n: int, p: int, k: int) -> float:
     """Regularization weight sqrt((log(p-k)/n) * sqrt(log(p-k)/loglog(p-k)))."""
-    if n < 1:
-        raise ParameterError(f"n must be at least 1, got {n}")
+    integer("n", n, 1)
     log_gap = _log_gap(p, k)
     loglog_gap = _loglog_gap(p, k)
     return math.sqrt(log_gap / n * math.sqrt(log_gap / loglog_gap))
@@ -106,12 +100,10 @@ def recovery_conditions(n: int, p: int, k: int, gamma: float, lam: float, beta_m
     q2 = (lam/beta_min)(1 + (sqrt(k)/gamma) sqrt(loglog/log))  (should vanish)
     q3 = gamma^3 min{k, log(p-k)/loglog(p-k)}            (should diverge)
     """
-    if not 0.0 < gamma <= 1.0:
-        raise ParameterError(f"gamma must lie in (0, 1], got {gamma!r}")
-    if not lam > 0 or not beta_min > 0:
-        raise ParameterError("lam and beta_min must be positive")
-    if n < 1:
-        raise ParameterError(f"n must be at least 1, got {n}")
+    integer("n", n, 1)
+    unit_interval("gamma", gamma)
+    positive("lam", lam)
+    positive("beta_min", beta_min)
     log_gap = _log_gap(p, k)
     loglog_gap = _loglog_gap(p, k)
     q1 = n * lam * lam * gamma / log_gap
@@ -122,17 +114,16 @@ def recovery_conditions(n: int, p: int, k: int, gamma: float, lam: float, beta_m
 
 def snr_diagnostic(gamma: float, n: int, beta_min: float) -> float:
     """gamma * n * beta_min^2; when this stays bounded no method can recover."""
-    if not gamma > 0 or not n > 0 or not beta_min > 0:
-        raise ParameterError("gamma, n, beta_min must all be positive")
+    positive("gamma", gamma)
+    integer("n", n, 1)
+    positive("beta_min", beta_min)
     return gamma * n * beta_min * beta_min
 
 
 def hoeffding_bound(n: int, delta: float) -> float:
     """2 exp(-2 n delta^2): two-sided deviation of a mean of n bounded variates."""
-    if n < 1:
-        raise ParameterError(f"n must be at least 1, got {n}")
-    if delta < 0:
-        raise ParameterError(f"delta must be non-negative, got {delta!r}")
+    integer("n", n, 1)
+    non_negative("delta", delta)
     return 2.0 * math.exp(-2.0 * n * delta * delta)
 
 
@@ -141,19 +132,16 @@ def chi2_bound(m: int, delta: float) -> float:
 
     Valid only on 0 <= delta < 1/2.
     """
-    if m < 1:
-        raise ParameterError(f"m must be at least 1, got {m}")
-    if not 0.0 <= delta < 0.5:
+    integer("m", m, 1)
+    if not 0.0 <= finite("delta", delta) < 0.5:
         raise ParameterError(f"delta must lie in [0, 1/2), got {delta!r}")
     return math.exp(-3.0 * m * delta * delta / 16.0)
 
 
 def gaussian_bound(sigma2: float, delta: float) -> float:
     """2 exp(-delta^2 / (2 sigma^2)): two-sided tail of N(0, sigma^2)."""
-    if not sigma2 > 0:
-        raise ParameterError(f"sigma2 must be positive, got {sigma2!r}")
-    if delta < 0:
-        raise ParameterError(f"delta must be non-negative, got {delta!r}")
+    positive("sigma2", sigma2)
+    non_negative("delta", delta)
     return 2.0 * math.exp(-delta * delta / (2.0 * sigma2))
 
 
@@ -165,11 +153,9 @@ def sv_deviation(gamma: float, k: int, p: int, theta_frac: float, t: float) -> f
 
     theta_frac here is a fraction in (0, 1], not the control parameter.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise ParameterError(f"gamma must lie in (0, 1], got {gamma!r}")
-    if not 0.0 < theta_frac <= 1.0:
-        raise ParameterError(f"theta_frac must lie in (0, 1], got {theta_frac!r}")
-    if t < 2:
+    unit_interval("gamma", gamma)
+    unit_interval("theta_frac", theta_frac)
+    if finite("t", t) < 2:
         raise ParameterError(f"t must be at least 2, got {t!r}")
     log_gap = _log_gap(p, k)
     scaled = theta_frac * log_gap
@@ -217,8 +203,7 @@ def run_bound_checks(seed: int, samples: int) -> list[BoundCheck]:
     A check passes when the empirical exceedance is at most
     bound + 3 sqrt(bound (1 - bound) / samples).
     """
-    if samples < 1:
-        raise ParameterError(f"samples must be at least 1, got {samples}")
+    integer("samples", samples, 1)
     gen = np.random.default_rng(seed)
     out = []
     for kind, params in DOMINATION_GRID:

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .ensemble import SignalSpec, SparseMeasurementMatrix, make_signal, signal_signs
-from .errors import ParameterError
+from .errors import ParameterError, positive, unit_interval
 from .lasso import LassoSolution
 from . import blas, rng
 
@@ -93,16 +93,15 @@ def check_events(r: WitnessReport, lam: float, beta_min: float) -> Events:
     """
     if not r.invertible:
         raise ParameterError("events are undefined on a non-invertible report")
-    if not beta_min > 0:
-        raise ParameterError(f"beta_min must be positive, got {beta_min!r}")
+    positive("lam", lam)
+    positive("beta_min", beta_min)
     return _events(_margins(r.u, r.va + r.vb, lam, beta_min, r.signs))
 
 
 @blas.single_threaded()
 def build(m: SparseMeasurementMatrix, s: SignalSpec, w: np.ndarray, lam: float) -> WitnessReport:
     """Construct the witness for one realized instance."""
-    if not lam > 0:
-        raise ParameterError(f"lam must be positive, got {lam!r}")
+    positive("lam", lam)
     if m.spec.p != s.p:
         raise ParameterError(f"matrix has p={m.spec.p} but signal has p={s.p}")
     n = m.spec.n
@@ -170,10 +169,8 @@ def h_vector(m: SparseMeasurementMatrix, s: SignalSpec) -> HVector:
 
 def thinned_squared_norm(h: np.ndarray, gamma: float, seed: int) -> float:
     """||H||^2 after keeping each entry of h independently with probability gamma."""
-    if not 0.0 < gamma <= 1.0:
-        raise ParameterError(f"gamma must lie in (0, 1], got {gamma!r}")
     h = np.asarray(h, dtype=np.float64)
-    kept = h[rng.kept_entries(rng.derive_key(seed, rng.TAG_THIN), 1, h.size, gamma)]
+    kept = h[rng.kept_entries(rng.derive_key(seed, rng.TAG_THIN), 1, h.size, unit_interval("gamma", gamma))]
     return float(kept @ kept)
 
 

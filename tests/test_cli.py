@@ -282,6 +282,60 @@ def test_non_finite_float_exits_2_on_every_subcommand(argv, name, tmp_path, caps
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+# A valid call of every subcommand with a float option; the test below overrides one float.
+_VALID_ARGV = {
+    "gen": ["--n", "20", "--p", "40", "--gamma", "0.5", "--seed", "1", "--out", "{out}"],
+    "solve": ["--matrix", "{m}", "--y", "{y}", "--lam", "0.1"],
+    "witness": ["--matrix", "{m}", "--k", "3", "--noise-seed", "5", "--lam", "0.25"],
+    "sweep": ["--p-list", "64", "--theta-grid", "1", "--trials", "1", "--base-seed", "1", "--dry-run"],
+    "check-conditions": ["--p-list", "1024"],
+}
+
+# Every float and float-list option of every subcommand; the two sparsity
+# exponents under both rules, so each is also given where its rule does not read it.
+_FLOAT_OPTIONS = [
+    pytest.param(sub, opt, rule, value, id=f"{sub}-{opt.name}{'-' + rule if rule else ''}-{value}")
+    for sub, (_, opts, _) in cli.SUBCOMMANDS.items()
+    for opt in opts
+    if opt.kind in (float, cli.float_list)
+    for rule in (("polynomial", "linear") if opt.name in ("poly_exponent", "linear_alpha") else (None,))
+    for value in ("nan", "inf", "-inf")
+]
+
+
+@pytest.mark.parametrize("sub, opt, rule, value", _FLOAT_OPTIONS)
+def test_every_float_option_rejects_non_finite_values(sub, opt, rule, value, tmp_path, capsys):
+    mat, yfile, out_path = tmp_path / "m.txt", tmp_path / "y.txt", tmp_path / "out.txt"
+    assert main(["gen", "--n", "20", "--p", "40", "--gamma", "0.5", "--seed", "1", "--out", str(mat)]) == 0
+    yfile.write_text("0.5\n" * 20)
+    capsys.readouterr()
+    argv = [sub] + [a.format(m=mat, y=yfile, out=out_path) for a in _VALID_ARGV[sub]] + [f"{opt.flag}={value}"]
+    if rule is not None:
+        argv += ["--sparsity-rule", rule]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{cli.PROG} {sub}: error: {opt.name} must be finite, got {float(value)!r}\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--lam", "inf"], "lam must be finite, got inf"),
+        (["--lam", "0"], "lam must be positive, got 0.0"),
+        (["--lam", "0.1", "--max-iter", "0"], "max_iter must be at least 1, got 0"),
+    ],
+    ids=["lam_inf", "lam_zero", "max_iter_zero"],
+)
+def test_solve_reports_a_bad_parameter_before_reading_files(extra, message, tmp_path, capsys):
+    argv = ["solve", "--matrix", str(tmp_path / "nope.txt"), "--y", str(tmp_path / "nope-y.txt")] + extra
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{cli.PROG} solve: error: {message}\n"
+
+
 def test_sweep_outputs_are_reproducible(tmp_path, capsys):
     c1, c2 = tmp_path / "a.csv", tmp_path / "b.csv"
     j1 = tmp_path / "a.json"

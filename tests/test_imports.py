@@ -1,5 +1,6 @@
-"""Every import a library module binds is used in that module, and no
-module reads a private name of another."""
+"""Every import a library module binds is used in that module, no
+module reads a private name of another, and only errors.py tests a
+scalar for finiteness."""
 
 import ast
 import pathlib
@@ -61,3 +62,29 @@ def test_private_sibling_read_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_reads_no_private_sibling_name(path):
     assert _private_reads(path.read_text(), {p.stem for p in MODULES}) == []
+
+
+def _isfinite_uses(source: str) -> int:
+    """The number of `math.isfinite` reads and `from math import isfinite` imports in source."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            count += (node.value.id, node.attr) == ("math", "isfinite")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            count += sum(alias.name == "isfinite" for alias in node.names)
+    return count
+
+
+def test_isfinite_use_is_found():
+    source = (
+        "import math\n"
+        "import numpy as np\n"
+        "from math import isfinite, sqrt\n"
+        "ok = math.isfinite(sqrt(2.0)) and bool(np.all(np.isfinite([1.0])))\n"
+    )
+    assert _isfinite_uses(source) == 2
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"], ids=lambda p: p.stem)
+def test_only_errors_checks_a_scalar_is_finite(path):
+    assert _isfinite_uses(path.read_text()) == 0

@@ -308,6 +308,20 @@ def test_csv_round_trip(tmp_path):
         assert parsed["success_rate"] == pytest.approx(row.success_rate, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "cells, where",
+    [
+        (["x"] * 12, "line 2: column theta: "),
+        (["1", "2.5"] + ["1"] * 10, "line 2: column n: "),
+        (["1"] * 11 + ["seed"], "line 2: column base_seed: "),
+    ],
+    ids=["all_cells", "float_in_int_column", "last_column"],
+)
+def test_read_csv_reports_a_bad_cell_as_data_error(cells, where):
+    with pytest.raises(DataError, match=f"^{where}"):
+        read_csv(io.StringIO(CSV_HEADER + "\n" + ",".join(cells) + "\n"))
+
+
 def test_read_csv_rejects_bad_input():
     with pytest.raises(DataError):
         read_csv(io.StringIO("nonsense\n"))
