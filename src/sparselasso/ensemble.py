@@ -134,12 +134,15 @@ def sample_matrix(spec: EnsembleSpec, seed: int, value_seed: Optional[int] = Non
     n, p, gamma = spec.n, spec.p, spec.gamma
     flat = rng.kept_entries(pattern_seed, n, p, gamma)
     indptr = np.searchsorted(flat, np.arange(n + 1, dtype=np.int64) * p)
-    rows, indices = np.divmod(flat, p)
-    # Entry (i, j)'s value counter (i << 32) | j is its flat index i * p + j
-    # plus i * (2^32 - p), so the index buffer becomes the counters in place.
-    counters = flat.view(np.uint64)
-    counters += rows.view(np.uint64) * np.uint64((1 << 32) - p)
-    del rows
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    indices = np.multiply(rows, p)
+    np.subtract(flat, indices, out=indices)
+    # Entry (i, j)'s value counter is (i << 32) | j; the flat index buffer,
+    # no longer needed, receives the counters.
+    row_words = rows.view(np.uint64)
+    row_words <<= np.uint64(32)
+    counters = np.add(row_words, indices.view(np.uint64), out=flat.view(np.uint64))
+    del rows, row_words
     values = rng.normals_at(value_seed_eff, counters)
     if spec.convention == "rescaled":
         values *= 1.0 / math.sqrt(gamma)

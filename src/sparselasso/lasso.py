@@ -64,6 +64,7 @@ def _require_finite(name: str, values: np.ndarray) -> None:
 
 
 def objective_value(X: MatrixLike, y: np.ndarray, beta: np.ndarray, lam: float) -> float:
+    lam = non_negative("lam", lam)
     Xc = _as_csc(X)
     r = y - Xc @ beta
     n = Xc.shape[0]
@@ -77,6 +78,8 @@ def kkt_residual(X: MatrixLike, y: np.ndarray, lam: float, beta: np.ndarray, zer
     g_i = -lam * sign(beta_i) on the active set and |g_i| <= lam off it.
     Entries within zero_tol of zero count as inactive.
     """
+    lam = non_negative("lam", lam)
+    zero_tol = non_negative("zero_tol", zero_tol)
     Xc = _as_csc(X)
     y = np.asarray(y, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
@@ -92,6 +95,7 @@ def kkt_residual(X: MatrixLike, y: np.ndarray, lam: float, beta: np.ndarray, zer
 
 def signed_support(beta: np.ndarray, zero_tol: float = 1e-8) -> np.ndarray:
     """Entrywise sign in {-1, 0, +1}, zeroing anything within zero_tol."""
+    zero_tol = non_negative("zero_tol", zero_tol)
     beta = np.asarray(beta)
     out = np.sign(beta).astype(np.int8)
     out[np.abs(beta) <= zero_tol] = 0

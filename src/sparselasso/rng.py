@@ -9,9 +9,14 @@ noise, ...) are derived from a user seed plus an ascii tag, so the
 pattern and value streams of a matrix are independent and can be
 re-seeded separately.
 
-Normals use the inverse CDF applied to a 53-bit uniform placed at odd
-multiples of 2^-54, which can never be exactly 0, 1, or 1/2; in
-particular ndtri never returns an exact zero.
+Normals use the inverse CDF applied to a uniform built from the top 53
+bits m of a word as m * 2^-53 + 2^-54.  Below 1/2 that is exact, an odd
+multiple of 2^-54; above 1/2 the sum is a tie that rounds to even, so
+the uniform lies on the 2^-53 grid (two adjacent m share each value).
+The 2^11 words with m = 2^52, whose sum rounds to exactly 1/2, move to
+1/2 + 2^-53, and the 2^11 with m = 2^53 - 1, whose sum rounds to 1, move
+to 1 - 2^-53: values no other word gives.  So a uniform is never 0, 1/2
+or 1, and a normal is never zero or infinite.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from scipy.special import ndtri
 _PHI = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_MASK64 = (1 << 64) - 1
 
 # Stream tags (ascii), xored into the key chain one per derivation step.
 TAG_PATTERN = 0x5041545445524E  # "PATTERN"
@@ -32,9 +38,9 @@ TAG_TRIAL = 0x545249414C  # "TRIAL"
 TAG_THIN = 0x5448494E  # "THIN"
 
 # kept_entries hashes the grid in row blocks of max(1, BLOCK_ENTRIES // p)
-# rows, so its two reused uint64 buffers and its bool mask hold at most
-# max(BLOCK_ENTRIES, p) entries each: 17 * max(2^16, p) bytes, a
-# cache-sized ~1.1 MB while p <= 2^16, but a whole row beyond that.  The
+# rows, so its three reused uint64 buffers and its bool mask hold at most
+# max(BLOCK_ENTRIES, p) entries each: 25 * max(2^16, p) bytes, a
+# cache-sized ~1.6 MB while p <= 2^16, but a whole row beyond that.  The
 # kept indices, and the values drawn for them, grow with nnz, as the
 # output does.
 BLOCK_ENTRIES = 1 << 16
@@ -72,11 +78,14 @@ def derive_key(seed: int, *tags: int) -> int:
 
 
 def bits_at(key: int, counters: np.ndarray) -> np.ndarray:
-    """64-bit words of the stream `key` at the given counters (uint64 array)."""
-    z = np.array(counters, dtype=np.uint64)
-    z += np.uint64(1)
-    z *= _PHI
-    z += np.uint64(key)
+    """64-bit words of the stream `key` at the given counters (uint64 array).
+
+    The word at counter c is the finalized key + PHI * (c + 1) mod 2^64,
+    computed as PHI * c + (key + PHI) into a fresh array; `counters` is
+    left untouched.
+    """
+    z = np.multiply(np.asarray(counters, dtype=np.uint64), _PHI)
+    z += np.uint64((key + int(_PHI)) & _MASK64)
     return _finalize(z, np.empty_like(z))
 
 
@@ -85,38 +94,44 @@ def kept_entries(key: int, n: int, p: int, prob: float) -> np.ndarray:
     kept with probability `prob`: those whose word bits_at(key, (i << 32) | j)
     is below bernoulli_threshold(prob).  prob == 1 keeps every entry unhashed.
 
-    The grid is hashed in row blocks of max(1, BLOCK_ENTRIES // p) rows.  As
-    j < 2^32 the packed counter is a sum, so its pre-mix word
-    key + PHI * (counter + 1) is the row term key + PHI * ((i << 32) + 1)
-    plus the column term PHI * j: one broadcast add per block into a reused
-    buffer, then mixed in place.
+    The grid is hashed in blocks of rows_per_block = max(1, BLOCK_ENTRIES // p)
+    rows.  As j < 2^32 the packed counter is a sum, so the pre-mix word
+    key + PHI * (counter + 1) of entry (i, j) in block b equals the word of
+    entry (i - b * rows_per_block, j) in block 0 plus
+    b * PHI * (rows_per_block << 32).  Block 0's words are computed once as a
+    template; each block is then one scalar add of the template into a reused
+    buffer, mixed and compared in place.
     """
     if prob == 1.0:
         return np.arange(n * p, dtype=np.int64)
     threshold = np.uint64(bernoulli_threshold(prob))
     rows_per_block = max(1, BLOCK_ENTRIES // max(p, 1))
-    col_words = np.arange(p, dtype=np.uint64) * _PHI
-    words = np.empty((min(n, rows_per_block), p), dtype=np.uint64)
-    scratch = np.empty_like(words)
+    rows = np.arange(min(n, rows_per_block), dtype=np.uint64)
+    row_words = ((rows << np.uint64(32)) + np.uint64(1)) * _PHI + np.uint64(key)
+    template = (row_words[:, None] + np.arange(p, dtype=np.uint64) * _PHI).ravel()
+    words = np.empty_like(template)
+    scratch = np.empty_like(template)
+    below = np.empty(template.shape, dtype=bool)
+    block_step = (int(_PHI) * (rows_per_block << 32)) & _MASK64
     kept = []
-    for r0 in range(0, n, rows_per_block):
-        r1 = min(n, r0 + rows_per_block)
-        rows = np.arange(r0, r1, dtype=np.uint64)
-        row_words = ((rows << np.uint64(32)) + np.uint64(1)) * _PHI + np.uint64(key)
-        z = np.add(row_words[:, None], col_words, out=words[: r1 - r0])
-        flat = np.flatnonzero(_finalize(z, scratch[: r1 - r0]) < threshold)
+    for b, r0 in enumerate(range(0, n, rows_per_block)):
+        size = (min(n, r0 + rows_per_block) - r0) * p
+        z = np.add(template[:size], np.uint64(b * block_step & _MASK64), out=words[:size])
+        flat = np.flatnonzero(np.less(_finalize(z, scratch[:size]), threshold, out=below[:size]))
         flat += r0 * p
         kept.append(flat)
     return np.concatenate(kept)
 
 
 def uniforms_at(key: int, counters: np.ndarray) -> np.ndarray:
-    """Uniforms in the open interval (0, 1) at the given counters."""
+    """Uniforms in the open interval (0, 1), never 1/2, at the given counters."""
     b = bits_at(key, counters)
     b >>= np.uint64(11)
     u = b.astype(np.float64)
     u *= 2.0**-53
     u += 2.0**-54
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
+    u[u == 0.5] = 0.5 + 2.0**-53
     return u
 
 

@@ -19,10 +19,13 @@ from sparselasso import (
     SweepConfig,
     build,
     check_events,
+    kkt_residual,
     make_signal,
     noise_vector,
+    objective_value,
     observe,
     sample_matrix,
+    signed_support,
     solve,
     thinned_squared_norm,
     theory,
@@ -31,6 +34,7 @@ from sparselasso import (
 _M = sample_matrix(EnsembleSpec(n=40, p=20, gamma=1.0), 3)
 _S = SignalSpec(p=20, k=2)
 _W = noise_vector(40, 0.01, 1)
+_Y = _M.to_csr() @ make_signal(_S) + _W
 
 # One valid call of each target, by keyword; the tests swap one float in.
 _VALID_CALLS = {
@@ -43,6 +47,9 @@ _VALID_CALLS = {
     build: dict(m=_M, s=_S, w=_W, lam=0.1),
     check_events: dict(r=build(_M, _S, _W, 0.1), lam=0.1, beta_min=1.0),
     thinned_squared_norm: dict(h=np.ones(5), gamma=0.5, seed=1),
+    objective_value: dict(X=_M, y=_Y, beta=make_signal(_S), lam=0.1),
+    kkt_residual: dict(X=_M, y=_Y, lam=0.1, beta=make_signal(_S), zero_tol=1e-8),
+    signed_support: dict(beta=make_signal(_S), zero_tol=1e-8),
     theory.sample_size: dict(theta=1.0, p=100, k=5),
     theory.required_sample_size: dict(p=100, k=5, eps=0.0),
     theory.recovery_conditions: dict(n=400, p=100, k=8, gamma=0.5, lam=0.1, beta_min=1.0),
@@ -107,3 +114,13 @@ def test_numpy_scalars_are_accepted_by_signal_and_solver_configs():
     plain = solve(_M, y, LassoConfig(lam=0.1, max_iter=50))
     scalars = solve(_M, y, LassoConfig(lam=np.float64(0.1), zero_tol=np.float32(1e-8), max_iter=np.int64(50)))
     assert scalars.beta_hat.tobytes() == plain.beta_hat.tobytes()
+
+
+@pytest.mark.parametrize("target", [objective_value, kkt_residual, signed_support], ids=lambda t: t.__name__)
+def test_lasso_helpers_accept_zero_and_reject_negative_penalty_and_tolerance(target):
+    """lam = 0 is plain least squares and zero_tol = 0 an exact-zero test; both stay accepted."""
+    call = _VALID_CALLS[target]
+    for name in set(call) & {"lam", "zero_tol"}:
+        target(**{**call, name: 0.0})
+        with pytest.raises(ParameterError, match=f"^{name} must be non-negative, got "):
+            target(**{**call, name: -1e-3})

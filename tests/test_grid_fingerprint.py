@@ -38,7 +38,7 @@ GRIDS = {
 # name: (EnsembleSpec fields, seed)
 SHAPES = {
     "gamma_1_n90_p300": (dict(n=90, p=300, gamma=1.0), 5),
-    "wide_n5_p70001": (dict(n=5, p=rng.BLOCK_ENTRIES + 4465, gamma=0.02), 6),
+    "wide_n5_p70001": (dict(n=5, p=70_001, gamma=0.02), 6),
 }
 
 

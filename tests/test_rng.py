@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparselasso import rng
@@ -53,6 +53,9 @@ def test_bits_depend_only_on_key_and_counter(key, counters, data):
 
 
 @settings(max_examples=100, deadline=None)
+@example(key=2**64 - 1, n=7, p=10, prob=0.4, block_entries=30)  # 3 rows per block, partial last block
+@example(key=12345, n=5, p=60, prob=0.3, block_entries=59)  # p > BLOCK_ENTRIES: one row per block
+@example(key=2**63 + 1, n=3, p=70_001, prob=0.05, block_entries=2**16)  # real BLOCK_ENTRIES, p > 2^16
 @given(
     key=st.integers(0, 2**64 - 1),
     n=st.integers(1, 40),
@@ -71,6 +74,43 @@ def test_kept_entries_equal_thresholded_bits_at_on_packed_counters(key, n, p, pr
         kept = rng.kept_entries(key, n, p, prob)
     assert kept.dtype == np.int64
     assert np.array_equal(kept, expected)
+
+
+_PHI = 0x9E3779B97F4A7C15
+_MASK = 2**64 - 1
+
+
+def _finalize_int(z: int) -> int:
+    """rng._finalize on one 64-bit word, in Python integers."""
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - _PHI, 2**64 - 1)),
+    counters=st.lists(st.one_of(st.integers(0, 2**64 - 1), st.just(2**64 - 1)), min_size=1, max_size=50),
+)
+def test_bits_at_equals_the_defining_formula(key, counters):
+    """bits_at(key, c) is fin((key + PHI * (c + 1)) mod 2^64), also where key + PHI or c + 1 wraps."""
+    arr = np.array(counters, dtype=np.uint64)
+    before = arr.copy()
+    words = rng.bits_at(key, arr)
+    assert words.dtype == np.uint64
+    assert words.tolist() == [_finalize_int((key + _PHI * (c + 1)) & _MASK) for c in counters]
+    assert np.array_equal(arr, before)
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=st.integers(0, 2**64 - 1), counters=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=50))
+def test_bits_at_accepts_int64_counters_and_leaves_them_untouched(key, counters):
+    arr = np.array(counters, dtype=np.int64)
+    before = arr.copy()
+    assert np.array_equal(rng.bits_at(key, arr), rng.bits_at(key, arr.astype(np.uint64)))
+    assert arr.dtype == np.int64 and np.array_equal(arr, before)
 
 
 def _unfinalize(z: int) -> int:
@@ -146,3 +186,31 @@ def test_bernoulli_rate_matches_prob():
     for prob in (0.1, 0.3, 0.73):
         rate = np.mean(bits < np.uint64(rng.bernoulli_threshold(prob)))
         assert abs(rate - prob) < 0.005, (prob, rate)
+
+
+def _counter_for(key: int, word: int) -> int:
+    """The counter at which stream `key` yields `word`."""
+    return ((_unfinalize(word) - key) * pow(_PHI, -1, 2**64) - 1) & _MASK
+
+
+def test_endpoint_words_stay_inside_the_open_interval():
+    """The words whose uniform would round to exactly 1/2 or 1 give a finite, non-zero normal."""
+    key = rng.derive_key(11, rng.TAG_VALUE)
+    counters = np.array([7936378029797026846, 3900546397066986092], dtype=np.uint64)
+    assert (rng.bits_at(key, counters) >> np.uint64(11)).tolist() == [2**52, 2**53 - 1]
+    assert rng.uniforms_at(key, counters).tolist() == [0.5 + 2.0**-53, 1.0 - 2.0**-53]
+    z = rng.normals_at(key, counters)
+    assert np.all(np.isfinite(z)) and np.all(z != 0.0)
+    assert z[0] > 0.0
+
+
+def test_only_the_endpoint_words_move():
+    """Every other word near 1/2 and 1 keeps the uniform m * 2^-53 + 2^-54 (rounded to nearest even)."""
+    key = rng.derive_key(3, rng.TAG_NOISE)
+    tops = [2**52 - 2, 2**52 - 1, 2**52, 2**52 + 1, 2**52 + 2, 2**53 - 3, 2**53 - 2, 2**53 - 1, 0, 1]
+    words = [(m << 11) | low for m in tops for low in (0, 1, 2**11 - 1)]
+    counters = np.array([_counter_for(key, w) for w in words], dtype=np.uint64)
+    assert rng.bits_at(key, counters).tolist() == words
+    moved = {2**52: 0.5 + 2.0**-53, 2**53 - 1: 1.0 - 2.0**-53}
+    expected = [moved.get(w >> 11, (w >> 11) * 2.0**-53 + 2.0**-54) for w in words]
+    assert rng.uniforms_at(key, counters).tolist() == expected
