@@ -24,10 +24,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
-_PHI = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+# splitmix64's constants as Python ints, for scalar words, and as uint64
+# scalars, for arrays.
 _MASK64 = (1 << 64) - 1
+_PHI_INT, _MIX1_INT, _MIX2_INT = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_PHI, _MIX1, _MIX2 = np.uint64(_PHI_INT), np.uint64(_MIX1_INT), np.uint64(_MIX2_INT)
 
 # Stream tags (ascii), xored into the key chain one per derivation step.
 TAG_PATTERN = 0x5041545445524E  # "PATTERN"
@@ -64,17 +65,23 @@ def _finalize(z: np.ndarray | np.uint64, scratch: np.ndarray | None = None) -> n
     return z
 
 
+def _finalize_word(z: int) -> int:
+    """_finalize on one word held in a Python int, without numpy scalar arithmetic."""
+    z = ((z ^ (z >> 30)) * _MIX1_INT) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2_INT) & _MASK64
+    return z ^ (z >> 31)
+
+
 def derive_key(seed: int, *tags: int) -> int:
     """Derive a stream key from a seed and a chain of tag words.
 
     The chain is a sequence of bijective absorption steps, so for a fixed
     seed and tag prefix, distinct final tags give distinct keys.
     """
-    with np.errstate(over="ignore"):
-        h = _finalize(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _PHI)
-        for tag in tags:
-            h = _finalize((h + _PHI) ^ np.uint64(tag & 0xFFFFFFFFFFFFFFFF))
-    return int(h)
+    h = _finalize_word(((seed & _MASK64) + _PHI_INT) & _MASK64)
+    for tag in tags:
+        h = _finalize_word(((h + _PHI_INT) & _MASK64) ^ (tag & _MASK64))
+    return h
 
 
 def bits_at(key: int, counters: np.ndarray) -> np.ndarray:
@@ -85,7 +92,7 @@ def bits_at(key: int, counters: np.ndarray) -> np.ndarray:
     left untouched.
     """
     z = np.multiply(np.asarray(counters, dtype=np.uint64), _PHI)
-    z += np.uint64((key + int(_PHI)) & _MASK64)
+    z += np.uint64((key + _PHI_INT) & _MASK64)
     return _finalize(z, np.empty_like(z))
 
 
@@ -112,7 +119,7 @@ def kept_entries(key: int, n: int, p: int, prob: float) -> np.ndarray:
     words = np.empty_like(template)
     scratch = np.empty_like(template)
     below = np.empty(template.shape, dtype=bool)
-    block_step = (int(_PHI) * (rows_per_block << 32)) & _MASK64
+    block_step = (_PHI_INT * (rows_per_block << 32)) & _MASK64
     kept = []
     for b, r0 in enumerate(range(0, n, rows_per_block)):
         size = (min(n, r0 + rows_per_block) - r0) * p

@@ -113,6 +113,19 @@ def test_bits_at_accepts_int64_counters_and_leaves_them_untouched(key, counters)
     assert arr.dtype == np.int64 and np.array_equal(arr, before)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(-(2**64), 2**65),
+    tags=st.lists(st.integers(-(2**64), 2**65), max_size=3),
+)
+def test_derive_key_equals_the_chain_on_uint64_words(seed, tags):
+    """Each step is fin((h + PHI) ^ tag) on uint64 words, seeds and tags taken mod 2^64."""
+    h = rng._finalize(np.array([(seed + _PHI) & _MASK], dtype=np.uint64))
+    for tag in tags:
+        h = rng._finalize((h + np.uint64(_PHI)) ^ np.uint64(tag & _MASK))
+    assert rng.derive_key(seed, *tags) == int(h[0])
+
+
 def _unfinalize(z: int) -> int:
     """Inverse of rng._finalize on one 64-bit word, in Python integers."""
     mask = 2**64 - 1
