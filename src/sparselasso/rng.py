@@ -50,10 +50,10 @@ GENERATOR_NAME = "splitmix64"
 NORMAL_METHOD = "inverse_cdf"
 
 
-def _finalize(z: np.ndarray | np.uint64, scratch: np.ndarray | None = None) -> np.ndarray | np.uint64:
+def _finalize(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """splitmix64 output finalizer; bijective on 64-bit words.
 
-    Given `scratch`, a uint64 array shaped like the array `z`, the words of
+    Given `scratch`, a uint64 array shaped like `z`, the words of
     z are mixed in place (scratch holds the shifted words) and z is
     returned, so no temporary is allocated.
     """
