@@ -17,12 +17,12 @@ import dataclasses
 import difflib
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import ensemble, lasso, sweep, theory, witness
-from .errors import DataError, ParameterError, non_negative, positive
+from .errors import DataError, ParameterError, non_negative, one_of, positive
 
 PROG = "sparselasso"
 
@@ -58,7 +58,6 @@ class Opt:
     default: object = None
     required: bool = False
     help: str = ""
-    choices: Optional[tuple] = None
 
     @property
     def flag(self) -> str:
@@ -69,7 +68,7 @@ _GEN_OPTS = (
     Opt("n", int, required=True, help="number of rows"),
     Opt("p", int, required=True, help="number of columns"),
     Opt("gamma", float, required=True, help="sparsification level in (0, 1]"),
-    Opt("convention", str, default="standard", choices=ensemble.CONVENTIONS, help="entry variance convention"),
+    Opt("convention", str, default="standard", help="entry variance convention"),
     Opt("seed", int, required=True, help="matrix seed"),
     Opt("out", str, help="output path (default: standard output)"),
 )
@@ -87,7 +86,7 @@ _WITNESS_OPTS = (
     Opt("matrix", str, required=True, help="serialized matrix path"),
     Opt("k", int, required=True, help="support size (first k columns)"),
     Opt("beta_min", float, default=1.0, help="support magnitude"),
-    Opt("sign_pattern", str, default="all_plus", choices=ensemble.SIGN_PATTERNS, help="support sign pattern"),
+    Opt("sign_pattern", str, default="all_plus", help="support sign pattern"),
     Opt("sign_seed", int, help="seed for sign_pattern=seeded_random"),
     Opt("sigma2", float, default=0.0625, help="noise variance"),
     Opt("noise_seed", int, required=True, help="noise seed"),
@@ -97,7 +96,7 @@ _WITNESS_OPTS = (
 # The parameters of sweep.derive_k, shared by every subcommand that resolves k.
 _K_OPTS = (
     Opt("p_list", int_list, required=True, help="ambient dimensions, comma separated"),
-    Opt("sparsity_rule", str, default="polynomial", choices=sweep.SPARSITY_RULES, help="how k is derived from p"),
+    Opt("sparsity_rule", str, default="polynomial", help="how k is derived from p"),
     Opt("poly_exponent", float, default=0.5, help="k = ceil(p^c) for the polynomial rule"),
     Opt("linear_alpha", float, default=0.125, help="k = ceil(alpha p) for the linear rule"),
     Opt("k_list", int_list, help="explicit k per p (sparsity_rule=explicit)"),
@@ -108,14 +107,14 @@ _SWEEP_OPTS = (
     Opt("theta_grid", float_list, required=True, help="control parameter grid, comma separated"),
     Opt("trials", int, required=True, help="trials per grid point"),
     Opt("base_seed", int, required=True, help="sweep seed"),
-    Opt("gamma_rule", str, default="log_over_sqrt", choices=sweep.GAMMA_RULES, help="sparsification schedule"),
+    Opt("gamma_rule", str, default="log_over_sqrt", help="sparsification schedule"),
     Opt("gamma_value", float, help="gamma for gamma_rule=constant"),
-    Opt("lambda_rule", str, default="scaled", choices=sweep.LAMBDA_RULES, help="regularization schedule"),
+    Opt("lambda_rule", str, default="scaled", help="regularization schedule"),
     Opt("lambda_value", float, help="lambda for lambda_rule=constant"),
     Opt("sigma2", float, default=0.0625, help="noise variance"),
     Opt("beta_min", float, default=1.0, help="support magnitude"),
-    Opt("mode", str, default="witness", choices=sweep.MODES, help="trial evaluation mode"),
-    Opt("convention", str, default="rescaled", choices=ensemble.CONVENTIONS, help="matrix ensemble convention"),
+    Opt("mode", str, default="witness", help="trial evaluation mode"),
+    Opt("convention", str, default="rescaled", help="matrix ensemble convention"),
     Opt("keep_trials", boolean, default=False, help="retain per-trial records in the JSON output"),
     Opt("out_csv", str, default="sweep.csv", help="aggregate CSV path"),
     Opt("out_json", str, help="JSON mirror path (optional)"),
@@ -130,7 +129,7 @@ _BOUNDS_OPTS = (
 
 _CHECK_OPTS = (
     *_K_OPTS,
-    Opt("gamma_rule", str, default="sixth_root", choices=theory.GAMMA_RULES, help="sparsification schedule"),
+    Opt("gamma_rule", str, default="sixth_root", help="sparsification schedule"),
     Opt("eps", float, default=0.0, help="sample-size slack"),
     Opt("beta_min", float, default=1.0, help="support magnitude"),
 )
@@ -138,12 +137,9 @@ _CHECK_OPTS = (
 
 def _convert(opt: Opt, raw: str, source: str):
     try:
-        value = opt.kind(raw)
+        return opt.kind(raw)
     except ValueError as exc:
         raise ParameterError(f"bad value for '{opt.name}' (from {source}): {exc}") from exc
-    if opt.choices is not None and value not in opt.choices:
-        raise ParameterError(f"'{opt.name}' must be one of {opt.choices}, got {value!r}")
-    return value
 
 
 def _load_file_section(path: str, sub: str, opts: tuple) -> dict:
@@ -319,7 +315,8 @@ def _cmd_bounds(cfg: dict, prov: dict) -> int:
 def _cmd_check_conditions(cfg: dict, prov: dict) -> int:
     rule = {o.name: cfg[o.name] for o in _K_OPTS}
     sweep.derive_k(**rule)
-    non_negative("eps", cfg["eps"])  # once, so the error is not tied to one p
+    one_of("gamma_rule", cfg["gamma_rule"], theory.GAMMA_RULES)  # once, so the error is not tied to one p
+    non_negative("eps", cfg["eps"])
     positive("beta_min", cfg["beta_min"])
     lines = [f"{'p':>8s} {'k':>6s} {'n':>8s} {'gamma':>10s} {'lambda':>10s} {'q1':>10s} {'q2':>10s} {'q3':>10s} {'snr':>12s}"]
     for i, p in enumerate(cfg["p_list"]):

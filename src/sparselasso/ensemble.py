@@ -26,7 +26,7 @@ from typing import IO, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CapacityError, DataError, ParameterError, integer, non_negative, positive, unit_interval
+from .errors import CapacityError, DataError, ParameterError, integer, non_negative, one_of, positive, unit_interval
 from . import rng
 
 CONVENTIONS = ("standard", "rescaled")
@@ -53,8 +53,7 @@ class EnsembleSpec:
         if self.n * self.p > 2**40:
             raise CapacityError(f"n * p = {self.n * self.p} exceeds the supported 2^40 entries")
         object.__setattr__(self, "gamma", unit_interval("gamma", self.gamma))
-        if self.convention not in CONVENTIONS:
-            raise ParameterError(f"convention must be one of {CONVENTIONS}, got {self.convention!r}")
+        one_of("convention", self.convention, CONVENTIONS)
 
 
 @dataclass(frozen=True)
@@ -128,8 +127,10 @@ def sample_matrix(spec: EnsembleSpec, seed: int, value_seed: Optional[int] = Non
     an identical pattern.  Entry (i, j) depends only on the stream keys
     and (i, j), so the result is independent of generation order.
     """
+    seed = integer("seed", seed)
+    value_seed = seed if value_seed is None else integer("value_seed", value_seed)
     pattern_seed = rng.derive_key(seed, rng.TAG_PATTERN)
-    value_seed_eff = rng.derive_key(seed if value_seed is None else value_seed, rng.TAG_VALUE)
+    value_seed_eff = rng.derive_key(value_seed, rng.TAG_VALUE)
 
     n, p, gamma = spec.n, spec.p, spec.gamma
     flat = rng.kept_entries(pattern_seed, n, p, gamma)
@@ -193,9 +194,10 @@ class SignalSpec:
         if self.k < 1 or 2 * self.k > self.p:
             raise ParameterError(f"need 1 <= k <= p/2, got k={self.k}, p={self.p}")
         positive("beta_min", self.beta_min)
-        if self.sign_pattern not in SIGN_PATTERNS:
-            raise ParameterError(f"unknown sign_pattern {self.sign_pattern!r}")
-        if self.sign_pattern == "seeded_random" and self.sign_seed is None:
+        one_of("sign_pattern", self.sign_pattern, SIGN_PATTERNS)
+        if self.sign_seed is not None:
+            object.__setattr__(self, "sign_seed", integer("sign_seed", self.sign_seed))
+        elif self.sign_pattern == "seeded_random":
             raise ParameterError("sign_pattern='seeded_random' requires sign_seed")
 
 
@@ -231,7 +233,8 @@ class ObservationSet:
 
 def noise_vector(n: int, variance: float, noise_seed: int) -> np.ndarray:
     """Gaussian noise of length n at the given variance, from the NOISE stream."""
-    key = rng.derive_key(noise_seed, rng.TAG_NOISE)
+    n = integer("n", n, 1)
+    key = rng.derive_key(integer("noise_seed", noise_seed), rng.TAG_NOISE)
     return math.sqrt(non_negative("variance", variance)) * rng.normals_at(key, np.arange(n, dtype=np.uint64))
 
 

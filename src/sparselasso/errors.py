@@ -4,16 +4,20 @@ Two families only: bad parameters (caller mistakes, CLI exit code 2) and bad
 data (unreadable or inconsistent inputs discovered at run time, exit code 1).
 
 Public constructors and entry points check each scalar parameter where they
-take it, with one of five rules. Each returns the value as a plain int or float
-(numpy scalars included) or raises ParameterError naming the parameter:
-`integer(name, value, low=None)` (at least low when given), `finite` (a real
-number, neither NaN nor infinite), `positive`, `non_negative` and
-`unit_interval` (finite and in (0, 1]).
+take it, with one of six rules. Each returns the value (numbers as a plain int
+or float, numpy scalars included) or raises ParameterError naming the
+parameter: `integer(name, value, low=None)` (at least low when given), `finite`
+(a real number, neither NaN nor infinite), `positive`, `non_negative`,
+`unit_interval` (finite and in (0, 1]) and `one_of(name, value, allowed)` (a
+member of the tuple allowed). Arrays of input data have one rule,
+`finite_array`, which raises DataError when an entry is NaN or infinite.
 """
 
 import math
 import numbers
 import operator
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -66,3 +70,14 @@ def unit_interval(name: str, value) -> float:
     if not 0.0 < value <= 1.0:
         raise ParameterError(f"{name} must lie in (0, 1], got {value!r}")
     return value
+
+
+def one_of(name: str, value, allowed: tuple):
+    if value not in allowed:
+        raise ParameterError(f"{name} must be one of {allowed}, got {value!r}")
+    return value
+
+
+def finite_array(name: str, values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{name} contains non-finite values")

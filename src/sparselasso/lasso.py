@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from . import blas
 from .ensemble import SparseMeasurementMatrix
-from .errors import DataError, ParameterError, integer, non_negative, positive
+from .errors import ParameterError, finite_array, integer, non_negative, positive
 
 MatrixLike = Union[SparseMeasurementMatrix, sp.spmatrix, np.ndarray]
 
@@ -58,16 +58,33 @@ def _as_csc(X: MatrixLike) -> sp.csc_matrix:
     return sp.csc_matrix(np.asarray(X, dtype=np.float64))
 
 
-def _require_finite(name: str, values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"{name} contains non-finite values")
+def _problem(X: MatrixLike, y: np.ndarray) -> tuple:
+    """X as CSC and y as a float64 vector of length n, both finite."""
+    Xc = _as_csc(X)
+    n = Xc.shape[0]
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (n,):
+        raise ParameterError(f"y must have length n={n}")
+    finite_array("X", Xc.data)
+    finite_array("y", y)
+    return Xc, y
+
+
+def _coefficients(name: str, beta: np.ndarray, p: int) -> np.ndarray:
+    """A float64 copy of beta, checked to be a finite vector of length p."""
+    beta = np.array(beta, dtype=np.float64)
+    if beta.shape != (p,):
+        raise ParameterError(f"{name} must have length p={p}")
+    finite_array(name, beta)
+    return beta
 
 
 def objective_value(X: MatrixLike, y: np.ndarray, beta: np.ndarray, lam: float) -> float:
     lam = non_negative("lam", lam)
-    Xc = _as_csc(X)
+    Xc, y = _problem(X, y)
+    n, p = Xc.shape
+    beta = _coefficients("beta", beta, p)
     r = y - Xc @ beta
-    n = Xc.shape[0]
     return float(0.5 / n * (r @ r) + lam * np.abs(beta).sum())
 
 
@@ -80,13 +97,9 @@ def kkt_residual(X: MatrixLike, y: np.ndarray, lam: float, beta: np.ndarray, zer
     """
     lam = non_negative("lam", lam)
     zero_tol = non_negative("zero_tol", zero_tol)
-    Xc = _as_csc(X)
-    y = np.asarray(y, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    _require_finite("X", Xc.data)
-    _require_finite("y", y)
-    _require_finite("beta", beta)
-    n = Xc.shape[0]
+    Xc, y = _problem(X, y)
+    n, p = Xc.shape
+    beta = _coefficients("beta", beta, p)
     g = Xc.T @ (Xc @ beta - y) / n
     active = np.abs(beta) > zero_tol
     viol = np.where(active, np.abs(g + lam * np.sign(beta)), np.maximum(np.abs(g) - lam, 0.0))
@@ -109,13 +122,8 @@ def solve(
     config: LassoConfig,
     beta0: Optional[np.ndarray] = None,
 ) -> LassoSolution:
-    Xc = _as_csc(X)
+    Xc, y = _problem(X, y)
     n, p = Xc.shape
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (n,):
-        raise ParameterError(f"y must have length n={n}")
-    _require_finite("X", Xc.data)
-    _require_finite("y", y)
 
     indptr, indices, data = Xc.indptr, Xc.indices, Xc.data
     col_scale = np.zeros(p)
@@ -126,10 +134,7 @@ def solve(
     if beta0 is None:
         beta = np.zeros(p)
     else:
-        beta = np.array(beta0, dtype=np.float64)
-        if beta.shape != (p,):
-            raise ParameterError(f"beta0 must have length p={p}")
-        _require_finite("beta0", beta)
+        beta = _coefficients("beta0", beta0, p)
         beta[col_scale == 0.0] = 0.0
     r = y - Xc @ beta
 

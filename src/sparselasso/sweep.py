@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import blas, ensemble, lasso, rng, theory, witness
-from .errors import CapacityError, DataError, ParameterError, finite, integer, non_negative, positive, unit_interval
+from .errors import CapacityError, DataError, ParameterError, finite, integer, non_negative, one_of, positive, unit_interval
 
 SPARSITY_RULES = ("polynomial", "linear", "explicit")
 GAMMA_RULES = ("constant",) + theory.GAMMA_RULES
@@ -91,26 +91,22 @@ class SweepConfig:
         if not 0 <= self.base_seed < 2**64:
             raise ParameterError(f"base_seed must be a 64-bit unsigned integer, got {self.base_seed}")
         derive_k(self.p_list, self.sparsity_rule, self.poly_exponent, self.linear_alpha, self.k_list)
-        if self.gamma_rule not in GAMMA_RULES:
-            raise ParameterError(f"gamma_rule must be one of {GAMMA_RULES}, got {self.gamma_rule!r}")
+        one_of("gamma_rule", self.gamma_rule, GAMMA_RULES)
         if self.gamma_value is not None:
             unit_interval("gamma_value", self.gamma_value)
         if self.gamma_rule == "constant" and self.gamma_value is None:
             raise ParameterError("gamma_rule='constant' requires gamma_value in (0, 1]")
         if self.gamma_rule != "constant" and self.gamma_value is not None:
             raise ParameterError(f"gamma_value is read only by gamma_rule='constant', not {self.gamma_rule!r}")
-        if self.lambda_rule not in LAMBDA_RULES:
-            raise ParameterError(f"lambda_rule must be one of {LAMBDA_RULES}, got {self.lambda_rule!r}")
+        one_of("lambda_rule", self.lambda_rule, LAMBDA_RULES)
         if self.lambda_value is not None:
             positive("lambda_value", self.lambda_value)
         if self.lambda_rule == "constant" and self.lambda_value is None:
             raise ParameterError("lambda_rule='constant' requires a positive lambda_value")
         if self.lambda_rule != "constant" and self.lambda_value is not None:
             raise ParameterError(f"lambda_value is read only by lambda_rule='constant', not {self.lambda_rule!r}")
-        if self.mode not in MODES:
-            raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.convention not in ensemble.CONVENTIONS:
-            raise ParameterError(f"convention must be one of {ensemble.CONVENTIONS}, got {self.convention!r}")
+        one_of("mode", self.mode, MODES)
+        one_of("convention", self.convention, ensemble.CONVENTIONS)
 
 
 @dataclass(frozen=True)
@@ -187,8 +183,7 @@ def derive_k(p_list, sparsity_rule, poly_exponent, linear_alpha, k_list, p_idx=N
     """
     if not p_list:
         raise ParameterError("p_list must be non-empty")
-    if sparsity_rule not in SPARSITY_RULES:
-        raise ParameterError(f"sparsity_rule must be one of {SPARSITY_RULES}, got {sparsity_rule!r}")
+    one_of("sparsity_rule", sparsity_rule, SPARSITY_RULES)
     if sparsity_rule == "explicit" and (k_list is None or len(k_list) != len(p_list)):
         raise ParameterError("sparsity_rule='explicit' requires k_list matching p_list in length")
     if sparsity_rule != "explicit" and k_list is not None:

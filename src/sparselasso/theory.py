@@ -20,7 +20,7 @@ import numpy as np
 
 from . import blas
 from .ensemble import SparseMeasurementMatrix
-from .errors import ParameterError, finite, integer, non_negative, positive, unit_interval
+from .errors import ParameterError, finite, integer, non_negative, one_of, positive, unit_interval
 
 GAMMA_RULES = ("sixth_root", "log_over_sqrt")
 
@@ -64,7 +64,7 @@ def clamp_unit(value: float) -> tuple[float, bool]:
 GammaSchedule = namedtuple("GammaSchedule", ["value", "clamped"])
 
 
-def gamma_schedule(p: int, k: int, rule: str) -> GammaSchedule:
+def gamma_schedule(p: int, k: int, gamma_rule: str) -> GammaSchedule:
     """Sparsification level as a function of problem shape.
 
     * sixth_root: (log log(p-k) / log(p-k))^(1/6), the slowest decay the
@@ -72,12 +72,10 @@ def gamma_schedule(p: int, k: int, rule: str) -> GammaSchedule:
     * log_over_sqrt: 0.5 log(p-k) / sqrt(p-k), a much more aggressive
       decay used for the phase-transition experiments.
     """
-    if rule == "sixth_root":
+    if one_of("gamma_rule", gamma_rule, GAMMA_RULES) == "sixth_root":
         value = (_loglog_gap(p, k) / _log_gap(p, k)) ** (1.0 / 6.0)
-    elif rule == "log_over_sqrt":
-        value = 0.5 * _log_gap(p, k) / math.sqrt(p - k)
     else:
-        raise ParameterError(f"rule must be one of {GAMMA_RULES}, got {rule!r}")
+        value = 0.5 * _log_gap(p, k) / math.sqrt(p - k)
     clamped_value, clamped = clamp_unit(value)
     return GammaSchedule(value=clamped_value, clamped=clamped)
 
@@ -114,7 +112,7 @@ def recovery_conditions(n: int, p: int, k: int, gamma: float, lam: float, beta_m
 
 def snr_diagnostic(gamma: float, n: int, beta_min: float) -> float:
     """gamma * n * beta_min^2; when this stays bounded no method can recover."""
-    positive("gamma", gamma)
+    unit_interval("gamma", gamma)
     integer("n", n, 1)
     positive("beta_min", beta_min)
     return gamma * n * beta_min * beta_min
@@ -204,7 +202,7 @@ def run_bound_checks(seed: int, samples: int) -> list[BoundCheck]:
     bound + 3 sqrt(bound (1 - bound) / samples).
     """
     integer("samples", samples, 1)
-    gen = np.random.default_rng(seed)
+    gen = np.random.default_rng(integer("seed", seed, 0))
     out = []
     for kind, params in DOMINATION_GRID:
         if kind == "hoeffding":

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .ensemble import SignalSpec, SparseMeasurementMatrix, make_signal, signal_signs
-from .errors import ParameterError, positive, unit_interval
+from .errors import ParameterError, finite_array, integer, positive, unit_interval
 from .lasso import LassoSolution
 from . import blas, rng
 
@@ -108,6 +108,7 @@ def build(m: SparseMeasurementMatrix, s: SignalSpec, w: np.ndarray, lam: float) 
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (n,):
         raise ParameterError(f"w must have length n={n}")
+    finite_array("w", w)
     k = s.k
     signs = signal_signs(s)
 
@@ -170,7 +171,8 @@ def h_vector(m: SparseMeasurementMatrix, s: SignalSpec) -> HVector:
 def thinned_squared_norm(h: np.ndarray, gamma: float, seed: int) -> float:
     """||H||^2 after keeping each entry of h independently with probability gamma."""
     h = np.asarray(h, dtype=np.float64)
-    kept = h[rng.kept_entries(rng.derive_key(seed, rng.TAG_THIN), 1, h.size, unit_interval("gamma", gamma))]
+    key = rng.derive_key(integer("seed", seed), rng.TAG_THIN)
+    kept = h[rng.kept_entries(key, 1, h.size, unit_interval("gamma", gamma))]
     return float(kept @ kept)
 
 

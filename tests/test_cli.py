@@ -83,8 +83,8 @@ def test_gen_failing_write_leaves_no_file(tmp_path, monkeypatch, capsys):
     "argv, fragment",
     [
         (["sweep", "--p-list", "32", "--theta-grid", "1", "--trials", "1", "--base-seed", "1", "--mode", "dry"],
-         "'mode' must be one of"),
-        (_gen_args("m.txt", convention="dense"), "'convention' must be one of"),
+         "mode must be one of"),
+        (_gen_args("m.txt", convention="dense"), "convention must be one of"),
         (["sweep", "--p-list", "32", "--theta-grid", "1", "--trials", "1", "--base-seed", "1", "--keep-trials", "maybe"],
          "bad value for 'keep_trials'"),
     ],
@@ -97,6 +97,36 @@ def test_bad_option_value_exits_2(argv, fragment, tmp_path, monkeypatch, capsys)
     assert out == ""
     assert fragment in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bad_choice_in_a_config_file_meets_the_library_rule(tmp_path, capsys):
+    ini = tmp_path / "c.ini"
+    ini.write_text("[check-conditions]\ngamma_rule = linear\n")
+    assert main(["check-conditions", "--config", str(ini), "--p-list", "64,128"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "sparselasso check-conditions: error: gamma_rule must be one of "
+        "('sixth_root', 'log_over_sqrt'), got 'linear'\n"
+    )
+
+
+def test_bounds_negative_seed_exits_2_with_one_line(capsys):
+    assert main(["bounds", "--seed", "-1", "--samples", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "sparselasso bounds: error: seed must be at least 0, got -1\n"
+
+
+def test_witness_reports_a_missing_matrix_before_a_bad_sign_pattern(tmp_path, capsys):
+    argv = ["witness", "--k", "2", "--noise-seed", "1", "--lam", "0.1", "--sign-pattern", "bogus", "--matrix"]
+    assert main([*argv, str(tmp_path / "nope.txt")]) == 1
+    assert "cannot read matrix file" in capsys.readouterr().err
+    mat = tmp_path / "m.txt"
+    assert main(_gen_args(mat, n=16, p=6)) == 0
+    capsys.readouterr()
+    assert main([*argv, str(mat)]) == 2
+    assert "sign_pattern must be one of" in capsys.readouterr().err
 
 
 def test_solve_round_trip(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """The parameter domain at the library boundary: every float parameter of a
 public constructor or entry point rejects NaN and +-inf with a
-ParameterError that names it, and numpy scalars are accepted wherever
-plain numbers are."""
+ParameterError that names it, every rule choice rejects a value outside
+its tuple the same way, seeds must be integers, and numpy scalars are
+accepted wherever plain numbers are."""
 
 import math
 import typing
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparselasso import (
+    DataError,
     EnsembleSpec,
     LassoConfig,
     ParameterError,
@@ -30,6 +32,7 @@ from sparselasso import (
     thinned_squared_norm,
     theory,
 )
+from sparselasso.sweep import derive_k
 
 _M = sample_matrix(EnsembleSpec(n=40, p=20, gamma=1.0), 3)
 _S = SignalSpec(p=20, k=2)
@@ -124,3 +127,91 @@ def test_lasso_helpers_accept_zero_and_reject_negative_penalty_and_tolerance(tar
         target(**{**call, name: 0.0})
         with pytest.raises(ParameterError, match=f"^{name} must be non-negative, got "):
             target(**{**call, name: -1e-3})
+
+
+# Every rule choice the library takes, with a valid call to swap "bogus" into.
+_MEMBERSHIP = [
+    (EnsembleSpec, "convention", _VALID_CALLS[EnsembleSpec]),
+    (SignalSpec, "sign_pattern", _VALID_CALLS[SignalSpec]),
+    (SweepConfig, "gamma_rule", _VALID_CALLS[SweepConfig]),
+    (SweepConfig, "lambda_rule", _VALID_CALLS[SweepConfig]),
+    (SweepConfig, "mode", _VALID_CALLS[SweepConfig]),
+    (SweepConfig, "convention", _VALID_CALLS[SweepConfig]),
+    (derive_k, "sparsity_rule", dict(p_list=(64,), sparsity_rule="polynomial", poly_exponent=0.5, linear_alpha=0.125, k_list=None)),
+    (theory.gamma_schedule, "gamma_rule", dict(p=1024, k=32, gamma_rule="sixth_root")),
+]
+
+
+@pytest.mark.parametrize(
+    "target, name, call", [pytest.param(*m, id=f"{m[0].__name__}.{m[1]}") for m in _MEMBERSHIP]
+)
+def test_value_outside_its_rule_choices_is_a_parameter_error_naming_it(target, name, call):
+    target(**call)
+    with pytest.raises(ParameterError, match=f"^{name} must be one of \\(.*\\), got 'bogus'$"):
+        target(**{**call, name: "bogus"})
+
+
+_SEEDED_CALLS = [
+    (sample_matrix, "seed", dict(spec=EnsembleSpec(n=4, p=4, gamma=0.5), seed=1)),
+    (sample_matrix, "value_seed", dict(spec=EnsembleSpec(n=4, p=4, gamma=0.5), seed=1, value_seed=2)),
+    (noise_vector, "noise_seed", _VALID_CALLS[noise_vector]),
+    (observe, "noise_seed", _VALID_CALLS[observe]),
+    (thinned_squared_norm, "seed", _VALID_CALLS[thinned_squared_norm]),
+    (SignalSpec, "sign_seed", dict(p=20, k=2, sign_pattern="seeded_random", sign_seed=4)),
+    (theory.run_bound_checks, "seed", dict(seed=1, samples=10)),
+]
+
+
+@pytest.mark.parametrize(
+    "target, name, call", [pytest.param(*c, id=f"{c[0].__name__}.{c[1]}") for c in _SEEDED_CALLS]
+)
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.0), "3"])
+def test_non_integer_seed_is_a_parameter_error_naming_it(target, name, call, seed):
+    target(**{**call, name: np.int64(call[name])})
+    with pytest.raises(ParameterError, match=f"^{name}: expected an integer, got "):
+        target(**{**call, name: seed})
+
+
+def test_negative_seeds_stay_masked_to_64_bits_except_for_the_bound_checks():
+    spec = EnsembleSpec(n=6, p=5, gamma=0.5)
+    a, b = sample_matrix(spec, -1, value_seed=-2), sample_matrix(spec, 2**64 - 1, value_seed=2**64 - 2)
+    for field in ("indptr", "indices", "values"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+    assert noise_vector(3, 1.0, -5).tobytes() == noise_vector(3, 1.0, 2**64 - 5).tobytes()
+    assert SignalSpec(p=20, k=2, sign_pattern="seeded_random", sign_seed=-1).sign_seed == -1
+    with pytest.raises(ParameterError, match="^seed must be at least 0, got -1$"):
+        theory.run_bound_checks(-1, 10)
+
+
+@pytest.mark.parametrize("n, message", [(2.5, "^n: expected an integer"), (0, "^n must be at least 1"), (-1, "^n must be at least 1")])
+def test_noise_vector_checks_its_length(n, message):
+    with pytest.raises(ParameterError, match=message):
+        noise_vector(n, 1.0, 1)
+
+
+def test_snr_diagnostic_takes_gamma_in_the_unit_interval():
+    assert theory.snr_diagnostic(1.0, 10, 1.0) == 10.0
+    with pytest.raises(ParameterError, match="^gamma must lie in \\(0, 1\\], got 2.0$"):
+        theory.snr_diagnostic(2.0, 10, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_witness_noise_must_be_finite(bad):
+    w = _W.copy()
+    w[3] = bad
+    with pytest.raises(DataError, match="^w contains non-finite values$"):
+        build(_M, _S, w, 0.1)
+
+
+@pytest.mark.parametrize("target", [objective_value, kkt_residual], ids=lambda t: t.__name__)
+def test_lasso_helpers_check_the_lengths_and_finiteness_of_y_and_beta(target):
+    call = _VALID_CALLS[target]
+    with pytest.raises(ParameterError, match="^y must have length n=40$"):
+        target(**{**call, "y": _Y[:-1]})
+    with pytest.raises(ParameterError, match="^beta must have length p=20$"):
+        target(**{**call, "beta": np.zeros(21)})
+    for bad in (math.nan, math.inf):
+        beta = make_signal(_S)
+        beta[5] = bad
+        with pytest.raises(DataError, match="^beta contains non-finite values$"):
+            target(**{**call, "beta": beta})

@@ -1,6 +1,6 @@
 """Every import a library module binds is used in that module, no
 module reads a private name of another, and only errors.py tests a
-scalar for finiteness."""
+scalar for finiteness or words the allowed-values message."""
 
 import ast
 import pathlib
@@ -88,3 +88,25 @@ def test_isfinite_use_is_found():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"], ids=lambda p: p.stem)
 def test_only_errors_checks_a_scalar_is_finite(path):
     assert _isfinite_uses(path.read_text()) == 0
+
+
+_MEMBERSHIP_WORDS = "must be one of"
+
+
+def _membership_messages(source: str) -> int:
+    """The number of places in source, code or comment, that word the allowed-values message."""
+    return source.count(_MEMBERSHIP_WORDS)
+
+
+def test_membership_message_is_found():
+    source = (
+        "if mode not in MODES:\n"
+        "    raise ParameterError(f'mode must be one of {MODES}, got {mode!r}')  # the rule\n"
+        "# sign_pattern must be one of SIGN_PATTERNS\n"
+    )
+    assert _membership_messages(source) == 2
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"], ids=lambda p: p.stem)
+def test_only_errors_words_the_allowed_values_message(path):
+    assert _membership_messages(path.read_text()) == 0
