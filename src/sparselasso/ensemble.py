@@ -26,7 +26,7 @@ from typing import IO, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CapacityError, DataError, ParameterError, integer, non_negative, one_of, positive, unit_interval
+from .errors import CapacityError, DataError, ParameterError, integer, non_negative, one_of, positive, read_only_by, unit_interval, vector
 from . import rng
 
 CONVENTIONS = ("standard", "rescaled")
@@ -197,8 +197,7 @@ class SignalSpec:
         one_of("sign_pattern", self.sign_pattern, SIGN_PATTERNS)
         if self.sign_seed is not None:
             object.__setattr__(self, "sign_seed", integer("sign_seed", self.sign_seed))
-        elif self.sign_pattern == "seeded_random":
-            raise ParameterError("sign_pattern='seeded_random' requires sign_seed")
+        read_only_by("sign_seed", self.sign_seed, "sign_pattern", self.sign_pattern, "seeded_random")
 
 
 def signal_signs(s: SignalSpec) -> np.ndarray:
@@ -245,9 +244,7 @@ def observe(m: SparseMeasurementMatrix, beta_star: np.ndarray, sigma2: float, no
     sigma2 / gamma, keeping it an exact reparametrization of the standard
     observation model.
     """
-    beta_star = np.asarray(beta_star, dtype=np.float64)
-    if beta_star.shape != (m.spec.p,):
-        raise ParameterError(f"beta_star must have length p={m.spec.p}")
+    beta_star = vector("beta_star", beta_star, "p", m.spec.p)
     non_negative("sigma2", sigma2)
     variance = sigma2 / m.spec.gamma if m.spec.convention == "rescaled" else sigma2
     w = noise_vector(m.spec.n, variance, noise_seed)

@@ -3,14 +3,19 @@
 Two families only: bad parameters (caller mistakes, CLI exit code 2) and bad
 data (unreadable or inconsistent inputs discovered at run time, exit code 1).
 
-Public constructors and entry points check each scalar parameter where they
-take it, with one of six rules. Each returns the value (numbers as a plain int
-or float, numpy scalars included) or raises ParameterError naming the
-parameter: `integer(name, value, low=None)` (at least low when given), `finite`
-(a real number, neither NaN nor infinite), `positive`, `non_negative`,
-`unit_interval` (finite and in (0, 1]) and `one_of(name, value, allowed)` (a
-member of the tuple allowed). Arrays of input data have one rule,
-`finite_array`, which raises DataError when an entry is NaN or infinite.
+Public constructors and entry points check each parameter where they take
+it, with one of eight rules; each raises ParameterError naming the parameter.
+Six check a scalar and return it (numbers as a plain int or float, numpy
+scalars included): `integer(name, value, low=None)` (at least low when
+given), `finite` (a real number, neither NaN nor infinite), `positive`,
+`non_negative`, `unit_interval` (finite and in (0, 1]) and
+`one_of(name, value, allowed)` (a member of the tuple allowed).
+`read_only_by(name, value, rule_name, rule, reader)` checks an optional value
+that only one rule choice reads: it is given (not None) exactly when
+`rule == reader`. `vector(name, values, size_name, length)` returns a float64
+copy of a data vector, which must have shape (length,). Input data must be
+finite: `finite_array` raises DataError when an entry is NaN or infinite, and
+`vector` applies it to its copy.
 """
 
 import math
@@ -78,6 +83,22 @@ def one_of(name: str, value, allowed: tuple):
     return value
 
 
+def read_only_by(name: str, value, rule_name: str, rule, reader):
+    if rule == reader and value is None:
+        raise ParameterError(f"{rule_name}={reader!r} requires {name}")
+    if rule != reader and value is not None:
+        raise ParameterError(f"{name} is read only by {rule_name}={reader!r}, not {rule!r}")
+    return value
+
+
 def finite_array(name: str, values: np.ndarray) -> None:
     if not np.all(np.isfinite(values)):
         raise DataError(f"{name} contains non-finite values")
+
+
+def vector(name: str, values, size_name: str, length: int) -> np.ndarray:
+    values = np.array(values, dtype=np.float64)
+    if values.shape != (length,):
+        raise ParameterError(f"{name} must have length {size_name}={length}")
+    finite_array(name, values)
+    return values

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from . import blas
 from .ensemble import SparseMeasurementMatrix
-from .errors import ParameterError, finite_array, integer, non_negative, positive
+from .errors import finite_array, integer, non_negative, positive, vector
 
 MatrixLike = Union[SparseMeasurementMatrix, sp.spmatrix, np.ndarray]
 
@@ -59,31 +59,18 @@ def _as_csc(X: MatrixLike) -> sp.csc_matrix:
 
 
 def _problem(X: MatrixLike, y: np.ndarray) -> tuple:
-    """X as CSC and y as a float64 vector of length n, both finite."""
+    """X as CSC and a float64 copy of y, a vector of length n; both finite."""
     Xc = _as_csc(X)
-    n = Xc.shape[0]
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (n,):
-        raise ParameterError(f"y must have length n={n}")
+    y = vector("y", y, "n", Xc.shape[0])
     finite_array("X", Xc.data)
-    finite_array("y", y)
     return Xc, y
-
-
-def _coefficients(name: str, beta: np.ndarray, p: int) -> np.ndarray:
-    """A float64 copy of beta, checked to be a finite vector of length p."""
-    beta = np.array(beta, dtype=np.float64)
-    if beta.shape != (p,):
-        raise ParameterError(f"{name} must have length p={p}")
-    finite_array(name, beta)
-    return beta
 
 
 def objective_value(X: MatrixLike, y: np.ndarray, beta: np.ndarray, lam: float) -> float:
     lam = non_negative("lam", lam)
     Xc, y = _problem(X, y)
     n, p = Xc.shape
-    beta = _coefficients("beta", beta, p)
+    beta = vector("beta", beta, "p", p)
     r = y - Xc @ beta
     return float(0.5 / n * (r @ r) + lam * np.abs(beta).sum())
 
@@ -99,7 +86,7 @@ def kkt_residual(X: MatrixLike, y: np.ndarray, lam: float, beta: np.ndarray, zer
     zero_tol = non_negative("zero_tol", zero_tol)
     Xc, y = _problem(X, y)
     n, p = Xc.shape
-    beta = _coefficients("beta", beta, p)
+    beta = vector("beta", beta, "p", p)
     g = Xc.T @ (Xc @ beta - y) / n
     active = np.abs(beta) > zero_tol
     viol = np.where(active, np.abs(g + lam * np.sign(beta)), np.maximum(np.abs(g) - lam, 0.0))
@@ -134,7 +121,7 @@ def solve(
     if beta0 is None:
         beta = np.zeros(p)
     else:
-        beta = _coefficients("beta0", beta0, p)
+        beta = vector("beta0", beta0, "p", p)
         beta[col_scale == 0.0] = 0.0
     r = y - Xc @ beta
 

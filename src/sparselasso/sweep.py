@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import blas, ensemble, lasso, rng, theory, witness
-from .errors import CapacityError, DataError, ParameterError, finite, integer, non_negative, one_of, positive, unit_interval
+from .errors import CapacityError, DataError, ParameterError, finite, integer, non_negative, one_of, positive, read_only_by, unit_interval
 
 SPARSITY_RULES = ("polynomial", "linear", "explicit")
 GAMMA_RULES = ("constant",) + theory.GAMMA_RULES
@@ -94,17 +94,11 @@ class SweepConfig:
         one_of("gamma_rule", self.gamma_rule, GAMMA_RULES)
         if self.gamma_value is not None:
             unit_interval("gamma_value", self.gamma_value)
-        if self.gamma_rule == "constant" and self.gamma_value is None:
-            raise ParameterError("gamma_rule='constant' requires gamma_value in (0, 1]")
-        if self.gamma_rule != "constant" and self.gamma_value is not None:
-            raise ParameterError(f"gamma_value is read only by gamma_rule='constant', not {self.gamma_rule!r}")
+        read_only_by("gamma_value", self.gamma_value, "gamma_rule", self.gamma_rule, "constant")
         one_of("lambda_rule", self.lambda_rule, LAMBDA_RULES)
         if self.lambda_value is not None:
             positive("lambda_value", self.lambda_value)
-        if self.lambda_rule == "constant" and self.lambda_value is None:
-            raise ParameterError("lambda_rule='constant' requires a positive lambda_value")
-        if self.lambda_rule != "constant" and self.lambda_value is not None:
-            raise ParameterError(f"lambda_value is read only by lambda_rule='constant', not {self.lambda_rule!r}")
+        read_only_by("lambda_value", self.lambda_value, "lambda_rule", self.lambda_rule, "constant")
         one_of("mode", self.mode, MODES)
         one_of("convention", self.convention, ensemble.CONVENTIONS)
 
@@ -184,10 +178,9 @@ def derive_k(p_list, sparsity_rule, poly_exponent, linear_alpha, k_list, p_idx=N
     if not p_list:
         raise ParameterError("p_list must be non-empty")
     one_of("sparsity_rule", sparsity_rule, SPARSITY_RULES)
-    if sparsity_rule == "explicit" and (k_list is None or len(k_list) != len(p_list)):
-        raise ParameterError("sparsity_rule='explicit' requires k_list matching p_list in length")
-    if sparsity_rule != "explicit" and k_list is not None:
-        raise ParameterError(f"k_list is read only by sparsity_rule='explicit', not {sparsity_rule!r}")
+    read_only_by("k_list", k_list, "sparsity_rule", sparsity_rule, "explicit")
+    if k_list is not None and len(k_list) != len(p_list):
+        raise ParameterError(f"k_list must match p_list in length, got {len(k_list)} and {len(p_list)}")
     finite("poly_exponent", poly_exponent)  # under every rule: the JSON mirror records both
     finite("linear_alpha", linear_alpha)
     if sparsity_rule == "polynomial":

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .ensemble import SignalSpec, SparseMeasurementMatrix, make_signal, signal_signs
-from .errors import ParameterError, finite_array, integer, positive, unit_interval
+from .errors import ParameterError, integer, positive, unit_interval, vector
 from .lasso import LassoSolution
 from . import blas, rng
 
@@ -59,16 +59,19 @@ class WitnessReport:
     margins: Optional[Margins] = None
 
 
-def _factor_gram(Xs: np.ndarray, n: int):
-    G = Xs.T @ Xs / n
+def _factor_gram(m: SparseMeasurementMatrix, s: SignalSpec) -> tuple:
+    """The support columns X_S and the Cholesky factor of X_S^T X_S / n, or
+    None in its place when that block is numerically singular."""
+    if m.spec.p != s.p:
+        raise ParameterError(f"matrix has p={m.spec.p} but signal has p={s.p}")
+    Xs = m.dense_columns(np.arange(s.k))
+    G = Xs.T @ Xs / m.spec.n
     try:
         fac = scipy.linalg.cho_factor(G, lower=True)
     except scipy.linalg.LinAlgError:
-        return None
-    pivots = np.diagonal(fac[0])
-    if float(pivots.min()) ** 2 <= _SINGULAR_REL * float(G.diagonal().max()):
-        return None
-    return fac
+        return Xs, None
+    singular = float(np.diagonal(fac[0]).min()) ** 2 <= _SINGULAR_REL * float(G.diagonal().max())
+    return Xs, None if singular else fac
 
 
 def _margins(u: np.ndarray, v: np.ndarray, lam: float, beta_min: float, signs: np.ndarray) -> Margins:
@@ -102,18 +105,11 @@ def check_events(r: WitnessReport, lam: float, beta_min: float) -> Events:
 def build(m: SparseMeasurementMatrix, s: SignalSpec, w: np.ndarray, lam: float) -> WitnessReport:
     """Construct the witness for one realized instance."""
     positive("lam", lam)
-    if m.spec.p != s.p:
-        raise ParameterError(f"matrix has p={m.spec.p} but signal has p={s.p}")
-    n = m.spec.n
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (n,):
-        raise ParameterError(f"w must have length n={n}")
-    finite_array("w", w)
-    k = s.k
+    n, k = m.spec.n, s.k
+    w = vector("w", w, "n", n)
     signs = signal_signs(s)
 
-    Xs = m.dense_columns(np.arange(k))
-    fac = _factor_gram(Xs, n)
+    Xs, fac = _factor_gram(m, s)
     if fac is None:
         return WitnessReport(invertible=False, k=k, lam=lam, success=False)
 
@@ -157,20 +153,16 @@ def h_vector(m: SparseMeasurementMatrix, s: SignalSpec) -> HVector:
     lam * X_j^T h, so ||h||^2 controls how much any single column can
     contribute.
     """
-    if m.spec.p != s.p:
-        raise ParameterError(f"matrix has p={m.spec.p} but signal has p={s.p}")
-    n = m.spec.n
-    Xs = m.dense_columns(np.arange(s.k))
-    fac = _factor_gram(Xs, n)
+    Xs, fac = _factor_gram(m, s)
     if fac is None:
         raise ParameterError("support gram block is singular")
-    h = Xs @ scipy.linalg.cho_solve(fac, np.ones(s.k)) / n
+    h = Xs @ scipy.linalg.cho_solve(fac, np.ones(s.k)) / m.spec.n
     return HVector(h=h, squared_norm=float(h @ h))
 
 
 def thinned_squared_norm(h: np.ndarray, gamma: float, seed: int) -> float:
     """||H||^2 after keeping each entry of h independently with probability gamma."""
-    h = np.asarray(h, dtype=np.float64)
+    h = vector("h", h, "h.size", np.size(h))
     key = rng.derive_key(integer("seed", seed), rng.TAG_THIN)
     kept = h[rng.kept_entries(key, 1, h.size, unit_interval("gamma", gamma))]
     return float(kept @ kept)

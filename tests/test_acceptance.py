@@ -135,12 +135,13 @@ def test_criterion_3_witness_solver_equivalence():
                 m = sample_matrix(
                     EnsembleSpec(n=n, p=p, gamma=gamma, convention=convention), seed=5000 + instance
                 )
+                pattern = patterns[instance % 3]
                 sig = SignalSpec(
                     p=p,
                     k=k,
                     beta_min=1.0,
-                    sign_pattern=patterns[instance % 3],
-                    sign_seed=instance,
+                    sign_pattern=pattern,
+                    sign_seed=instance if pattern == "seeded_random" else None,
                 )
                 w = noise_vector(n, 0.0625, 9000 + instance)
                 r = build(m, sig, w, lam)

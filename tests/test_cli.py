@@ -118,6 +118,17 @@ def test_bounds_negative_seed_exits_2_with_one_line(capsys):
     assert err == "sparselasso bounds: error: seed must be at least 0, got -1\n"
 
 
+def test_witness_sign_seed_without_seeded_random_exits_2(tmp_path, capsys):
+    mat = tmp_path / "m.txt"
+    assert main(_gen_args(mat, n=16, p=8)) == 0
+    capsys.readouterr()
+    argv = ["witness", "--matrix", str(mat), "--k", "4", "--lam", "0.2", "--noise-seed", "3", "--sign-seed", "5"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "sparselasso witness: error: sign_seed is read only by sign_pattern='seeded_random', not 'all_plus'\n"
+
+
 def test_witness_reports_a_missing_matrix_before_a_bad_sign_pattern(tmp_path, capsys):
     argv = ["witness", "--k", "2", "--noise-seed", "1", "--lam", "0.1", "--sign-pattern", "bogus", "--matrix"]
     assert main([*argv, str(tmp_path / "nope.txt")]) == 1

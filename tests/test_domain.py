@@ -1,8 +1,10 @@
 """The parameter domain at the library boundary: every float parameter of a
 public constructor or entry point rejects NaN and +-inf with a
 ParameterError that names it, every rule choice rejects a value outside
-its tuple the same way, seeds must be integers, and numpy scalars are
-accepted wherever plain numbers are."""
+its tuple the same way, a value that only one rule choice reads is given
+exactly under that choice, every data vector must have its length and
+finite entries, seeds must be integers, and numpy scalars are accepted
+wherever plain numbers are."""
 
 import math
 import typing
@@ -129,6 +131,8 @@ def test_lasso_helpers_accept_zero_and_reject_negative_penalty_and_tolerance(tar
             target(**{**call, name: -1e-3})
 
 
+_DERIVE_K = dict(p_list=(64,), sparsity_rule="polynomial", poly_exponent=0.5, linear_alpha=0.125, k_list=None)
+
 # Every rule choice the library takes, with a valid call to swap "bogus" into.
 _MEMBERSHIP = [
     (EnsembleSpec, "convention", _VALID_CALLS[EnsembleSpec]),
@@ -137,7 +141,7 @@ _MEMBERSHIP = [
     (SweepConfig, "lambda_rule", _VALID_CALLS[SweepConfig]),
     (SweepConfig, "mode", _VALID_CALLS[SweepConfig]),
     (SweepConfig, "convention", _VALID_CALLS[SweepConfig]),
-    (derive_k, "sparsity_rule", dict(p_list=(64,), sparsity_rule="polynomial", poly_exponent=0.5, linear_alpha=0.125, k_list=None)),
+    (derive_k, "sparsity_rule", _DERIVE_K),
     (theory.gamma_schedule, "gamma_rule", dict(p=1024, k=32, gamma_rule="sixth_root")),
 ]
 
@@ -149,6 +153,28 @@ def test_value_outside_its_rule_choices_is_a_parameter_error_naming_it(target, n
     target(**call)
     with pytest.raises(ParameterError, match=f"^{name} must be one of \\(.*\\), got 'bogus'$"):
         target(**{**call, name: "bogus"})
+
+
+# Every value that only one rule choice reads: (target, value name, a valid
+# value, rule name, the choice that reads it, a valid call under another choice).
+_READ_ONLY_BY = [
+    (SweepConfig, "gamma_value", 0.3, "gamma_rule", "constant", {**_VALID_CALLS[SweepConfig], "gamma_rule": "log_over_sqrt"}),
+    (SweepConfig, "lambda_value", 0.3, "lambda_rule", "constant", {**_VALID_CALLS[SweepConfig], "lambda_rule": "scaled"}),
+    (derive_k, "k_list", (4,), "sparsity_rule", "explicit", _DERIVE_K),
+    (SignalSpec, "sign_seed", 5, "sign_pattern", "seeded_random", {**_VALID_CALLS[SignalSpec], "sign_pattern": "all_plus"}),
+]
+
+
+@pytest.mark.parametrize(
+    "target, name, value, rule_name, reader, call", [pytest.param(*r, id=f"{r[0].__name__}.{r[1]}") for r in _READ_ONLY_BY]
+)
+def test_value_is_given_exactly_when_its_rule_choice_reads_it(target, name, value, rule_name, reader, call):
+    target(**call)
+    target(**{**call, rule_name: reader, name: value})
+    with pytest.raises(ParameterError, match=f"^{name} is read only by {rule_name}='{reader}', not '{call[rule_name]}'$"):
+        target(**{**call, name: value})
+    with pytest.raises(ParameterError, match=f"^{rule_name}='{reader}' requires {name}$"):
+        target(**{**call, rule_name: reader})
 
 
 _SEEDED_CALLS = [
@@ -193,6 +219,39 @@ def test_snr_diagnostic_takes_gamma_in_the_unit_interval():
     assert theory.snr_diagnostic(1.0, 10, 1.0) == 10.0
     with pytest.raises(ParameterError, match="^gamma must lie in \\(0, 1\\], got 2.0$"):
         theory.snr_diagnostic(2.0, 10, 1.0)
+
+
+# Every data vector an entry point takes: (target, vector name, its length
+# as the error words it, a valid call).
+_VECTORS = [
+    (observe, "beta_star", "p=20", _VALID_CALLS[observe]),
+    (build, "w", "n=40", _VALID_CALLS[build]),
+    (thinned_squared_norm, "h", "h.size=5", _VALID_CALLS[thinned_squared_norm]),
+    (objective_value, "y", "n=40", _VALID_CALLS[objective_value]),
+    (objective_value, "beta", "p=20", _VALID_CALLS[objective_value]),
+    (kkt_residual, "y", "n=40", _VALID_CALLS[kkt_residual]),
+    (kkt_residual, "beta", "p=20", _VALID_CALLS[kkt_residual]),
+    (solve, "y", "n=40", dict(X=_M, y=_Y, config=LassoConfig(lam=0.1, max_iter=50))),
+    (solve, "beta0", "p=20", dict(X=_M, y=_Y, config=LassoConfig(lam=0.1, max_iter=50), beta0=make_signal(_S))),
+]
+
+
+@pytest.mark.parametrize(
+    "target, name, length, call", [pytest.param(*v, id=f"{v[0].__name__}.{v[1]}") for v in _VECTORS]
+)
+def test_data_vector_must_be_finite_with_its_length(target, name, length, call):
+    """A 1 x length matrix is not a vector, NaN and +-inf entries are bad
+    data, and the caller's vector is left as it was."""
+    valid = np.array(call[name], dtype=np.float64)
+    with pytest.raises(ParameterError, match=f"^{name} must have length {length}$"):
+        target(**{**call, name: valid.reshape(1, -1)})
+    for bad in (math.nan, math.inf, -math.inf):
+        values = valid.copy()
+        values[1] = bad
+        with pytest.raises(DataError, match=f"^{name} contains non-finite values$"):
+            target(**{**call, name: values})
+    target(**call)
+    assert np.array_equal(call[name], valid)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

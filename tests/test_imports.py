@@ -1,6 +1,6 @@
 """Every import a library module binds is used in that module, no
 module reads a private name of another, and only errors.py tests a
-scalar for finiteness or words the allowed-values message."""
+scalar for finiteness or words the message of `one_of` or `read_only_by`."""
 
 import ast
 import pathlib
@@ -90,23 +90,34 @@ def test_only_errors_checks_a_scalar_is_finite(path):
     assert _isfinite_uses(path.read_text()) == 0
 
 
-_MEMBERSHIP_WORDS = "must be one of"
+# The messages one errors.py rule words, by rule.
+_RULE_MESSAGES = {"one_of": "must be one of", "read_only_by": "is read only by"}
 
 
-def _membership_messages(source: str) -> int:
-    """The number of places in source, code or comment, that word the allowed-values message."""
-    return source.count(_MEMBERSHIP_WORDS)
+def _rule_messages(source: str, words: str) -> int:
+    """The number of places in source, code or comment, that word a rule's message."""
+    return source.count(words)
 
 
-def test_membership_message_is_found():
+@pytest.mark.parametrize("words", _RULE_MESSAGES.values(), ids=_RULE_MESSAGES)
+def test_membership_message_is_found(words):
     source = (
         "if mode not in MODES:\n"
-        "    raise ParameterError(f'mode must be one of {MODES}, got {mode!r}')  # the rule\n"
-        "# sign_pattern must be one of SIGN_PATTERNS\n"
+        f"    raise ParameterError(f'mode {words} {{MODES}}, got {{mode!r}}')  # the rule\n"
+        f"# sign_pattern {words} SIGN_PATTERNS\n"
     )
-    assert _membership_messages(source) == 2
+    assert _rule_messages(source, words) == 2
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"], ids=lambda p: p.stem)
-def test_only_errors_words_the_allowed_values_message(path):
-    assert _membership_messages(path.read_text()) == 0
+# The one_of cases keep their bare module ids, so those test ids stay stable.
+_MESSAGE_CASES = [
+    pytest.param(path, words, id=path.stem if rule == "one_of" else f"{path.stem}-{rule}")
+    for rule, words in _RULE_MESSAGES.items()
+    for path in MODULES
+    if path.name != "errors.py"
+]
+
+
+@pytest.mark.parametrize("path, words", _MESSAGE_CASES)
+def test_only_errors_words_the_allowed_values_message(path, words):
+    assert _rule_messages(path.read_text(), words) == 0
