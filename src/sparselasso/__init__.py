@@ -19,7 +19,6 @@ from .ensemble import (
     noise_vector,
     observe,
     read_matrix,
-    rescale_coupled,
     sample_matrix,
     signal_signs,
     write_matrix,
@@ -38,9 +37,8 @@ from .theory import (
     run_bound_checks,
     singular_extremes,
     snr_diagnostic,
-    sv_deviation,
 )
-from .witness import HVector, Margins, WitnessReport, build, check_events, dual_identity_check, h_vector, thinned_squared_norm
+from .witness import HVector, Margins, WitnessReport, build, check_events, h_vector, thinned_squared_norm
 
 __version__ = "0.1.0"
 
@@ -57,7 +55,6 @@ __all__ = [
     "noise_vector",
     "observe",
     "read_matrix",
-    "rescale_coupled",
     "sample_matrix",
     "signal_signs",
     "write_matrix",
@@ -87,13 +84,11 @@ __all__ = [
     "run_bound_checks",
     "singular_extremes",
     "snr_diagnostic",
-    "sv_deviation",
     "HVector",
     "Margins",
     "WitnessReport",
     "build",
     "check_events",
-    "dual_identity_check",
     "h_vector",
     "thinned_squared_norm",
     "__version__",

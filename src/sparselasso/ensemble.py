@@ -7,9 +7,9 @@ entries are Gaussian.  Two conventions:
 * rescaled: nonzero entries ~ N(0, 1/gamma), so every entry has unit
   variance overall
 
-The two are coupled pathwise by multiplying values with 1/sqrt(gamma)
-(or sqrt(gamma) back), which `rescale_coupled` implements without
-touching the sparsity pattern.
+The two are coupled pathwise: `sample_matrix` draws the same pattern and
+the same standard values for a seed under either convention, and the
+rescaled matrix multiplies those values by 1/sqrt(gamma).
 
 Matrices are stored row-compressed (CSR triple); dense consumers read
 through `to_csr()` / `dense_columns()`; nothing densifies the full
@@ -92,10 +92,10 @@ class SparseMeasurementMatrix:
 
     def dense_columns(self, cols) -> np.ndarray:
         """Dense n x len(cols) block of the requested columns."""
-        cols = np.asarray(cols, dtype=np.int64)
-        if cols.size and (cols.min() < 0 or cols.max() >= self.spec.p):
-            raise ParameterError("column index out of range")
-        return self.to_csr()[:, cols].toarray()
+        cols = np.asarray(cols)
+        if cols.size and (cols.dtype.kind not in "iu" or cols.min() < 0 or cols.max() >= self.spec.p):
+            raise ParameterError(f"column indices must be integers in [0, p={self.spec.p})")
+        return self.to_csr()[:, cols.astype(np.int64)].toarray()
 
     def validate(self) -> None:
         """Check the structural invariants; raises DataError on violation."""
@@ -154,28 +154,6 @@ def sample_matrix(spec: EnsembleSpec, seed: int, value_seed: Optional[int] = Non
         value_seed=value_seed_eff,
     )
     return SparseMeasurementMatrix(spec=spec, indptr=indptr, indices=indices, values=values, seed_info=info)
-
-
-def rescale_coupled(m: SparseMeasurementMatrix) -> SparseMeasurementMatrix:
-    """Pathwise-coupled image of `m` under the opposite convention.
-
-    standard -> rescaled multiplies the stored values by 1/sqrt(gamma);
-    rescaled -> standard multiplies by sqrt(gamma).  Pattern, shape and
-    seeds are unchanged.
-    """
-    gamma = m.spec.gamma
-    if m.spec.convention == "standard":
-        factor, target = 1.0 / math.sqrt(gamma), "rescaled"
-    else:
-        factor, target = math.sqrt(gamma), "standard"
-    new_spec = EnsembleSpec(n=m.spec.n, p=m.spec.p, gamma=gamma, convention=target)
-    return SparseMeasurementMatrix(
-        spec=new_spec,
-        indptr=m.indptr,
-        indices=m.indices,
-        values=m.values * factor,
-        seed_info=m.seed_info,
-    )
 
 
 @dataclass(frozen=True)

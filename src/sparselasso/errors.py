@@ -4,7 +4,7 @@ Two families only: bad parameters (caller mistakes, CLI exit code 2) and bad
 data (unreadable or inconsistent inputs discovered at run time, exit code 1).
 
 Public constructors and entry points check each parameter where they take
-it, with one of eight rules; each raises ParameterError naming the parameter.
+it, with one of nine rules; each raises ParameterError naming the parameter.
 Six check a scalar and return it (numbers as a plain int or float, numpy
 scalars included): `integer(name, value, low=None)` (at least low when
 given), `finite` (a real number, neither NaN nor infinite), `positive`,
@@ -12,10 +12,11 @@ given), `finite` (a real number, neither NaN nor infinite), `positive`,
 `one_of(name, value, allowed)` (a member of the tuple allowed).
 `read_only_by(name, value, rule_name, rule, reader)` checks an optional value
 that only one rule choice reads: it is given (not None) exactly when
-`rule == reader`. `vector(name, values, size_name, length)` returns a float64
-copy of a data vector, which must have shape (length,). Input data must be
-finite: `finite_array` raises DataError when an entry is NaN or infinite, and
-`vector` applies it to its copy.
+`rule == reader`. `distinct(name, values)` checks that a grid lists each value
+once. `vector(name, values, size_name, length)` returns a float64 copy of a
+data vector, which must have shape (length,). Input data must be finite:
+`finite_array` raises DataError when an entry is NaN or infinite, and `vector`
+applies it to its copy.
 """
 
 import math
@@ -89,6 +90,11 @@ def read_only_by(name: str, value, rule_name: str, rule, reader):
     if rule != reader and value is not None:
         raise ParameterError(f"{name} is read only by {rule_name}={reader!r}, not {rule!r}")
     return value
+
+
+def distinct(name: str, values) -> None:
+    if len(set(values)) != len(values):
+        raise ParameterError(f"{name} must not repeat a value, got {values!r}")
 
 
 def finite_array(name: str, values: np.ndarray) -> None:

@@ -42,7 +42,6 @@ class LassoSolution:
     kkt_residual: float
     iterations: int
     converged: bool
-    objective_history: np.ndarray
     config: LassoConfig
 
 
@@ -126,7 +125,6 @@ def solve(
     r = y - Xc @ beta
 
     lam, tol = config.lam, config.tol
-    history = []
     converged = False
     it = 0
     for it in range(1, config.max_iter + 1):
@@ -145,7 +143,6 @@ def solve(
                 r[idx] -= vals * (bj_new - bj)
                 beta[j] = bj_new
                 delta_max = max(delta_max, abs(bj_new - bj))
-        history.append(0.5 / n * (r @ r) + lam * np.abs(beta).sum())
         if delta_max <= tol:
             kkt = kkt_residual(Xc, y, lam, beta, config.zero_tol)
             if kkt <= 10.0 * tol:
@@ -156,10 +153,9 @@ def solve(
 
     return LassoSolution(
         beta_hat=beta,
-        objective=history[-1],
+        objective=0.5 / n * (r @ r) + lam * np.abs(beta).sum(),
         kkt_residual=kkt,
         iterations=it,
         converged=converged,
-        objective_history=np.asarray(history),
         config=config,
     )

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import blas, ensemble, lasso, rng, theory, witness
-from .errors import CapacityError, DataError, ParameterError, finite, integer, non_negative, one_of, positive, read_only_by, unit_interval
+from .errors import CapacityError, DataError, ParameterError, distinct, finite, integer, non_negative, one_of, positive, read_only_by, unit_interval
 
 SPARSITY_RULES = ("polynomial", "linear", "explicit")
 GAMMA_RULES = ("constant",) + theory.GAMMA_RULES
@@ -82,6 +82,7 @@ class SweepConfig:
         object.__setattr__(self, "base_seed", integer("base_seed", self.base_seed))
         if not self.theta_grid:
             raise ParameterError("theta_grid must be non-empty")
+        distinct("theta_grid", self.theta_grid)
         if len(self.p_list) > 2**16 or len(self.theta_grid) > 2**16:
             raise CapacityError("at most 2^16 p values and 2^16 theta values per sweep")
         non_negative("sigma2", self.sigma2)
@@ -177,6 +178,7 @@ def derive_k(p_list, sparsity_rule, poly_exponent, linear_alpha, k_list, p_idx=N
     """
     if not p_list:
         raise ParameterError("p_list must be non-empty")
+    distinct("p_list", p_list)
     one_of("sparsity_rule", sparsity_rule, SPARSITY_RULES)
     read_only_by("k_list", k_list, "sparsity_rule", sparsity_rule, "explicit")
     if k_list is not None and len(k_list) != len(p_list):

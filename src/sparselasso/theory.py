@@ -143,31 +143,10 @@ def gaussian_bound(sigma2: float, delta: float) -> float:
     return 2.0 * math.exp(-delta * delta / (2.0 * sigma2))
 
 
-def sv_deviation(gamma: float, k: int, p: int, theta_frac: float, t: float) -> float:
-    """Deviation scale for singular values of a sparsified n x k block.
-
-    T = (1/gamma) sqrt(max{ log t / (theta_frac k log(p-k)),
-                            log(theta_frac log(p-k)) / (theta_frac log(p-k)) }).
-
-    theta_frac here is a fraction in (0, 1], not the control parameter.
-    """
-    unit_interval("gamma", gamma)
-    unit_interval("theta_frac", theta_frac)
-    if finite("t", t) < 2:
-        raise ParameterError(f"t must be at least 2, got {t!r}")
-    log_gap = _log_gap(p, k)
-    scaled = theta_frac * log_gap
-    if scaled <= 1.0:
-        raise ParameterError(f"need theta_frac * log(p - k) > 1, got {scaled!r}")
-    first = math.log(t) / (theta_frac * k * log_gap)
-    second = math.log(scaled) / scaled
-    return math.sqrt(max(first, second)) / gamma
-
-
 @blas.single_threaded()
 def singular_extremes(m: SparseMeasurementMatrix, cols: Sequence[int]) -> tuple[float, float]:
     """(s_min, s_max) / sqrt(n) of the dense submatrix on the given columns."""
-    cols = np.asarray(cols, dtype=np.int64)
+    cols = np.asarray(cols)
     n = m.spec.n
     if cols.size > n:
         raise ParameterError(f"column subset size {cols.size} exceeds n = {n}")

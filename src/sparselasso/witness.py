@@ -27,9 +27,8 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .ensemble import SignalSpec, SparseMeasurementMatrix, make_signal, signal_signs
+from .ensemble import SignalSpec, SparseMeasurementMatrix, signal_signs
 from .errors import ParameterError, integer, positive, unit_interval, vector
-from .lasso import LassoSolution
 from . import blas, rng
 
 # Relative floor on the restricted Gram's Cholesky pivots below which the
@@ -52,7 +51,6 @@ class WitnessReport:
     u: Optional[np.ndarray] = None
     va: Optional[np.ndarray] = None
     vb: Optional[np.ndarray] = None
-    zhat_sc: Optional[np.ndarray] = None
     event_v: Optional[bool] = None
     event_u: Optional[bool] = None
     sign_consistent: Optional[bool] = None
@@ -134,7 +132,6 @@ def build(m: SparseMeasurementMatrix, s: SignalSpec, w: np.ndarray, lam: float) 
         u=u,
         va=va,
         vb=vb,
-        zhat_sc=(va + vb) / lam,
         event_v=events.event_v,
         event_u=events.event_u,
         sign_consistent=events.sign_consistent,
@@ -166,44 +163,3 @@ def thinned_squared_norm(h: np.ndarray, gamma: float, seed: int) -> float:
     key = rng.derive_key(integer("seed", seed), rng.TAG_THIN)
     kept = h[rng.kept_entries(key, 1, h.size, unit_interval("gamma", gamma))]
     return float(kept @ kept)
-
-
-@blas.single_threaded()
-def dual_identity_check(
-    m: SparseMeasurementMatrix,
-    s: SignalSpec,
-    w: np.ndarray,
-    lam: float,
-    full_solution: LassoSolution,
-) -> float:
-    """Cross-check the witness against independently computed counterparts.
-
-    Requires an instance where the witness succeeded with all margins
-    beyond 1e-6 and the solver converged; there the solver's optimum is
-    unique with the true signed support, so the following must agree:
-
-    * u against the solver's actual support error beta_hat_S - beta*_S,
-    * vb against the noise projection computed through a QR factorization.
-
-    Returns the largest absolute deviation across both comparisons.
-    """
-    report = build(m, s, w, lam)
-    if not report.invertible:
-        raise ParameterError("support gram block is singular")
-    if not (report.success and min(report.margins) > 1e-6):
-        raise ParameterError("witness must succeed with all margins above 1e-6")
-    if not full_solution.converged:
-        raise ParameterError("solution did not converge")
-    if full_solution.kkt_residual > 10.0 * full_solution.config.tol:
-        raise ParameterError("solution does not meet its own KKT tolerance")
-
-    beta_star = make_signal(s)
-    k = s.k
-    dev_u = float(np.abs(report.u - (full_solution.beta_hat[:k] - beta_star[:k])).max())
-
-    Xs = m.dense_columns(np.arange(k))
-    Q, _ = np.linalg.qr(Xs)
-    proj = w - Q @ (Q.T @ w)
-    vb_qr = (m.to_csr().T @ proj / m.spec.n)[k:]
-    dev_b = float(np.abs(report.vb - vb_qr).max())
-    return max(dev_u, dev_b)

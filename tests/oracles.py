@@ -9,14 +9,20 @@ The sampler oracle is the one-shot sampler that `ensemble.sample_matrix`
 replaced: it materializes the 2-D counter array of each 2^24-entry row
 block, hashes it with `rng.bits_at`, gathers the kept counters by a
 boolean mask and draws their values block by block.
+
+The witness oracle checks `witness.build` against a converged Lasso
+solution and against a QR projection of the noise.
 """
 
 import math
 
 import numpy as np
 
-from sparselasso import rng
-from sparselasso.ensemble import SeedInfo, SparseMeasurementMatrix
+from sparselasso import blas, rng
+from sparselasso.ensemble import SeedInfo, SignalSpec, SparseMeasurementMatrix, make_signal
+from sparselasso.errors import ParameterError
+from sparselasso.lasso import LassoSolution
+from sparselasso.witness import build
 
 
 def sample_matrix_unblocked(spec, seed, value_seed=None):
@@ -94,3 +100,44 @@ def fista_kkt(X, y, beta, lam, zero_tol=1e-10):
         else:
             res = max(res, max(abs(gi) - lam, 0.0))
     return res
+
+
+@blas.single_threaded()
+def dual_identity_check(
+    m: SparseMeasurementMatrix,
+    s: SignalSpec,
+    w: np.ndarray,
+    lam: float,
+    full_solution: LassoSolution,
+) -> float:
+    """Cross-check the witness against independently computed counterparts.
+
+    Requires an instance where the witness succeeded with all margins
+    beyond 1e-6 and the solver converged; there the solver's optimum is
+    unique with the true signed support, so the following must agree:
+
+    * u against the solver's actual support error beta_hat_S - beta*_S,
+    * vb against the noise projection computed through a QR factorization.
+
+    Returns the largest absolute deviation across both comparisons.
+    """
+    report = build(m, s, w, lam)
+    if not report.invertible:
+        raise ParameterError("support gram block is singular")
+    if not (report.success and min(report.margins) > 1e-6):
+        raise ParameterError("witness must succeed with all margins above 1e-6")
+    if not full_solution.converged:
+        raise ParameterError("solution did not converge")
+    if full_solution.kkt_residual > 10.0 * full_solution.config.tol:
+        raise ParameterError("solution does not meet its own KKT tolerance")
+
+    beta_star = make_signal(s)
+    k = s.k
+    dev_u = float(np.abs(report.u - (full_solution.beta_hat[:k] - beta_star[:k])).max())
+
+    Xs = m.dense_columns(np.arange(k))
+    Q, _ = np.linalg.qr(Xs)
+    proj = w - Q @ (Q.T @ w)
+    vb_qr = (m.to_csr().T @ proj / m.spec.n)[k:]
+    dev_b = float(np.abs(report.vb - vb_qr).max())
+    return max(dev_u, dev_b)

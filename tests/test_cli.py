@@ -118,6 +118,21 @@ def test_bounds_negative_seed_exits_2_with_one_line(capsys):
     assert err == "sparselasso bounds: error: seed must be at least 0, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "grid, err",
+    [
+        (["--p-list", "64,64", "--theta-grid", "1"], "p_list must not repeat a value, got (64, 64)"),
+        (["--p-list", "64", "--theta-grid", "1,1.0"], "theta_grid must not repeat a value, got (1.0, 1.0)"),
+    ],
+    ids=["p_list", "theta_grid"],
+)
+def test_sweep_repeated_grid_value_exits_2_with_one_line(grid, err, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", *grid, "--trials", "2", "--base-seed", "3"]) == 2
+    assert capsys.readouterr() == ("", f"sparselasso sweep: error: {err}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_witness_sign_seed_without_seeded_random_exits_2(tmp_path, capsys):
     mat = tmp_path / "m.txt"
     assert main(_gen_args(mat, n=16, p=8)) == 0

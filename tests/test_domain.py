@@ -62,7 +62,6 @@ _VALID_CALLS = {
     theory.hoeffding_bound: dict(n=10, delta=0.1),
     theory.chi2_bound: dict(m=10, delta=0.1),
     theory.gaussian_bound: dict(sigma2=1.0, delta=0.1),
-    theory.sv_deviation: dict(gamma=0.5, k=40, p=1032, theta_frac=1.0, t=992.0),
 }
 
 

@@ -17,9 +17,9 @@ from sparselasso import (
     make_signal,
     observe,
     read_matrix,
-    rescale_coupled,
     sample_matrix,
     signal_signs,
+    singular_extremes,
     write_matrix,
 )
 
@@ -93,34 +93,6 @@ def test_gamma_one_dense_pattern():
     assert np.all(dense != 0.0)
 
 
-def test_rescale_coupled_roundtrip():
-    spec = EnsembleSpec(n=60, p=40, gamma=0.5, convention="standard")
-    m = sample_matrix(spec, seed=9)
-    r = rescale_coupled(m)
-    assert r.spec.convention == "rescaled"
-    assert np.array_equal(r.indices, m.indices)
-    assert np.array_equal(r.values, m.values * (1.0 / math.sqrt(0.5)))
-    back = rescale_coupled(r)
-    assert back.spec.convention == "standard"
-    assert np.allclose(back.values, m.values, rtol=1e-15)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    n=st.integers(1, 40),
-    p=st.integers(1, 40),
-    gamma=st.sampled_from([1.0]) | st.floats(1e-3, 1.0),
-    convention=st.sampled_from(["standard", "rescaled"]),
-    seed=st.integers(0, 2**64 - 1),
-)
-def test_rescale_coupled_twice_is_the_identity(n, p, gamma, convention, seed):
-    m = sample_matrix(EnsembleSpec(n=n, p=p, gamma=gamma, convention=convention), seed)
-    back = rescale_coupled(rescale_coupled(m))
-    assert back.spec == m.spec and back.seed_info == m.seed_info
-    assert np.array_equal(back.indptr, m.indptr) and np.array_equal(back.indices, m.indices)
-    assert np.allclose(back.values, m.values, rtol=1e-15, atol=0.0)
-
-
 def test_rescaled_matches_coupled_standard_exactly():
     # Same seed under the two conventions draws the same pattern and the
     # same normals; only the scale differs.
@@ -147,6 +119,21 @@ def test_dense_columns_keeps_duplicate_and_unordered_columns():
     got = m.dense_columns(cols)
     assert np.array_equal(got, m.to_csr().toarray()[:, cols])
     assert np.array_equal(got[:, 1], got[:, 2]) and np.any(got[:, 1])
+
+
+def test_non_integer_column_indices_are_rejected():
+    # a cast would read [0.9] as column 0 and a boolean mask as columns 1 and 0
+    m = sample_matrix(EnsembleSpec(n=30, p=20, gamma=0.6), seed=4)
+    for call in (
+        lambda: m.dense_columns([0.9]),
+        lambda: m.dense_columns(np.array([True, False])),
+        lambda: singular_extremes(m, [0.5, 1.7]),
+    ):
+        with pytest.raises(ParameterError, match="column indices must be integers in"):
+            call()
+    assert m.dense_columns([]).shape == (30, 0)
+    with pytest.raises(ParameterError, match="must be non-empty"):
+        singular_extremes(m, [])
 
 
 def test_signal_patterns():

@@ -1,6 +1,7 @@
 """Every import a library module binds is used in that module, no
-module reads a private name of another, and only errors.py tests a
-scalar for finiteness or words the message of `one_of` or `read_only_by`."""
+module reads a private name of another, `__all__` lists exactly what
+`__init__` imports, and only errors.py tests a scalar for finiteness or
+words the message of `one_of`, `read_only_by` or `distinct`."""
 
 import ast
 import pathlib
@@ -31,6 +32,13 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_all_lists_exactly_the_imported_names():
+    tree = ast.parse(pathlib.Path(sparselasso.__file__).read_text())
+    imported = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert len(sparselasso.__all__) == len(set(sparselasso.__all__))
+    assert set(sparselasso.__all__) == imported | {"__version__"}
 
 
 def _is_private(name: str) -> bool:
@@ -91,7 +99,7 @@ def test_only_errors_checks_a_scalar_is_finite(path):
 
 
 # The messages one errors.py rule words, by rule.
-_RULE_MESSAGES = {"one_of": "must be one of", "read_only_by": "is read only by"}
+_RULE_MESSAGES = {"one_of": "must be one of", "read_only_by": "is read only by", "distinct": "must not repeat a value"}
 
 
 def _rule_messages(source: str, words: str) -> int:

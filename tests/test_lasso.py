@@ -81,7 +81,9 @@ def test_tiny_lambda_approaches_least_squares():
 def test_objective_history_non_increasing():
     X, y = _instance(7, 60, 25)
     sol = solve(X, y, LassoConfig(lam=0.05))
-    hist = sol.objective_history
+    # CD is deterministic, so a run cut at max_iter=t reports the objective
+    # after the t-th sweep of the full run.
+    hist = [solve(X, y, LassoConfig(lam=0.05, max_iter=t)).objective for t in range(1, sol.iterations + 1)]
     assert sol.objective == hist[-1]
     assert np.all(np.diff(hist) <= 1e-12)
     # and the reported objective matches a from-scratch evaluation
@@ -175,7 +177,6 @@ def test_max_iter_exhaustion_reports_not_converged():
     sol = solve(X, y, LassoConfig(lam=0.01, max_iter=1))
     assert not sol.converged
     assert sol.iterations == 1
-    assert len(sol.objective_history) == 1
 
 
 def test_non_finite_inputs_rejected():

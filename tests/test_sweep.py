@@ -46,6 +46,10 @@ def _csv_of(table):
     return buf.getvalue()
 
 
+def _fields(rec):
+    return {k: v for k, v in dataclasses.asdict(rec).items() if k != "elapsed"}
+
+
 def test_config_validation():
     with pytest.raises(ParameterError):
         _small_cfg(trials=0)
@@ -102,6 +106,18 @@ def test_config_rejects_non_finite_floats(overrides, name):
 )
 def test_config_rejects_a_value_its_rule_does_not_read(overrides):
     with pytest.raises(ParameterError, match="is read only by"):
+        _small_cfg(**overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides, name",
+    [(dict(p_list=(64, 64)), "p_list"), (dict(theta_grid=(1, 1.0)), "theta_grid")],
+    ids=["p_list", "theta_grid"],
+)
+def test_config_rejects_a_repeated_grid_value(overrides, name):
+    # run_trial finds a grid point by its value, so a repeated value would
+    # name two points with different seeds.
+    with pytest.raises(ParameterError, match=f"^{name} must not repeat a value"):
         _small_cfg(**overrides)
 
 
@@ -183,13 +199,8 @@ def test_run_trial_matches_sweep_records():
     table = run_sweep(cfg)
     assert table.trial_records is not None
     assert len(table.trial_records) == 4 * cfg.trials
-    skip = {"elapsed"}
     for rec in table.trial_records[:: 3]:
-        again = run_trial(cfg, rec.p, rec.theta, rec.trial_index)
-        for f in dataclasses.fields(rec):
-            if f.name in skip:
-                continue
-            assert getattr(again, f.name) == getattr(rec, f.name), f.name
+        assert _fields(run_trial(cfg, rec.p, rec.theta, rec.trial_index)) == _fields(rec)
     # and the per-trial seeds really are distinct
     seeds = [r.seed for r in table.trial_records]
     assert len(set(seeds)) == len(seeds)
@@ -403,10 +414,6 @@ def caller_blas():
     saved = blas.thread_counts()
     yield saved
     blas.set_thread_counts(saved)
-
-
-def _fields(rec):
-    return {k: v for k, v in dataclasses.asdict(rec).items() if k != "elapsed"}
 
 
 def test_trial_floats_do_not_depend_on_caller_blas_threads(caller_blas):

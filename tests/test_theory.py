@@ -16,7 +16,6 @@ from sparselasso import (
     sample_matrix,
     singular_extremes,
     snr_diagnostic,
-    sv_deviation,
 )
 from sparselasso.theory import (
     DOMINATION_GRID,
@@ -154,22 +153,6 @@ def test_tail_bounds():
         gaussian_bound(0.0, 1.0)
     with pytest.raises(ParameterError):
         hoeffding_bound(0, 0.1)
-
-
-def test_sv_deviation():
-    val = sv_deviation(1.0, 40, 1032, 1.0, 992.0)
-    assert val == pytest.approx(0.5290898384, abs=1e-9)
-    # halving gamma doubles the deviation scale
-    assert sv_deviation(0.5, 40, 1032, 1.0, 992.0) == pytest.approx(2 * val, rel=1e-12)
-    with pytest.raises(ParameterError):
-        sv_deviation(0.0, 40, 1032, 1.0, 992.0)
-    with pytest.raises(ParameterError):
-        sv_deviation(1.0, 40, 1032, 1.5, 992.0)
-    with pytest.raises(ParameterError):
-        sv_deviation(1.0, 40, 1032, 1.0, 1.5)
-    with pytest.raises(ParameterError):
-        # theta_frac * log(p - k) must exceed 1
-        sv_deviation(1.0, 40, 1032, 0.1, 992.0)
 
 
 def test_singular_extremes():
