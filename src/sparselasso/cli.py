@@ -64,29 +64,44 @@ class Opt:
         return "--" + self.name.replace("_", "-")
 
 
-_GEN_OPTS = (
-    Opt("n", int, required=True, help="number of rows"),
-    Opt("p", int, required=True, help="number of columns"),
-    Opt("gamma", float, required=True, help="sparsification level in (0, 1]"),
-    Opt("convention", str, default="standard", help="entry variance convention"),
+def _filling(cls, *opts: Opt) -> tuple:
+    """The opts, each one named like a field of the dataclass cls taking
+    that field's default, or required when the field has none."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    return tuple(
+        opt if opt.name not in defaults
+        else dataclasses.replace(opt, required=True) if defaults[opt.name] is dataclasses.MISSING
+        else dataclasses.replace(opt, default=defaults[opt.name])
+        for opt in opts
+    )
+
+
+_GEN_OPTS = _filling(
+    ensemble.EnsembleSpec,
+    Opt("n", int, help="number of rows"),
+    Opt("p", int, help="number of columns"),
+    Opt("gamma", float, help="sparsification level in (0, 1]"),
+    Opt("convention", str, help="entry variance convention"),
     Opt("seed", int, required=True, help="matrix seed"),
     Opt("out", str, help="output path (default: standard output)"),
 )
 
-_SOLVE_OPTS = (
+_SOLVE_OPTS = _filling(
+    lasso.LassoConfig,
     Opt("matrix", str, required=True, help="serialized matrix path"),
     Opt("y", str, required=True, help="observation vector path, one value per line"),
-    Opt("lam", float, required=True, help="regularization weight"),
-    Opt("tol", float, default=1e-8, help="convergence tolerance"),
-    Opt("max_iter", int, default=10000, help="sweep cap"),
-    Opt("zero_tol", float, default=1e-8, help="support threshold"),
+    Opt("lam", float, help="regularization weight"),
+    Opt("tol", float, help="convergence tolerance"),
+    Opt("max_iter", int, help="sweep cap"),
+    Opt("zero_tol", float, help="support threshold"),
 )
 
-_WITNESS_OPTS = (
+_WITNESS_OPTS = _filling(
+    ensemble.SignalSpec,
     Opt("matrix", str, required=True, help="serialized matrix path"),
-    Opt("k", int, required=True, help="support size (first k columns)"),
-    Opt("beta_min", float, default=1.0, help="support magnitude"),
-    Opt("sign_pattern", str, default="all_plus", help="support sign pattern"),
+    Opt("k", int, help="support size (first k columns)"),
+    Opt("beta_min", float, help="support magnitude"),
+    Opt("sign_pattern", str, help="support sign pattern"),
     Opt("sign_seed", int, help="seed for sign_pattern=seeded_random"),
     Opt("sigma2", float, default=0.0625, help="noise variance"),
     Opt("noise_seed", int, required=True, help="noise seed"),
@@ -94,28 +109,30 @@ _WITNESS_OPTS = (
 )
 
 # The parameters of sweep.derive_k, shared by every subcommand that resolves k.
-_K_OPTS = (
-    Opt("p_list", int_list, required=True, help="ambient dimensions, comma separated"),
-    Opt("sparsity_rule", str, default="polynomial", help="how k is derived from p"),
-    Opt("poly_exponent", float, default=0.5, help="k = ceil(p^c) for the polynomial rule"),
-    Opt("linear_alpha", float, default=0.125, help="k = ceil(alpha p) for the linear rule"),
+_K_OPTS = _filling(
+    sweep.SweepConfig,
+    Opt("p_list", int_list, help="ambient dimensions, comma separated"),
+    Opt("sparsity_rule", str, help="how k is derived from p"),
+    Opt("poly_exponent", float, help="k = ceil(p^c) for the polynomial rule"),
+    Opt("linear_alpha", float, help="k = ceil(alpha p) for the linear rule"),
     Opt("k_list", int_list, help="explicit k per p (sparsity_rule=explicit)"),
 )
 
-_SWEEP_OPTS = (
+_SWEEP_OPTS = _filling(
+    sweep.SweepConfig,
     *_K_OPTS,
-    Opt("theta_grid", float_list, required=True, help="control parameter grid, comma separated"),
-    Opt("trials", int, required=True, help="trials per grid point"),
-    Opt("base_seed", int, required=True, help="sweep seed"),
-    Opt("gamma_rule", str, default="log_over_sqrt", help="sparsification schedule"),
+    Opt("theta_grid", float_list, help="control parameter grid, comma separated"),
+    Opt("trials", int, help="trials per grid point"),
+    Opt("base_seed", int, help="sweep seed"),
+    Opt("gamma_rule", str, help="sparsification schedule"),
     Opt("gamma_value", float, help="gamma for gamma_rule=constant"),
-    Opt("lambda_rule", str, default="scaled", help="regularization schedule"),
+    Opt("lambda_rule", str, help="regularization schedule"),
     Opt("lambda_value", float, help="lambda for lambda_rule=constant"),
-    Opt("sigma2", float, default=0.0625, help="noise variance"),
-    Opt("beta_min", float, default=1.0, help="support magnitude"),
-    Opt("mode", str, default="witness", help="trial evaluation mode"),
-    Opt("convention", str, default="rescaled", help="matrix ensemble convention"),
-    Opt("keep_trials", boolean, default=False, help="retain per-trial records in the JSON output"),
+    Opt("sigma2", float, help="noise variance"),
+    Opt("beta_min", float, help="support magnitude"),
+    Opt("mode", str, help="trial evaluation mode"),
+    Opt("convention", str, help="matrix ensemble convention"),
+    Opt("keep_trials", boolean, help="retain per-trial records in the JSON output"),
     Opt("out_csv", str, default="sweep.csv", help="aggregate CSV path"),
     Opt("out_json", str, help="JSON mirror path (optional)"),
     Opt("threads", int, default=1, help="worker process cap"),
@@ -143,7 +160,7 @@ def _convert(opt: Opt, raw: str, source: str):
 
 
 def _load_file_section(path: str, sub: str, opts: tuple) -> dict:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None, default_section="")  # values literal, no [DEFAULT]
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -278,6 +295,7 @@ def _cmd_witness(cfg: dict, prov: dict) -> int:
 
 def _cmd_sweep(cfg: dict, prov: dict) -> int:
     scfg = _build(sweep.SweepConfig, cfg)
+    sweep.distinct_paths([cfg["out_csv"], cfg["out_json"]])
     if cfg["dry_run"]:
         points = sweep.grid_points(scfg)
         print("resolved parameters:")

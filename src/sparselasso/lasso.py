@@ -74,7 +74,7 @@ def objective_value(X: MatrixLike, y: np.ndarray, beta: np.ndarray, lam: float) 
     return float(0.5 / n * (r @ r) + lam * np.abs(beta).sum())
 
 
-def kkt_residual(X: MatrixLike, y: np.ndarray, lam: float, beta: np.ndarray, zero_tol: float = 1e-8) -> float:
+def kkt_residual(X: MatrixLike, y: np.ndarray, lam: float, beta: np.ndarray, zero_tol: float = LassoConfig.zero_tol) -> float:
     """Worst-coordinate violation of the stationarity conditions.
 
     With g = (1/n) X^T (X beta - y), an exact minimizer has
@@ -92,7 +92,7 @@ def kkt_residual(X: MatrixLike, y: np.ndarray, lam: float, beta: np.ndarray, zer
     return float(viol.max()) if viol.size else 0.0
 
 
-def signed_support(beta: np.ndarray, zero_tol: float = 1e-8) -> np.ndarray:
+def signed_support(beta: np.ndarray, zero_tol: float = LassoConfig.zero_tol) -> np.ndarray:
     """Entrywise sign in {-1, 0, +1}, zeroing anything within zero_tol."""
     zero_tol = non_negative("zero_tol", zero_tol)
     beta = np.asarray(beta)

@@ -428,10 +428,23 @@ def dump_json(obj, fh) -> None:
     fh.write("\n")
 
 
+def distinct_paths(paths) -> None:
+    """Raise ParameterError when two of the output paths not None name the
+    same file, so that one output would replace the other."""
+    seen = {}
+    for path in (p for p in paths if p is not None):
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ParameterError(f"output paths {seen[real]} and {path} name the same file")
+        seen[real] = path
+
+
 def write_files(jobs) -> None:
     """Write each (path, write) job to a temporary sibling through
     write(fh), then move all of them into place, so a failure or
-    interrupt leaves any earlier outputs intact and no partial file."""
+    interrupt leaves any earlier outputs intact and no partial file.
+    Paths naming the same file are rejected before anything is written."""
+    distinct_paths([path for path, _ in jobs])
     staged = []
     try:
         for path, write in jobs:

@@ -479,10 +479,68 @@ def test_config_unknown_section(tmp_path, capsys):
     assert "unknown config section [sweeps]" in capsys.readouterr().err
 
 
-def test_missing_required_parameter(capsys):
-    rc = main(["sweep", "--p-list", "32"])
+@pytest.mark.parametrize("value", ["a%b.csv", "run-%(base_seed)s.csv"])
+def test_config_values_are_taken_literally(value, tmp_path, capsys):
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[sweep]\nout_csv = {value}\n")
+    rc = main(["sweep", "--config", str(ini), "--p-list", "32", "--theta-grid", "1.0", "--trials", "1", "--base-seed", "4",
+               "--dry-run"])
+    assert rc == 0
+    assert f"out_csv = {value!r}  [file]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sub, argv", [
+    ("check-conditions", []),
+    ("gen", ["--n", "4", "--p", "4", "--gamma", "1"]),
+], ids=["check-conditions", "gen"])
+def test_config_default_section_is_rejected(sub, argv, tmp_path, capsys):
+    ini = tmp_path / "c.ini"
+    ini.write_text("[DEFAULT]\nseed = 3\n[check-conditions]\np_list = 64\n")
+    rc = main([sub, "--config", str(ini), *argv])
     assert rc == 2
-    assert "missing required parameter 'theta_grid'" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"sparselasso {sub}: error: unknown config section [DEFAULT]; valid sections: {', '.join(cli.SUBCOMMANDS)}\n"
+
+
+def test_sweep_rejects_one_file_for_both_outputs_before_any_trial(tmp_path, monkeypatch, capsys):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sweep, "run_sweep", no_trials)
+    (tmp_path / "X").write_text("earlier output\n")
+    rc = main(_sweep_args(["--out-csv", "X", "--out-json", "./X"]))
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "sparselasso sweep: error: output paths X and ./X name the same file\n"
+    assert [(f.name, f.read_text()) for f in tmp_path.iterdir()] == [("X", "earlier output\n")]
+
+
+# The required parameters of each subcommand, and a value each kind of option converts.
+_REQUIRED = {
+    "gen": ("n", "p", "gamma", "seed"),
+    "solve": ("matrix", "y", "lam"),
+    "witness": ("matrix", "k", "noise_seed", "lam"),
+    "sweep": ("p_list", "theta_grid", "trials", "base_seed"),
+    "bounds": ("seed",),
+    "check-conditions": ("p_list",),
+}
+_SAMPLE = {int: "1", float: "1.0", str: "x", cli.int_list: "32", cli.float_list: "1.0"}
+
+
+@pytest.mark.parametrize("sub, name", [(sub, name) for sub, names in _REQUIRED.items() for name in names],
+                         ids=lambda v: v)
+def test_missing_required_parameter(sub, name, capsys):
+    opts = {o.name: o for o in cli.SUBCOMMANDS[sub][1]}
+    argv = [sub]
+    for given in _REQUIRED[sub]:
+        if given != name:
+            argv += [opts[given].flag, _SAMPLE[opts[given].kind]]
+    rc = main(argv)
+    assert rc == 2
+    assert f"missing required parameter '{name}'" in capsys.readouterr().err
 
 
 def test_missing_config_file(capsys):

@@ -1,14 +1,18 @@
 """Every import a library module binds is used in that module, no
 module reads a private name of another, `__all__` lists exactly what
-`__init__` imports, and only errors.py tests a scalar for finiteness or
-words the message of `one_of`, `read_only_by` or `distinct`."""
+`__init__` imports, only errors.py tests a scalar for finiteness or
+words the message of `one_of`, `read_only_by` or `distinct`, and no CLI
+option that takes its default from a dataclass field also states one."""
 
 import ast
+import dataclasses
+import functools
 import pathlib
 
 import pytest
 
 import sparselasso
+from sparselasso import cli
 
 MODULES = sorted(p for p in pathlib.Path(sparselasso.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -129,3 +133,35 @@ _MESSAGE_CASES = [
 @pytest.mark.parametrize("path, words", _MESSAGE_CASES)
 def test_only_errors_words_the_allowed_values_message(path, words):
     assert _rule_messages(path.read_text(), words) == 0
+
+
+def _dead_literals(source: str, fields_of) -> list:
+    """Each `default=` or `required=` literal of an `Opt(...)` passed to
+    `_filling(cls, ...)` in source whose name is a field of cls, as
+    `<name>.<keyword>`; `_filling` overwrites both. fields_of maps the
+    source text of cls to its field names."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_filling":
+            fields = fields_of(ast.unparse(node.args[0]))
+            for opt in node.args[1:]:
+                if isinstance(opt, ast.Call) and opt.args and isinstance(opt.args[0], ast.Constant) and opt.args[0].value in fields:
+                    found.extend(f"{opt.args[0].value}.{kw.arg}" for kw in opt.keywords if kw.arg in ("default", "required"))
+    return sorted(found)
+
+
+def test_dead_option_literal_is_found():
+    source = (
+        "A = _filling(mod.Spec, Opt('n', int, help='rows'), Opt('p', int, default=3), *B,\n"
+        "             Opt('k', int, required=True), Opt('seed', int, required=True), Opt('out', str, default='x'))\n"
+        "C = (Opt('n', int, default=4),)\n"
+    )
+    fields_of = {"mod.Spec": {"n", "p", "k"}}.__getitem__
+    assert _dead_literals(source, fields_of) == ["k.required", "p.default"]
+
+
+def test_filled_options_state_no_default_of_their_own():
+    def fields_of(expr):
+        return {f.name for f in dataclasses.fields(functools.reduce(getattr, expr.split("."), cli))}
+
+    assert _dead_literals(pathlib.Path(cli.__file__).read_text(), fields_of) == []

@@ -398,6 +398,14 @@ def test_write_outputs_leaves_earlier_files_intact_on_failure(tmp_path, monkeypa
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json"]
 
 
+def test_write_outputs_rejects_one_file_for_both_outputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "X").write_text("earlier output\n")
+    with pytest.raises(ParameterError, match="output paths X and ./X name the same file"):
+        write_outputs(run_sweep(_small_cfg()), "X", "./X")
+    assert [(f.name, f.read_text()) for f in tmp_path.iterdir()] == [("X", "earlier output\n")]
+
+
 CRITERION_2 = dict(
     p_list=(256, 512, 1024),
     theta_grid=(0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0),
