@@ -135,16 +135,15 @@ def sample_matrix(spec: EnsembleSpec, seed: int, value_seed: Optional[int] = Non
     n, p, gamma = spec.n, spec.p, spec.gamma
     flat = rng.kept_entries(pattern_seed, n, p, gamma)
     indptr = np.searchsorted(flat, np.arange(n + 1, dtype=np.int64) * p)
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    indices = np.multiply(rows, p)
-    np.subtract(flat, indices, out=indices)
-    # Entry (i, j)'s value counter is (i << 32) | j; the flat index buffer,
-    # no longer needed, receives the counters.
-    row_words = rows.view(np.uint64)
-    row_words <<= np.uint64(32)
-    counters = np.add(row_words, indices.view(np.uint64), out=flat.view(np.uint64))
-    del rows, row_words
-    values = rng.normals_at(value_seed_eff, counters)
+    # Entry (i, j)'s value counter is (i << 32) | j = i * (2^32 - p) + flat
+    # (p < 2^32); its low word j overwrites the flat index, and its value
+    # overwrites the counter.
+    words = np.repeat(np.arange(n, dtype=np.uint64), np.diff(indptr))
+    words *= np.uint64(2**32 - p)
+    words += flat.view(np.uint64)
+    indices = flat
+    np.bitwise_and(words, np.uint64(0xFFFFFFFF), out=indices.view(np.uint64))
+    values = rng.draw_in_place(value_seed_eff, words, normal=True)
     if spec.convention == "rescaled":
         values *= 1.0 / math.sqrt(gamma)
 

@@ -46,6 +46,10 @@ TAG_THIN = 0x5448494E  # "THIN"
 # output does.
 BLOCK_ENTRIES = 1 << 16
 
+# draw_in_place works DRAW_CHUNK entries at a time, so beyond the buffer it
+# overwrites it holds one chunk-sized (128 KiB) uint64 scratch buffer.
+DRAW_CHUNK = 1 << 14
+
 GENERATOR_NAME = "splitmix64"
 NORMAL_METHOD = "inverse_cdf"
 
@@ -91,9 +95,15 @@ def bits_at(key: int, counters: np.ndarray) -> np.ndarray:
     computed as PHI * c + (key + PHI) into a fresh array; `counters` is
     left untouched.
     """
-    z = np.multiply(np.asarray(counters, dtype=np.uint64), _PHI)
+    return _mix(key, np.asarray(counters, dtype=np.uint64))
+
+
+def _mix(key: int, counters: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """bits_at's words at uint64 `counters`, formed in `out` (a fresh array
+    when None) with `scratch` as the finalizer's scratch buffer."""
+    z = np.multiply(counters, _PHI, out=out)
     z += np.uint64((key + _PHI_INT) & _MASK64)
-    return _finalize(z, np.empty_like(z))
+    return _finalize(z, np.empty_like(z) if scratch is None else scratch)
 
 
 def kept_entries(key: int, n: int, p: int, prob: float) -> np.ndarray:
@@ -127,25 +137,36 @@ def kept_entries(key: int, n: int, p: int, prob: float) -> np.ndarray:
         flat = np.flatnonzero(np.less(_finalize(z, scratch[:size]), threshold, out=below[:size]))
         flat += r0 * p
         kept.append(flat)
+    template = words = scratch = below = z = None  # free the block buffers before concatenating
     return np.concatenate(kept)
+
+
+def draw_in_place(key: int, words: np.ndarray, normal: bool) -> np.ndarray:
+    """Overwrite the C-contiguous uint64 counters `words`, DRAW_CHUNK entries
+    at a time, with the stream `key`'s standard normals (its uniforms unless
+    `normal`) at those counters; returns them as a float64 view of `words`."""
+    flat = words.reshape(-1)
+    scratch = np.empty(min(flat.size, DRAW_CHUNK), dtype=np.uint64)
+    for lo in range(0, flat.size, DRAW_CHUNK):
+        z = flat[lo : lo + DRAW_CHUNK]
+        _mix(key, z, z, scratch[: z.size])
+        z >>= np.uint64(11)
+        u = np.multiply(z, 2.0**-53, out=scratch[: z.size].view(np.float64))
+        u += 2.0**-54
+        np.minimum(u, 1.0 - 2.0**-53, out=u)
+        u[u == 0.5] = 0.5 + 2.0**-53
+        z.view(np.float64)[:] = ndtri(u, out=u) if normal else u
+    return words.view(np.float64)
 
 
 def uniforms_at(key: int, counters: np.ndarray) -> np.ndarray:
     """Uniforms in the open interval (0, 1), never 1/2, at the given counters."""
-    b = bits_at(key, counters)
-    b >>= np.uint64(11)
-    u = b.astype(np.float64)
-    u *= 2.0**-53
-    u += 2.0**-54
-    np.minimum(u, 1.0 - 2.0**-53, out=u)
-    u[u == 0.5] = 0.5 + 2.0**-53
-    return u
+    return draw_in_place(key, np.array(counters, dtype=np.uint64, order="C"), normal=False)
 
 
 def normals_at(key: int, counters: np.ndarray) -> np.ndarray:
     """Standard normals at the given counters (fixed inverse-CDF method)."""
-    u = uniforms_at(key, counters)
-    return ndtri(u, out=u)
+    return draw_in_place(key, np.array(counters, dtype=np.uint64, order="C"), normal=True)
 
 
 def bernoulli_threshold(prob: float) -> int:

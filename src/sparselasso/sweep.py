@@ -19,6 +19,7 @@ import contextlib
 import json
 import math
 import os
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -440,18 +441,24 @@ def distinct_paths(paths) -> None:
 
 
 def write_files(jobs) -> None:
-    """Write each (path, write) job to a temporary sibling through
-    write(fh), then move all of them into place, so a failure or
-    interrupt leaves any earlier outputs intact and no partial file.
+    """Write each (path, write) job to a fresh temporary file in the
+    path's directory through write(fh), then move all of them into place,
+    so a failure or interrupt leaves any earlier outputs intact and no
+    partial file, and no existing file is staged over.  Outputs get the
+    mode a plain open() would give them, 0o666 less the umask.
     Paths naming the same file are rejected before anything is written."""
     distinct_paths([path for path, _ in jobs])
+    umask = os.umask(0)
+    os.umask(umask)
     staged = []
     try:
         for path, write in jobs:
-            tmp = os.fspath(path) + ".tmp"
+            head, tail = os.path.split(os.fspath(path))
             try:
-                with open(tmp, "w") as fh:
-                    staged.append(tmp)
+                fd, tmp = tempfile.mkstemp(prefix=f".{tail}.", suffix=".tmp", dir=head or os.curdir)
+                staged.append(tmp)
+                with open(fd, "w") as fh:
+                    os.fchmod(fd, 0o666 & ~umask)
                     write(fh)
             except OSError as exc:
                 raise DataError(f"cannot write {path}: {exc}") from exc

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from sparselasso import rng
 
@@ -218,7 +219,9 @@ def test_endpoint_words_stay_inside_the_open_interval():
 
 
 def test_only_the_endpoint_words_move():
-    """Every other word near 1/2 and 1 keeps the uniform m * 2^-53 + 2^-54 (rounded to nearest even)."""
+    """Every other word near 1/2 and 1 keeps the uniform m * 2^-53 + 2^-54 (rounded to nearest even),
+    also in arrays that end just before, at and after a draw chunk, and from int64 counters, which
+    are left untouched."""
     key = rng.derive_key(3, rng.TAG_NOISE)
     tops = [2**52 - 2, 2**52 - 1, 2**52, 2**52 + 1, 2**52 + 2, 2**53 - 3, 2**53 - 2, 2**53 - 1, 0, 1]
     words = [(m << 11) | low for m in tops for low in (0, 1, 2**11 - 1)]
@@ -227,3 +230,11 @@ def test_only_the_endpoint_words_move():
     moved = {2**52: 0.5 + 2.0**-53, 2**53 - 1: 1.0 - 2.0**-53}
     expected = [moved.get(w >> 11, (w >> 11) * 2.0**-53 + 2.0**-54) for w in words]
     assert rng.uniforms_at(key, counters).tolist() == expected
+    chunk = rng.DRAW_CHUNK
+    for size in (chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        tiled, want = np.resize(counters, size), np.resize(expected, size)
+        for arr in (tiled, tiled.view(np.int64)):
+            before = arr.copy()
+            assert np.array_equal(rng.uniforms_at(key, arr), want)
+            assert np.array_equal(rng.normals_at(key, arr), ndtri(want))
+            assert arr.dtype == before.dtype and np.array_equal(arr, before)

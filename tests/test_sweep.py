@@ -406,6 +406,26 @@ def test_write_outputs_rejects_one_file_for_both_outputs(tmp_path, monkeypatch):
     assert [(f.name, f.read_text()) for f in tmp_path.iterdir()] == [("X", "earlier output\n")]
 
 
+def test_write_outputs_to_a_path_and_its_tmp_sibling_keeps_both(tmp_path):
+    table = run_sweep(_small_cfg())
+    write_outputs(table, tmp_path / "X.tmp", tmp_path / "X")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["X", "X.tmp"]
+    assert (tmp_path / "X.tmp").read_text() == _csv_of(table)
+    assert json.loads((tmp_path / "X").read_text())["config"]["base_seed"] == 11
+
+
+def test_write_outputs_leaves_a_users_tmp_file_alone_and_keeps_the_open_mode(tmp_path):
+    (tmp_path / "out.csv.tmp").write_text("my own file\n")
+    umask = os.umask(0o027)
+    try:
+        write_outputs(run_sweep(_small_cfg()), tmp_path / "out.csv")
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "out.csv.tmp").read_text() == "my own file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp"]
+    assert (tmp_path / "out.csv").stat().st_mode & 0o777 == 0o640
+
+
 CRITERION_2 = dict(
     p_list=(256, 512, 1024),
     theta_grid=(0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0),
