@@ -18,10 +18,12 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import multiprocessing
+import multiprocessing.connection
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -343,23 +345,97 @@ def _aggregate(cfg: SweepConfig, point: GridPoint, records: list) -> SweepRow:
     return row
 
 
+def _claim_points(cfg: SweepConfig, points: list, order: list, claimed, slots, slot: int, conn) -> None:
+    """Worker body: claim the next point of `order` from the shared counter,
+    record its index in slots[slot] and run its trials, until none is left.
+    Then send one message over conn: (list of (point index, batch), None)
+    when every trial ran, or (exception, traceback text) for the first
+    trial that raised."""
+    done = []
+    try:
+        while True:
+            with claimed.get_lock():
+                i = claimed.value
+                claimed.value += 1
+            if i >= len(order):
+                break
+            slots[slot] = order[i]
+            done.append((order[i], _point_batch((cfg, points[order[i]]))))
+    except Exception as exc:
+        conn.send((exc, traceback.format_exc()))
+    else:
+        conn.send((done, None))
+    finally:
+        conn.close()
+
+
+def _run_forked(cfg: SweepConfig, points: list, workers: int) -> list:
+    """Every point's batch, in grid order, computed by min(workers, len(points))
+    forked processes that claim the points largest first."""
+    # Largest n*p first, so that no large point starts last and leaves one
+    # worker running alone at the end (longest-processing-time-first).
+    order = sorted(range(len(points)), key=lambda i: -points[i].n * points[i].p)
+    claimed = multiprocessing.Value("q", 0)
+    slots = multiprocessing.RawArray("q", [-1] * min(workers, len(points)))
+    procs, conns = [], {}
+    batches = [None] * len(points)
+    try:
+        # Each pipe's write end is closed here before the next worker forks,
+        # so a dead worker's pipe reads as end-of-file.
+        for slot in range(len(slots)):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            conns[reader] = slot
+            with writer:
+                proc = multiprocessing.Process(target=_claim_points, args=(cfg, points, order, claimed, slots, slot, writer))
+                proc.start()
+            procs.append(proc)
+        while conns:
+            for reader in multiprocessing.connection.wait(list(conns)):
+                slot = conns.pop(reader)
+                try:
+                    done, trace = reader.recv()
+                except EOFError:
+                    procs[slot].join()
+                    where = "before claiming a grid point"
+                    if slots[slot] >= 0:
+                        pt = points[slots[slot]]
+                        where = f"grid point p={pt.p}, theta={pt.theta:g}"
+                    raise BrokenProcessPool(f"{where}: worker exited with code {procs[slot].exitcode}") from None
+                finally:
+                    reader.close()
+                if trace is not None:
+                    raise done from RuntimeError(f"raised in a sweep worker:\n{trace}")
+                for idx, batch in done:
+                    batches[idx] = batch
+                procs[slot].join()
+    finally:
+        for reader in conns:
+            reader.close()
+        for proc in procs:
+            if proc.is_alive():
+                proc.kill()
+            proc.join()
+            proc.close()
+    return batches
+
+
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepTable:
-    """Execute the full grid; output is identical for any worker count."""
+    """Execute the full grid; output is identical for any worker count.
+
+    With more than one worker and grid point, min(workers, points) forked
+    processes run the points, largest n*p first.  A trial's exception is
+    re-raised here with its own type, and a worker that dies raises
+    BrokenProcessPool naming the grid point it was running.
+    """
     workers = integer("workers", workers, 1)
     points = grid_points(cfg)
     if workers == 1 or len(points) == 1:
         batches = [_point_batch((cfg, pt)) for pt in points]
     else:
-        batches = []
         # Fork the workers with every OpenBLAS already on one thread, so
         # their pinned trials never call a setter (see the blas module).
-        with blas.single_threaded(), ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
-            try:
-                for batch in pool.map(_point_batch, [(cfg, pt) for pt in points]):
-                    batches.append(batch)
-            except BrokenProcessPool as exc:
-                pt = points[len(batches)]
-                raise BrokenProcessPool(f"grid point p={pt.p}, theta={pt.theta:g}: {exc}") from exc
+        with blas.single_threaded():
+            batches = _run_forked(cfg, points, workers)
 
     rows = [_aggregate(cfg, pt, recs) for pt, recs in zip(points, batches)]
     table = SweepTable(config=cfg, rows=rows)

@@ -62,7 +62,7 @@ def _factor_gram(m: SparseMeasurementMatrix, s: SignalSpec) -> tuple:
     None in its place when that block is numerically singular."""
     if m.spec.p != s.p:
         raise ParameterError(f"matrix has p={m.spec.p} but signal has p={s.p}")
-    Xs = m.dense_columns(np.arange(s.k))
+    Xs = m.to_csr()[:, : s.k].toarray()
     G = Xs.T @ Xs / m.spec.n
     try:
         fac = scipy.linalg.cho_factor(G, lower=True)

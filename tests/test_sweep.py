@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -180,18 +181,41 @@ def test_worker_count_does_not_change_results():
         run_sweep(cfg, workers=0)
 
 
-def test_pool_is_sized_to_the_grid(monkeypatch):
-    sizes = []
+def test_results_do_not_depend_on_worker_count_record_by_record():
+    # the points differ in n*p, so the workers claim them in another order than the grid's
+    cfg = _small_cfg(mode="both", keep_trials=True)
+    points = grid_points(cfg)
+    assert sorted(points, key=lambda pt: -pt.n * pt.p) != points
+    tables = {w: run_sweep(cfg, workers=w) for w in (1, 2, 3, 8)}  # 8 workers for 4 points
+    records = {w: [_fields(r) for r in t.trial_records] for w, t in tables.items()}
+    assert len(records[1]) == len(points) * cfg.trials
+    for w in (2, 3, 8):
+        assert records[w] == records[1]
+        assert _csv_of(tables[w]) == _csv_of(tables[1])
 
-    class RecordingPool(sweep.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+class _PidRecordingProcess(multiprocessing.Process):
+    """A process that records its pid in `started` when it starts."""
+
+    started = []
+
+    def start(self):
+        super().start()
+        self.started.append(self.pid)
+
+
+@pytest.fixture
+def worker_pids(monkeypatch):
+    """The pids of the worker processes started during the test."""
+    _PidRecordingProcess.started = []
+    monkeypatch.setattr(multiprocessing, "Process", _PidRecordingProcess)
+    return _PidRecordingProcess.started
+
+
+def test_pool_is_sized_to_the_grid(worker_pids):
     cfg = _small_cfg(p_list=(32,), trials=1)
     assert _csv_of(run_sweep(cfg, workers=8)) == _csv_of(run_sweep(cfg))
-    assert sizes == [2]
+    assert len(worker_pids) == 2
 
 
 def test_run_trial_matches_sweep_records():
@@ -526,6 +550,59 @@ def _batch_starting_no_threads(args):
 
 def _exit_in_worker(args):
     os._exit(3)
+
+
+class _TrialError(Exception):
+    pass
+
+
+def _sleep_at_theta_1(args):
+    if args[1].theta == 1.0:
+        time.sleep(30)
+    return _real_point_batch(args)
+
+
+def _exit_at_theta_1_5(args):
+    if args[1].theta == 1.5:
+        os._exit(3)
+    return _sleep_at_theta_1(args)
+
+
+def _raise_at_theta_1_5(args):
+    if args[1].theta == 1.5:
+        raise _TrialError("trial failed")
+    return _sleep_at_theta_1(args)
+
+
+_THREE_POINTS = dict(p_list=(32,), theta_grid=(0.5, 1.0, 1.5), trials=2, base_seed=7)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patched batch must be inherited by fork")
+@pytest.mark.parametrize("outcome", ["success", "trial raises", "worker exits"])
+def test_no_worker_outlives_the_sweep(outcome, caller_blas, worker_pids, monkeypatch):
+    counts = tuple(max(2, c) for c in caller_blas)
+    blas.set_thread_counts(counts)
+    cfg = _small_cfg(**_THREE_POINTS)
+    started = time.monotonic()
+    if outcome == "success":
+        assert _csv_of(run_sweep(cfg, workers=2)) == _csv_of(run_sweep(cfg))
+    elif outcome == "trial raises":
+        monkeypatch.setattr(sweep, "_point_batch", _raise_at_theta_1_5)
+        with pytest.raises(_TrialError, match="trial failed"):
+            run_sweep(cfg, workers=2)
+    else:
+        monkeypatch.setattr(sweep, "_point_batch", _exit_at_theta_1_5)
+        # named by the point the worker died at, not by the first grid point still missing
+        with pytest.raises(BrokenProcessPool, match=r"^grid point p=32, theta=1\.5: worker exited with code 3$"):
+            run_sweep(cfg, workers=2)
+    # the worker sleeping at theta=1.0 was killed, not waited for
+    assert time.monotonic() - started < 20
+    assert len(worker_pids) == 2
+    assert multiprocessing.active_children() == []
+    for pid in worker_pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    assert blas.thread_counts() == counts
 
 
 @pytest.mark.skipif(
