@@ -9,7 +9,14 @@ cover a dense matrix (gamma = 1) and rows longer than
 `rng.BLOCK_ENTRIES`, where the pattern is hashed one row per block.
 Any rewrite of the sampler must reproduce the file unchanged.
 
-Regenerate (only on a commit whose sampler output is known good) with
+`golden/witness_fingerprint.json` holds the primal-dual witness of the
+same instances: the SHA-256 of u, va and vb, `invertible` and the
+`repr` of the three margins.  Grid points take the signal, noise and
+lambda a sweep gives them; the two extra shapes take k = SHAPE_K,
+unit-variance noise and lambda = SHAPE_LAM.  Any rewrite of the sampler
+or the witness must reproduce it unchanged.
+
+Regenerate both (only on a commit whose outputs are known good) with
 
     PYTHONPATH=src python tests/test_grid_fingerprint.py --record
 """
@@ -21,10 +28,11 @@ import sys
 
 import pytest
 
-from sparselasso import EnsembleSpec, SweepConfig, grid_points, noise_vector, rng, sample_matrix
+from sparselasso import EnsembleSpec, SignalSpec, SweepConfig, build, grid_points, noise_vector, rng, sample_matrix
 from sparselasso.sweep import trial_seed
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "grid_fingerprint.json"
+WITNESS_GOLDEN = GOLDEN.with_name("witness_fingerprint.json")
 
 BASE_SEED = 0
 THETA_GRID = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0)
@@ -40,6 +48,8 @@ SHAPES = {
     "gamma_1_n90_p300": (dict(n=90, p=300, gamma=1.0), 5),
     "wide_n5_p70001": (dict(n=5, p=70_001, gamma=0.02), 6),
 }
+SHAPE_K = 1
+SHAPE_LAM = 0.5
 
 
 def _digests(**arrays) -> dict:
@@ -50,18 +60,36 @@ def _matrix_digests(m, w) -> dict:
     return _digests(indptr=m.indptr, indices=m.indices, values=m.values, noise=w)
 
 
-def fingerprints() -> dict:
-    out = {}
+def instances():
+    """(name, spec, seed, signal, noise, lambda) of every fingerprinted instance."""
     for grid, fields in GRIDS.items():
         cfg = SweepConfig(base_seed=BASE_SEED, **fields)
         for pt in grid_points(cfg):
             seed = trial_seed(cfg.base_seed, pt.p_idx, pt.theta_idx, 0)
-            m = sample_matrix(pt.spec, seed)
-            out[f"{grid}_p{pt.p}_theta{pt.theta}"] = _matrix_digests(m, noise_vector(pt.n, cfg.sigma2, seed))
+            sig = SignalSpec(p=pt.p, k=pt.k, beta_min=cfg.beta_min)
+            yield f"{grid}_p{pt.p}_theta{pt.theta}", pt.spec, seed, sig, noise_vector(pt.n, cfg.sigma2, seed), pt.lam
     for name, (fields, seed) in SHAPES.items():
-        m = sample_matrix(EnsembleSpec(**fields), seed)
-        out[name] = _matrix_digests(m, noise_vector(m.spec.n, 1.0, seed))
+        spec = EnsembleSpec(**fields)
+        yield name, spec, seed, SignalSpec(p=spec.p, k=SHAPE_K), noise_vector(spec.n, 1.0, seed), SHAPE_LAM
+
+
+def fingerprints() -> dict:
+    return {name: _matrix_digests(sample_matrix(spec, seed), w) for name, spec, seed, _, w, _ in instances()}
+
+
+def witness_fingerprint(rep) -> dict:
+    out = {"invertible": rep.invertible, "margins": None, "u": None, "va": None, "vb": None}
+    if rep.invertible:
+        out.update(_digests(u=rep.u, va=rep.va, vb=rep.vb))
+        out["margins"] = {name: repr(v) for name, v in rep.margins._asdict().items()}
     return out
+
+
+def witness_fingerprints() -> dict:
+    return {
+        name: witness_fingerprint(build(sample_matrix(spec, seed), sig, w, lam))
+        for name, spec, seed, sig, w, lam in instances()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -85,5 +113,13 @@ def test_every_grid_point_matches_recorded_bytes(recorded, computed):
     assert mismatched == []
 
 
+def test_every_instance_matches_recorded_witness():
+    recorded = json.loads(WITNESS_GOLDEN.read_text())
+    computed = witness_fingerprints()
+    assert sorted(computed) == sorted(recorded)
+    assert sorted(name for name in recorded if computed[name] != recorded[name]) == []
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     GOLDEN.write_text(json.dumps(fingerprints(), indent=1, sort_keys=True) + "\n")
+    WITNESS_GOLDEN.write_text(json.dumps(witness_fingerprints(), indent=1, sort_keys=True) + "\n")
