@@ -9,8 +9,8 @@ depend on the thread count and not only on its seeds.  `single_threaded`
 pins every loaded OpenBLAS to one thread for the duration of a block.
 
 It decorates each function whose results come from dense BLAS/LAPACK:
-`witness.build`, `witness.h_vector`, `lasso.solve` and
-`theory.singular_extremes`.  Sweeps, the CLI and direct calls all reach
+`witness.build`, `witness.build_sampled`, `witness.h_vector`,
+`lasso.solve` and `theory.singular_extremes`.  Sweeps, the CLI and direct calls all reach
 the dense algebra through these, so they compute the same floats
 whatever thread count the caller has set.
 

@@ -13,7 +13,9 @@ rescaled matrix multiplies those values by 1/sqrt(gamma).
 
 Matrices are stored row-compressed (CSR triple); dense consumers read
 through `to_csr()` / `dense_columns()`; nothing densifies the full
-matrix.
+matrix.  A consumer that needs only some columns reads them as row
+slabs: `row_blocks` cuts them from a matrix, and `sample_blocks` draws
+the same slabs' entries without sampling the other columns.
 """
 
 from __future__ import annotations
@@ -90,6 +92,21 @@ class SparseMeasurementMatrix:
             )
         return self._csr
 
+    def row_blocks(self, j0: int, j1: int):
+        """Yield its entries in the columns [j0, j1) as row slabs
+        (r0, indptr, indices, values), in row order, of as many rows as
+        hold rng.DRAW_CHUNK stored entries on average: the entries of row
+        r0 + r are indices[indptr[r]:indptr[r + 1]] (ascending) and the
+        matching values."""
+        n = self.spec.n
+        rows_per_block = max(1, rng.DRAW_CHUNK * n // max(self.nnz, 1))
+        for r0 in range(0, n, rows_per_block):
+            r1 = min(n, r0 + rows_per_block)
+            lo, hi = self.indptr[r0], self.indptr[r1]
+            cols = self.indices[lo:hi]
+            kept = np.flatnonzero((cols >= j0) & (cols < j1))
+            yield r0, np.searchsorted(kept, self.indptr[r0 : r1 + 1] - lo), cols[kept], self.values[lo:hi][kept]
+
     def dense_columns(self, cols) -> np.ndarray:
         """Dense n x len(cols) block of the requested columns."""
         cols = np.asarray(cols)
@@ -132,20 +149,10 @@ def sample_matrix(spec: EnsembleSpec, seed: int, value_seed: Optional[int] = Non
     pattern_seed = rng.derive_key(seed, rng.TAG_PATTERN)
     value_seed_eff = rng.derive_key(value_seed, rng.TAG_VALUE)
 
-    n, p, gamma = spec.n, spec.p, spec.gamma
-    flat = rng.kept_entries(pattern_seed, n, p, gamma)
-    indptr = np.searchsorted(flat, np.arange(n + 1, dtype=np.int64) * p)
-    # Entry (i, j)'s value counter is (i << 32) | j = i * (2^32 - p) + flat
-    # (p < 2^32); its low word j overwrites the flat index, and its value
-    # overwrites the counter.
-    words = np.repeat(np.arange(n, dtype=np.uint64), np.diff(indptr))
-    words *= np.uint64(2**32 - p)
-    words += flat.view(np.uint64)
-    indices = flat
-    np.bitwise_and(words, np.uint64(0xFFFFFFFF), out=indices.view(np.uint64))
-    values = rng.draw_in_place(value_seed_eff, words, normal=True)
-    if spec.convention == "rescaled":
-        values *= 1.0 / math.sqrt(gamma)
+    n, p = spec.n, spec.p
+    indices = rng.kept_entries(pattern_seed, n, p, spec.gamma)
+    indptr = np.searchsorted(indices, np.arange(n + 1, dtype=np.int64) * p)
+    values = _entry_values(spec, value_seed_eff, indptr, indices, 0, 0, p)
 
     info = SeedInfo(
         seed=seed,
@@ -153,6 +160,48 @@ def sample_matrix(spec: EnsembleSpec, seed: int, value_seed: Optional[int] = Non
         value_seed=value_seed_eff,
     )
     return SparseMeasurementMatrix(spec=spec, indptr=indptr, indices=indices, values=values, seed_info=info)
+
+
+def sample_blocks(spec: EnsembleSpec, seed: int, j0: int, j1: int):
+    """Yield the entries of sample_matrix(spec, seed) in the columns [j0, j1)
+    as row slabs (r0, indptr, indices, values), in row order, as
+    SparseMeasurementMatrix.row_blocks cuts them, but without sampling the
+    other columns or holding more than one slab.  A slab gathers the rows
+    of consecutive hash blocks of rng.kept_blocks until it keeps at least
+    rng.DRAW_CHUNK entries, so that its values are drawn in whole chunks."""
+    seed = integer("seed", seed)
+    value_key = rng.derive_key(seed, rng.TAG_VALUE)
+    q = j1 - j0
+    s0, parts, size = 0, [], 0
+    for r0, r1, flat in rng.kept_blocks(rng.derive_key(seed, rng.TAG_PATTERN), spec.n, j0, j1, spec.gamma):
+        flat += (r0 - s0) * q
+        parts.append(flat)
+        size += flat.size
+        if size >= rng.DRAW_CHUNK or r1 == spec.n:
+            flat = np.concatenate(parts)
+            indptr = np.searchsorted(flat, np.arange(r1 - s0 + 1, dtype=np.int64) * q)
+            yield s0, indptr, flat, _entry_values(spec, value_key, indptr, flat, s0, j0, q)
+            s0, parts, size = r1, [], 0
+
+
+def _entry_values(spec: EnsembleSpec, value_key: int, indptr: np.ndarray, flat: np.ndarray, r0: int, j0: int, q: int) -> np.ndarray:
+    """Values of the kept entries (i, j) of the rows [r0, r0 + indptr.size - 1)
+    and the columns [j0, j0 + q), under spec's convention.  `flat` holds
+    their ascending int64 indices (i - r0) * q + (j - j0), and row r0 + r's
+    run in it is flat[indptr[r]:indptr[r + 1]].  flat is overwritten with
+    the column indices j."""
+    # Entry (i, j)'s value counter is (i << 32) | j = i * (2^32 - q)
+    # + r0 * q + j0 + flat (j < 2^32), a per-row base plus its flat index;
+    # its low word j overwrites the flat index, and its value overwrites
+    # the counter.
+    rows = np.arange(r0, r0 + indptr.size - 1, dtype=np.uint64)
+    words = (rows * np.uint64(2**32 - q) + np.uint64(r0 * q + j0)).repeat(np.diff(indptr))
+    words += flat.view(np.uint64)
+    np.bitwise_and(words, np.uint64(0xFFFFFFFF), out=flat.view(np.uint64))
+    values = rng.draw_in_place(value_key, words, normal=True)
+    if spec.convention == "rescaled":
+        values *= 1.0 / math.sqrt(spec.gamma)
+    return values
 
 
 @dataclass(frozen=True)

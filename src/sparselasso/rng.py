@@ -38,12 +38,12 @@ TAG_SIGNS = 0x5349474E53  # "SIGNS"
 TAG_TRIAL = 0x545249414C  # "TRIAL"
 TAG_THIN = 0x5448494E  # "THIN"
 
-# kept_entries hashes the grid in row blocks of max(1, BLOCK_ENTRIES // p)
-# rows, so its three reused uint64 buffers and its bool mask hold at most
-# max(BLOCK_ENTRIES, p) entries each: 25 * max(2^16, p) bytes, a
-# cache-sized ~1.6 MB while p <= 2^16, but a whole row beyond that.  The
-# kept indices, and the values drawn for them, grow with nnz, as the
-# output does.
+# kept_blocks hashes an n x q column range in row blocks of
+# max(1, BLOCK_ENTRIES // q) rows, so its one (3, block) uint64 array (the
+# pre-mixed template, the words and the finalizer's scratch) and its bool
+# mask hold at most max(BLOCK_ENTRIES, q) entries each: 25 * max(2^16, q)
+# bytes, a cache-sized ~1.6 MB while q <= 2^16, but a whole row beyond
+# that.  Only the kept indices of one block are handed out at a time.
 BLOCK_ENTRIES = 1 << 16
 
 # draw_in_place works DRAW_CHUNK entries at a time, so beyond the buffer it
@@ -106,38 +106,53 @@ def _mix(key: int, counters: np.ndarray, out: np.ndarray | None = None, scratch:
     return _finalize(z, np.empty_like(z) if scratch is None else scratch)
 
 
-def kept_entries(key: int, n: int, p: int, prob: float) -> np.ndarray:
-    """Ascending flat indices i * p + j of the n x p grid entries (p < 2^32)
-    kept with probability `prob`: those whose word bits_at(key, (i << 32) | j)
-    is below bernoulli_threshold(prob).  prob == 1 keeps every entry unhashed.
+def kept_blocks(key: int, n: int, j0: int, j1: int, prob: float):
+    """Yield (r0, r1, flat) for each block of rows [r0, r1) of the column
+    range [j0, j1) (j1 < 2^32) of the n-row grid, in row order: flat holds the
+    ascending indices (i - r0) * q + (j - j0), q = j1 - j0, of the block's
+    entries (i, j) kept with probability `prob`, those whose word
+    bits_at(key, (i << 32) | j) is below bernoulli_threshold(prob).
+    prob == 1 keeps every entry unhashed.
 
-    The grid is hashed in blocks of rows_per_block = max(1, BLOCK_ENTRIES // p)
-    rows.  As j < 2^32 the packed counter is a sum, so the pre-mix word
-    key + PHI * (counter + 1) of entry (i, j) in block b equals the word of
-    entry (i - b * rows_per_block, j) in block 0 plus
-    b * PHI * (rows_per_block << 32).  Block 0's words are computed once as a
-    template; each block is then one scalar add of the template into a reused
-    buffer, mixed and compared in place.
+    Blocks hold rows_per_block = max(1, BLOCK_ENTRIES // q) rows.  As j < 2^32
+    the packed counter is a sum, so the pre-mix word key + PHI * (counter + 1)
+    of entry (i, j) in block b equals the word of entry (i - b * rows_per_block,
+    j) in block 0 plus b * PHI * (rows_per_block << 32).  Block 0's words are
+    computed once as a template; each block is then one scalar add of the
+    template into a reused buffer, mixed and compared in place.
     """
+    q = j1 - j0
+    rows_per_block = max(1, BLOCK_ENTRIES // max(q, 1))
     if prob == 1.0:
-        return np.arange(n * p, dtype=np.int64)
+        for r0 in range(0, n, rows_per_block):
+            r1 = min(n, r0 + rows_per_block)
+            yield r0, r1, np.arange((r1 - r0) * q, dtype=np.int64)
+        return
     threshold = np.uint64(bernoulli_threshold(prob))
-    rows_per_block = max(1, BLOCK_ENTRIES // max(p, 1))
     rows = np.arange(min(n, rows_per_block), dtype=np.uint64)
-    row_words = ((rows << np.uint64(32)) + np.uint64(1)) * _PHI + np.uint64(key)
-    template = (row_words[:, None] + np.arange(p, dtype=np.uint64) * _PHI).ravel()
-    words = np.empty_like(template)
-    scratch = np.empty_like(template)
+    buffers = np.empty((3, rows.size * q), dtype=np.uint64)
+    template, words, scratch = buffers
+    row_words = ((rows << np.uint64(32)) + np.uint64(j0 + 1)) * _PHI + np.uint64(key)
+    np.add(row_words[:, None], np.arange(q, dtype=np.uint64) * _PHI, out=template.reshape(rows.size, q))
     below = np.empty(template.shape, dtype=bool)
     block_step = (_PHI_INT * (rows_per_block << 32)) & _MASK64
-    kept = []
     for b, r0 in enumerate(range(0, n, rows_per_block)):
-        size = (min(n, r0 + rows_per_block) - r0) * p
+        r1 = min(n, r0 + rows_per_block)
+        size = (r1 - r0) * q
         z = np.add(template[:size], np.uint64(b * block_step & _MASK64), out=words[:size])
-        flat = np.flatnonzero(np.less(_finalize(z, scratch[:size]), threshold, out=below[:size]))
+        yield r0, r1, np.flatnonzero(np.less(_finalize(z, scratch[:size]), threshold, out=below[:size]))
+
+
+def kept_entries(key: int, n: int, p: int, prob: float) -> np.ndarray:
+    """Ascending flat indices i * p + j of the n x p grid entries (p < 2^32)
+    kept by kept_blocks over the whole column range [0, p).  Besides
+    kept_blocks' buffers, which are freed before the concatenation, it
+    holds every block's kept indices: 8 bytes per kept entry, as the
+    output does."""
+    kept = []
+    for r0, _, flat in kept_blocks(key, n, 0, p, prob):
         flat += r0 * p
         kept.append(flat)
-    template = words = scratch = below = z = None  # free the block buffers before concatenating
     return np.concatenate(kept)
 
 
@@ -173,7 +188,7 @@ def bernoulli_threshold(prob: float) -> int:
     """uint64 threshold t such that (bits < t) has probability `prob`.
 
     prob must be in [0, 1): no uint64 threshold passes every word, so
-    kept_entries keeps every entry for prob == 1 without hashing.  The
+    kept_blocks keeps every entry for prob == 1 without hashing.  The
     product prob * 2^64 is an exact float scaling of the 53-bit mantissa,
     so the threshold is platform-independent.
     """

@@ -252,14 +252,19 @@ def trial_seed(base_seed: int, p_idx: int, theta_idx: int, trial_index: int) -> 
 def _execute(cfg: SweepConfig, point: GridPoint, trial_index: int) -> TrialRecord:
     t0 = time.perf_counter()
     seed = trial_seed(cfg.base_seed, point.p_idx, point.theta_idx, trial_index)
-    m = ensemble.sample_matrix(point.spec, seed)
+    # The witness alone never needs the whole matrix: build_sampled draws it
+    # column range by column range.
+    m = None if cfg.mode == "witness" else ensemble.sample_matrix(point.spec, seed)
     w = ensemble.noise_vector(point.n, cfg.sigma2, seed)
     sig = ensemble.SignalSpec(p=point.p, k=point.k, beta_min=cfg.beta_min)
 
     witness_success = full_success = agreement = None
     dual_ratio = u_ratio = invertible = None
     if cfg.mode in ("witness", "both"):
-        rep = witness.build(m, sig, w, point.lam)
+        if m is None:
+            rep = witness.build_sampled(point.spec, seed, sig, w, point.lam)
+        else:
+            rep = witness.build(m, sig, w, point.lam)
         invertible = rep.invertible
         witness_success = bool(rep.success)
         if rep.invertible:

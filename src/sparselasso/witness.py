@@ -20,6 +20,7 @@ margin lower-bounds the sign margin.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
@@ -27,7 +28,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .ensemble import SignalSpec, SparseMeasurementMatrix, signal_signs
+from .ensemble import EnsembleSpec, SignalSpec, SparseMeasurementMatrix, sample_blocks, signal_signs
 from .errors import ParameterError, integer, positive, unit_interval, vector
 from . import blas, rng
 
@@ -57,19 +58,41 @@ class WitnessReport:
     margins: Optional[Margins] = None
 
 
-def _factor_gram(m: SparseMeasurementMatrix, s: SignalSpec) -> tuple:
-    """The support columns X_S and the Cholesky factor of X_S^T X_S / n, or
-    None in its place when that block is numerically singular."""
-    if m.spec.p != s.p:
-        raise ParameterError(f"matrix has p={m.spec.p} but signal has p={s.p}")
-    Xs = m.to_csr()[:, : s.k].toarray()
-    G = Xs.T @ Xs / m.spec.n
+def _factor_gram(Xs: np.ndarray):
+    """The Cholesky factor of X_S^T X_S / n for the n x k support columns Xs,
+    or None when that block is numerically singular."""
+    G = Xs.T @ Xs / Xs.shape[0]
     try:
         fac = scipy.linalg.cho_factor(G, lower=True)
     except scipy.linalg.LinAlgError:
-        return Xs, None
+        return None
     singular = float(np.diagonal(fac[0]).min()) ** 2 <= _SINGULAR_REL * float(G.diagonal().max())
-    return Xs, None if singular else fac
+    return None if singular else fac
+
+
+def _support(n: int, p: int, blocks, s: SignalSpec) -> tuple:
+    """The dense support columns X_S, from the row slabs blocks(0, k) of a
+    matrix with n rows and p columns, and their _factor_gram."""
+    if p != s.p:
+        raise ParameterError(f"matrix has p={p} but signal has p={s.p}")
+    Xs = np.zeros((n, s.k))
+    for r0, indptr, cols, values in blocks(0, s.k):
+        Xs[np.repeat(np.arange(r0, r0 + indptr.size - 1), np.diff(indptr)), cols] = values
+    return Xs, _factor_gram(Xs)
+
+
+def _off_support_products(blocks, k: int, p: int, *zs: np.ndarray) -> np.ndarray:
+    """(X^T z)[k:] for each n-vector z, one row each, from the row slabs
+    blocks(k, p).  Each column's sum runs over its entries in row order,
+    one multiply and one add at a time, as scipy's sparse X^T z runs it, so
+    the products are the same bit for bit."""
+    out = np.zeros((len(zs), p))
+    for r0, indptr, cols, values in blocks(k, p):
+        counts = np.diff(indptr)
+        for acc, z in zip(out, zs):
+            terms = z[r0 : r0 + counts.size].repeat(counts)
+            np.add.at(acc, cols, np.multiply(values, terms, out=terms))
+    return out[:, k:]
 
 
 def _margins(u: np.ndarray, v: np.ndarray, lam: float, beta_min: float, signs: np.ndarray) -> Margins:
@@ -102,23 +125,37 @@ def check_events(r: WitnessReport, lam: float, beta_min: float) -> Events:
 @blas.single_threaded()
 def build(m: SparseMeasurementMatrix, s: SignalSpec, w: np.ndarray, lam: float) -> WitnessReport:
     """Construct the witness for one realized instance."""
+    return _build(m.spec.n, m.spec.p, m.row_blocks, s, w, lam)
+
+
+@blas.single_threaded()
+def build_sampled(spec: EnsembleSpec, seed: int, s: SignalSpec, w: np.ndarray, lam: float) -> WitnessReport:
+    """build(sample_matrix(spec, seed), s, w, lam), bit for bit, from the
+    matrix's entries drawn slab by slab (ensemble.sample_blocks): the
+    support columns into X_S, then the off-support ones into the two
+    products, so that the matrix itself is never held."""
+    return _build(spec.n, spec.p, functools.partial(sample_blocks, spec, seed), s, w, lam)
+
+
+def _build(n: int, p: int, blocks, s: SignalSpec, w: np.ndarray, lam: float) -> WitnessReport:
+    """The witness of an n x p matrix whose entries in the columns [j0, j1)
+    blocks(j0, j1) yields as row slabs (r0, indptr, indices, values)."""
     positive("lam", lam)
-    n, k = m.spec.n, s.k
+    k = s.k
     w = vector("w", w, "n", n)
     signs = signal_signs(s)
 
-    Xs, fac = _factor_gram(m, s)
+    Xs, fac = _support(n, p, blocks, s)
     if fac is None:
         return WitnessReport(invertible=False, k=k, lam=lam, success=False)
 
     xtw = Xs.T @ w / n
     u = scipy.linalg.cho_solve(fac, xtw - lam * signs)
 
-    XT = m.to_csr().T
     hs = Xs @ scipy.linalg.cho_solve(fac, signs)
-    va = lam * (XT @ hs)[k:] / n
     g = (w - Xs @ scipy.linalg.cho_solve(fac, xtw)) / n
-    vb = (XT @ g)[k:]
+    xh, vb = _off_support_products(blocks, k, p, hs, g)
+    va = lam * xh / n
 
     margins = _margins(u, va + vb, lam, s.beta_min, signs)
     events = _events(margins)
@@ -150,7 +187,7 @@ def h_vector(m: SparseMeasurementMatrix, s: SignalSpec) -> HVector:
     lam * X_j^T h, so ||h||^2 controls how much any single column can
     contribute.
     """
-    Xs, fac = _factor_gram(m, s)
+    Xs, fac = _support(m.spec.n, m.spec.p, m.row_blocks, s)
     if fac is None:
         raise ParameterError("support gram block is singular")
     h = Xs @ scipy.linalg.cho_solve(fac, np.ones(s.k)) / m.spec.n

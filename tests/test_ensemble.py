@@ -15,14 +15,18 @@ from sparselasso import (
     EnsembleSpec,
     ParameterError,
     SignalSpec,
+    SweepConfig,
     make_signal,
     observe,
     read_matrix,
+    run_trial,
     sample_matrix,
     signal_signs,
     singular_extremes,
     write_matrix,
 )
+
+from sparselasso import ensemble
 
 from oracles import sample_matrix_unblocked
 
@@ -286,3 +290,32 @@ def test_sampling_holds_little_beyond_the_matrix():
         if not tracing:
             tracemalloc.stop()
     assert peak <= 16 * m.nnz + 2 * 2**20, (peak, m.nnz)
+
+
+def test_witness_trial_holds_little_beyond_the_support_block(monkeypatch):
+    """A witness-mode trial never builds the matrix.  At the largest
+    criterion-2 point its traced peak is the dense support block X_S
+    (8 n k bytes) plus at most 4 MiB of hash-block buffers and slabs; the
+    matrix alone would hold 16 bytes for each of its ~406k entries."""
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a witness-mode trial built the matrix")
+
+    monkeypatch.setattr(ensemble, "sample_matrix", no_matrix)
+    monkeypatch.setattr(ensemble.SparseMeasurementMatrix, "to_csr", no_matrix)
+    cfg = SweepConfig(
+        p_list=(256, 512, 1024), theta_grid=(1.0, 2.0), trials=1, base_seed=1002,
+        sparsity_rule="linear", linear_alpha=0.125,
+    )
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rec = run_trial(cfg, 1024, 2.0, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert (rec.n, rec.k, rec.invertible) == (3481, 128, True)
+    assert peak <= 8 * rec.n * rec.k + 4 * 2**20, peak

@@ -13,8 +13,10 @@ Any rewrite of the sampler must reproduce the file unchanged.
 same instances: the SHA-256 of u, va and vb, `invertible` and the
 `repr` of the three margins.  Grid points take the signal, noise and
 lambda a sweep gives them; the two extra shapes take k = SHAPE_K,
-unit-variance noise and lambda = SHAPE_LAM.  Any rewrite of the sampler
-or the witness must reproduce it unchanged.
+unit-variance noise and lambda = SHAPE_LAM.  Both routes to the witness
+must reproduce it unchanged: `build` on the sampled matrix, and
+`build_sampled`, which a witness-mode sweep runs and which never builds
+the matrix.
 
 Regenerate both (only on a commit whose outputs are known good) with
 
@@ -30,6 +32,7 @@ import pytest
 
 from sparselasso import EnsembleSpec, SignalSpec, SweepConfig, build, grid_points, noise_vector, rng, sample_matrix
 from sparselasso.sweep import trial_seed
+from sparselasso.witness import build_sampled
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "grid_fingerprint.json"
 WITNESS_GOLDEN = GOLDEN.with_name("witness_fingerprint.json")
@@ -85,9 +88,15 @@ def witness_fingerprint(rep) -> dict:
     return out
 
 
-def witness_fingerprints() -> dict:
+ROUTES = {
+    "matrix": lambda spec, seed, sig, w, lam: build(sample_matrix(spec, seed), sig, w, lam),
+    "sampled": build_sampled,
+}
+
+
+def witness_fingerprints(route: str = "matrix") -> dict:
     return {
-        name: witness_fingerprint(build(sample_matrix(spec, seed), sig, w, lam))
+        name: witness_fingerprint(ROUTES[route](spec, seed, sig, w, lam))
         for name, spec, seed, sig, w, lam in instances()
     }
 
@@ -113,9 +122,10 @@ def test_every_grid_point_matches_recorded_bytes(recorded, computed):
     assert mismatched == []
 
 
-def test_every_instance_matches_recorded_witness():
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_instance_matches_recorded_witness(route):
     recorded = json.loads(WITNESS_GOLDEN.read_text())
-    computed = witness_fingerprints()
+    computed = witness_fingerprints(route)
     assert sorted(computed) == sorted(recorded)
     assert sorted(name for name in recorded if computed[name] != recorded[name]) == []
 

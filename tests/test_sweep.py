@@ -293,6 +293,15 @@ def test_mode_both_aggregates():
         assert r.success == r.witness_success
 
 
+def test_both_mode_records_the_witness_of_witness_mode():
+    # witness mode draws the matrix column range by column range, both mode samples it whole
+    witness_fields = ("p", "theta", "trial_index", "seed", "witness_success", "dual_ratio", "u_ratio", "invertible")
+    tables = [run_sweep(_small_cfg(mode=mode, theta_grid=(0.1, 1.0), keep_trials=True)) for mode in ("witness", "both")]
+    records = [[tuple(getattr(r, f) for f in witness_fields) for r in t.trial_records] for t in tables]
+    assert records[0] == records[1]
+    assert {r[-1] for r in records[0]} == {False, True}  # n < k at theta = 0.1: singular blocks
+
+
 def test_mode_full_counts_full_solves():
     table = run_sweep(_small_cfg(mode="full", keep_trials=True))
     for row in table.rows:

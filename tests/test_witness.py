@@ -1,9 +1,13 @@
+import dataclasses
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparselasso import (
     EnsembleSpec,
@@ -24,6 +28,8 @@ from sparselasso import (
     thinned_squared_norm,
 )
 from sparselasso import rng
+from sparselasso.ensemble import sample_blocks
+from sparselasso.witness import build_sampled
 
 from oracles import dual_identity_check
 
@@ -347,3 +353,62 @@ def test_thinned_squared_norm_matches_unblocked_rule(gamma, size):
         bits = rng.bits_at(rng.derive_key(5, rng.TAG_THIN), np.arange(size, dtype=np.uint64))
         kept = h[bits < np.uint64(rng.bernoulli_threshold(gamma))]
     assert thinned_squared_norm(h, gamma, seed=5) == float(kept @ kept)
+
+
+def _slab_entries(slabs):
+    """(rows, cols, values) of row slabs (r0, indptr, indices, values), concatenated."""
+    rows, cols, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for r0, indptr, indices, vals in slabs:
+        rows.append(r0 + np.repeat(np.arange(indptr.size - 1), np.diff(indptr)))
+        cols.append(indices)
+        values.append(vals)
+    return tuple(np.concatenate(a) for a in (rows, cols, values))
+
+
+def _same_bytes(a, b):
+    return np.asarray(a).dtype == np.asarray(b).dtype and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@st.composite
+def _shapes(draw):
+    """(n, p, k, j0, j1): k <= p/2, possibly above n, and a column range [j0, j1)."""
+    n, p = draw(st.integers(1, 40)), draw(st.integers(2, 60))
+    j0 = draw(st.integers(0, p - 1))
+    return n, p, draw(st.integers(1, p // 2)), j0, draw(st.integers(j0 + 1, p))
+
+
+@settings(max_examples=80, deadline=None)
+@example(shape=(3, 12, 6, 2, 9), gamma=0.7, convention="rescaled", seed=4, block_entries=5, draw_chunk=3)  # n < k
+@example(shape=(4, 70_001, 2, 1, 70_001), gamma=1.0, convention="standard", seed=2, block_entries=2**16, draw_chunk=2**14)
+@given(
+    shape=_shapes(),
+    gamma=st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.just(1.0)),
+    convention=st.sampled_from(["standard", "rescaled"]),
+    seed=st.integers(0, 2**64 - 1),
+    block_entries=st.integers(1, 300),
+    draw_chunk=st.integers(1, 60),
+)
+def test_build_sampled_equals_build_on_the_sampled_matrix(shape, gamma, convention, seed, block_entries, draw_chunk):
+    """Hash blocks of one row or many, a partial last block, slabs of one
+    hash block or several, rows longer than a block at the real sizes,
+    n < k (a singular support block) and gamma = 1 all give the matrix
+    route's report, bit for bit, and sample_blocks gives the matrix's own
+    entries of any column range."""
+    n, p, k, j0, j1 = shape
+    spec = EnsembleSpec(n=n, p=p, gamma=gamma, convention=convention)
+    sig = SignalSpec(p=p, k=k, sign_pattern="alternating")
+    w = noise_vector(n, 0.25, seed)
+    with mock.patch.object(rng, "BLOCK_ENTRIES", block_entries), mock.patch.object(rng, "DRAW_CHUNK", draw_chunk):
+        m = sample_matrix(spec, seed)
+        want = build(m, sig, w, 0.3)
+        got = build_sampled(spec, seed, sig, w, 0.3)
+        sampled, cut = _slab_entries(sample_blocks(spec, seed, j0, j1)), _slab_entries(m.row_blocks(j0, j1))
+    rows = np.repeat(np.arange(n), np.diff(m.indptr))
+    keep = (m.indices >= j0) & (m.indices < j1)
+    for a, b, c in zip(sampled, cut, (rows[keep], m.indices[keep], m.values[keep])):
+        assert _same_bytes(a, b) and _same_bytes(a, c)
+    for f in dataclasses.fields(WitnessReport):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a is None and b is None) or (isinstance(a, np.ndarray) and _same_bytes(a, b)) or a == b, f.name
+    if n < k:
+        assert not got.invertible
