@@ -17,7 +17,10 @@ whatever thread count the caller has set.
 The libraries are found once per process from the memory map (Linux
 only) and driven through their exported getter and setter via ctypes,
 so no third-party package or environment variable is involved.  Where
-nothing is found every function here is a no-op.
+nothing is found every function here is a no-op.  `core_names` reads
+which kernel set each copy picked for the CPU at load time: the thread
+count is pinned, the kernel is not, and the witness's floats differ
+between kernels in the last digits.
 
 Forked processes.  OpenBLAS shuts its thread pool down before a fork and
 rebuilds it in the child on the child's first setter call, whatever
@@ -33,6 +36,13 @@ rules keep that from happening:
   nothing and no pool thread is ever started in them.
 
 The README has the measured effect of both rules.
+
+Open: the caller's own pools.  The fork shuts the caller's pools down
+too, and when `run_sweep` returns, `single_threaded` restores the
+caller's counts, so each setter call rebuilds a pool whose threads then
+busy-wait.  After a 2-worker witness-mode sweep with both copies at 2
+threads, the caller burned 0.25-0.27 s of CPU in a 0.5 s sleep; after a
+serial sweep, none.
 """
 
 from __future__ import annotations
@@ -50,34 +60,70 @@ _SYMBOLS = (
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 
+# The kernel-name getter of each of the same three builds.
+_CORE_NAME_SYMBOLS = (
+    ("scipy_openblas_get_corename64_",),
+    ("scipy_openblas_get_corename",),
+    ("openblas_get_corename",),
+)
 
-def _bind(path: str):
-    """(getter, setter) of the OpenBLAS at `path`, or None if it has neither pattern."""
+
+def _exported(path: str, patterns):
+    """The functions of the first name pattern in `patterns` that the shared
+    object at `path` exports in full, or None if it cannot be loaded or
+    exports none of them."""
     try:
         lib = ctypes.CDLL(path)
     except OSError:
         return None
-    for get_name, set_name in _SYMBOLS:
+    for names in patterns:
         try:
-            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            return tuple(getattr(lib, name) for name in names)
         except AttributeError:
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
     return None
 
 
+def _bind(path: str):
+    """(getter, setter) of the OpenBLAS at `path`, or None if it has neither pattern."""
+    functions = _exported(path, _SYMBOLS)
+    if functions is None:
+        return None
+    get, set_ = functions
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
 @functools.cache
-def _libraries() -> tuple:
-    """(getter, setter) pairs of the OpenBLAS copies mapped into this process."""
+def _paths() -> tuple:
+    """Paths of the OpenBLAS copies mapped into this process, sorted."""
     try:
         with open("/proc/self/maps") as fh:
             fields = [line.split(maxsplit=5) for line in fh]
     except OSError:
         return ()
-    paths = {f[5].rstrip("\n") for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()}
-    return tuple(lib for lib in map(_bind, sorted(paths)) if lib is not None)
+    return tuple(sorted({f[5].rstrip("\n") for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()}))
+
+
+@functools.cache
+def _libraries() -> tuple:
+    """(getter, setter) pairs of the OpenBLAS copies mapped into this process."""
+    return tuple(lib for lib in map(_bind, _paths()) if lib is not None)
+
+
+def core_names() -> tuple:
+    """The kernel set (e.g. 'SkylakeX') that each loaded OpenBLAS picked for
+    this CPU when it was loaded, in discovery order.  Float results of its
+    dense algebra depend on it; the thread count is pinned, the kernel is not."""
+    names = []
+    for path in _paths():
+        functions = _exported(path, _CORE_NAME_SYMBOLS)
+        if functions is not None:
+            (get,) = functions
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            names.append(get().decode())
+    return tuple(names)
 
 
 def thread_counts() -> tuple:

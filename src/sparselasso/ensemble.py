@@ -16,6 +16,8 @@ through `to_csr()` / `dense_columns()`; nothing densifies the full
 matrix.  A consumer that needs only some columns reads them as row
 slabs: `row_blocks` cuts them from a matrix, and `sample_blocks` draws
 the same slabs' entries without sampling the other columns.
+`scipy.sparse` is imported on demand, by the first `to_csr()`: sampling,
+observing and the witness never load it.
 """
 
 from __future__ import annotations
@@ -23,13 +25,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import IO, Optional
+from typing import IO, TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapacityError, DataError, ParameterError, integer, non_negative, one_of, positive, read_only_by, unit_interval, vector
 from . import rng
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 CONVENTIONS = ("standard", "rescaled")
 SIGN_PATTERNS = ("all_plus", "alternating", "seeded_random")
@@ -86,6 +90,8 @@ class SparseMeasurementMatrix:
 
     def to_csr(self) -> sp.csr_matrix:
         if self._csr is None:
+            import scipy.sparse as sp
+
             self._csr = sp.csr_matrix(
                 (self.values, self.indices, self.indptr),
                 shape=(self.spec.n, self.spec.p),
@@ -274,7 +280,11 @@ def observe(m: SparseMeasurementMatrix, beta_star: np.ndarray, sigma2: float, no
     non_negative("sigma2", sigma2)
     variance = sigma2 / m.spec.gamma if m.spec.convention == "rescaled" else sigma2
     w = noise_vector(m.spec.n, variance, noise_seed)
-    y = m.to_csr() @ beta_star + w
+    # X beta* summed along each row in column order from 0.0, as scipy's
+    # CSR matvec sums it, so y is the same bit for bit without scipy.sparse.
+    y = np.zeros(m.spec.n)
+    np.add.at(y, np.repeat(np.arange(m.spec.n), np.diff(m.indptr)), m.values * beta_star[m.indices])
+    y += w
     return ObservationSet(y=y, w=w, noise_variance=variance, noise_seed=noise_seed)
 
 

@@ -9,16 +9,24 @@ reports converged=False rather than raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Protocol, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import blas
 from .ensemble import SparseMeasurementMatrix
 from .errors import finite_array, integer, non_negative, positive, vector
 
-MatrixLike = Union[SparseMeasurementMatrix, sp.spmatrix, np.ndarray]
+
+class SparseMatrix(Protocol):
+    """A scipy.sparse matrix or array, which the solver reads through
+    tocsc(); named by its method so that importing this module does not
+    load scipy.sparse."""
+
+    def tocsc(self): ...
+
+
+MatrixLike = Union[SparseMeasurementMatrix, SparseMatrix, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -49,7 +57,10 @@ def soft_threshold(x, lam: float):
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
 
-def _as_csc(X: MatrixLike) -> sp.csc_matrix:
+def _as_csc(X: MatrixLike):
+    """X as a scipy.sparse CSC matrix."""
+    import scipy.sparse as sp
+
     if isinstance(X, SparseMeasurementMatrix):
         return X.to_csr().tocsc()
     if sp.issparse(X):

@@ -41,10 +41,11 @@ TAG_THIN = 0x5448494E  # "THIN"
 # kept_blocks hashes an n x q column range in row blocks of
 # max(1, BLOCK_ENTRIES // q) rows, so its one (3, block) uint64 array (the
 # pre-mixed template, the words and the finalizer's scratch) and its bool
-# mask hold at most max(BLOCK_ENTRIES, q) entries each: 25 * max(2^16, q)
-# bytes, a cache-sized ~1.6 MB while q <= 2^16, but a whole row beyond
-# that.  Only the kept indices of one block are handed out at a time.
-BLOCK_ENTRIES = 1 << 16
+# mask hold at most max(BLOCK_ENTRIES, q) entries each: 25 * max(2^15, q)
+# bytes, about 0.8 MB while q <= 2^15, but a whole row beyond that.  Only
+# the kept indices of one block are handed out at a time.  2^16 hashed as
+# fast and held twice the memory; 2^17 was slower.
+BLOCK_ENTRIES = 1 << 15
 
 # draw_in_place works DRAW_CHUNK entries at a time, so beyond the buffer it
 # overwrites it holds one chunk-sized (128 KiB) uint64 scratch buffer.

@@ -81,6 +81,23 @@ def _support(n: int, p: int, blocks, s: SignalSpec) -> tuple:
     return Xs, _factor_gram(Xs)
 
 
+def _support_terms(n: int, p: int, blocks, s: SignalSpec, w: np.ndarray, lam: float, signs: np.ndarray):
+    """(u, hs, g) from the support columns, or None when their block is
+    singular: u = (X_S^T X_S / n)^{-1} (X_S^T w / n - lam signs), the
+    error on the support; hs = X_S (X_S^T X_S / n)^{-1} signs; and
+    g = (w - X_S (X_S^T X_S / n)^{-1} X_S^T w / n) / n, the noise projected
+    off the support columns.  X_S and its factor are freed on return, so
+    the off-support pass that follows holds only these vectors."""
+    Xs, fac = _support(n, p, blocks, s)
+    if fac is None:
+        return None
+    xtw = Xs.T @ w / n
+    u = scipy.linalg.cho_solve(fac, xtw - lam * signs)
+    hs = Xs @ scipy.linalg.cho_solve(fac, signs)
+    g = (w - Xs @ scipy.linalg.cho_solve(fac, xtw)) / n
+    return u, hs, g
+
+
 def _off_support_products(blocks, k: int, p: int, *zs: np.ndarray) -> np.ndarray:
     """(X^T z)[k:] for each n-vector z, one row each, from the row slabs
     blocks(k, p).  Each column's sum runs over its entries in row order,
@@ -145,15 +162,11 @@ def _build(n: int, p: int, blocks, s: SignalSpec, w: np.ndarray, lam: float) -> 
     w = vector("w", w, "n", n)
     signs = signal_signs(s)
 
-    Xs, fac = _support(n, p, blocks, s)
-    if fac is None:
+    terms = _support_terms(n, p, blocks, s, w, lam, signs)
+    if terms is None:
         return WitnessReport(invertible=False, k=k, lam=lam, success=False)
 
-    xtw = Xs.T @ w / n
-    u = scipy.linalg.cho_solve(fac, xtw - lam * signs)
-
-    hs = Xs @ scipy.linalg.cho_solve(fac, signs)
-    g = (w - Xs @ scipy.linalg.cho_solve(fac, xtw)) / n
+    u, hs, g = terms
     xh, vb = _off_support_products(blocks, k, p, hs, g)
     va = lam * xh / n
 

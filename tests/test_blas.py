@@ -38,6 +38,15 @@ def test_finds_each_bundled_openblas():
     assert len(blas._libraries()) == len(bundled)
 
 
+def test_core_names_name_the_kernel_of_each_openblas(monkeypatch, tmp_path):
+    names = blas.core_names()
+    assert len(names) == len(blas._libraries())
+    assert all(isinstance(name, str) and name for name in names)
+    libc = ctypes.util.find_library("c")
+    monkeypatch.setattr(blas, "_paths", lambda: tuple(filter(None, (str(tmp_path / "libopenblas_missing.so"), libc))))
+    assert blas.core_names() == ()
+
+
 def test_single_threaded_pins_and_restores(caller_counts):
     blas.set_thread_counts((2,) * len(caller_counts))
     with pytest.raises(RuntimeError):

@@ -26,7 +26,7 @@ from sparselasso import (
     write_matrix,
 )
 
-from sparselasso import ensemble
+from sparselasso import ensemble, witness
 
 from oracles import sample_matrix_unblocked
 
@@ -168,6 +168,23 @@ def test_observe_noise_variance_reset():
     assert np.allclose(obs_res.y, res.to_csr() @ beta + obs_res.w, rtol=0, atol=0)
     # same noise seed, different variance: pathwise scaled normals
     assert np.allclose(obs_res.w, 2.0 * obs_std.w, rtol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    p=st.integers(1, 30),
+    gamma=st.one_of(st.floats(0.01, 1.0), st.just(1.0)),
+    seed=st.integers(0, 2**64 - 1),
+    beta=st.lists(st.floats(-1e3, 1e3), min_size=30, max_size=30),
+)
+def test_observe_sums_rows_as_scipy_does(n, p, gamma, seed, beta):
+    """observe forms y without scipy.sparse, and bit for bit as the CSR
+    product does, for any matrix and any dense signal."""
+    m = sample_matrix(EnsembleSpec(n=n, p=p, gamma=gamma), seed)
+    beta = np.array(beta[:p])
+    obs = observe(m, beta, sigma2=0.5, noise_seed=seed)
+    assert obs.y.tobytes() == (m.to_csr() @ beta + obs.w).tobytes()
 
 
 def test_serialization_roundtrip():
@@ -319,3 +336,36 @@ def test_witness_trial_holds_little_beyond_the_support_block(monkeypatch):
             tracemalloc.stop()
     assert (rec.n, rec.k, rec.invertible) == (3481, 128, True)
     assert peak <= 8 * rec.n * rec.k + 4 * 2**20, peak
+
+
+def test_off_support_pass_starts_without_the_support_block(monkeypatch):
+    """X_S and its factor are freed before the off-support columns are
+    streamed.  At the largest criterion-2 point the memory still held when
+    that pass starts is below X_S's 8 n k bytes, and the trial's traced
+    peak is at most X_S plus 2 MiB of hash-block buffers and slabs."""
+    held = []
+    products = witness._off_support_products
+
+    def traced_products(*args):
+        held.append(tracemalloc.get_traced_memory()[0] - base)
+        return products(*args)
+
+    monkeypatch.setattr(witness, "_off_support_products", traced_products)
+    cfg = SweepConfig(
+        p_list=(256, 512, 1024), theta_grid=(1.0, 2.0), trials=1, base_seed=1002,
+        sparsity_rule="linear", linear_alpha=0.125,
+    )
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rec = run_trial(cfg, 1024, 2.0, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert (rec.n, rec.k, rec.invertible) == (3481, 128, True)
+    support_block = 8 * rec.n * rec.k
+    assert len(held) == 1 and held[0] < support_block, (held, support_block)
+    assert peak <= support_block + 2 * 2**20, peak

@@ -30,7 +30,7 @@ import sys
 
 import pytest
 
-from sparselasso import EnsembleSpec, SignalSpec, SweepConfig, build, grid_points, noise_vector, rng, sample_matrix
+from sparselasso import EnsembleSpec, SignalSpec, SweepConfig, blas, build, grid_points, noise_vector, rng, sample_matrix
 from sparselasso.sweep import trial_seed
 from sparselasso.witness import build_sampled
 
@@ -127,7 +127,8 @@ def test_every_instance_matches_recorded_witness(route):
     recorded = json.loads(WITNESS_GOLDEN.read_text())
     computed = witness_fingerprints(route)
     assert sorted(computed) == sorted(recorded)
-    assert sorted(name for name in recorded if computed[name] != recorded[name]) == []
+    mismatched = sorted(name for name in recorded if computed[name] != recorded[name])
+    assert mismatched == [], f"recorded on OpenBLAS's SkylakeX kernel; this process runs {blas.core_names()}"
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:

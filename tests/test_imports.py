@@ -1,13 +1,17 @@
 """Every import a library module binds is used in that module, no
 module reads a private name of another, `__all__` lists exactly what
 `__init__` imports, only errors.py tests a scalar for finiteness or
-words the message of `one_of`, `read_only_by` or `distinct`, and no CLI
-option that takes its default from a dataclass field also states one."""
+words the message of `one_of`, `read_only_by` or `distinct`, no CLI
+option that takes its default from a dataclass field also states one,
+and the witness path runs without loading scipy.sparse."""
 
 import ast
 import dataclasses
 import functools
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -165,3 +169,41 @@ def test_filled_options_state_no_default_of_their_own():
         return {f.name for f in dataclasses.fields(functools.reduce(getattr, expr.split("."), cli))}
 
     assert _dead_literals(pathlib.Path(cli.__file__).read_text(), fields_of) == []
+
+
+# Every witness route a user reaches, then the two calls that do need
+# scipy.sparse.  Run in a fresh interpreter, whose sys.modules no other
+# test has touched.
+_WITNESS_PATH_SCRIPT = """
+import contextlib, io, os, sys, tempfile
+import numpy as np
+from sparselasso import EnsembleSpec, LassoConfig, SignalSpec, SweepConfig, build, cli, h_vector, noise_vector
+from sparselasso import observe, make_signal, run_sweep, sample_matrix, solve
+
+cfg = SweepConfig(p_list=(64, 128), theta_grid=(0.5, 1.5), trials=2, base_seed=3, mode="witness")
+assert run_sweep(cfg, workers=1) == run_sweep(cfg, workers=2)
+m = sample_matrix(EnsembleSpec(n=60, p=64, gamma=0.5), 1)
+sig = SignalSpec(p=64, k=3)
+assert build(m, sig, noise_vector(60, 0.1, 2), 0.2).invertible
+h_vector(m, sig)
+path = os.path.join(tempfile.mkdtemp(), "m.txt")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["gen", "--n", "60", "--p", "64", "--gamma", "0.5", "--seed", "1", "--out", path]) == 0
+    assert cli.main(["witness", "--matrix", path, "--k", "3", "--lam", "0.2", "--noise-seed", "2"]) == 0
+assert "scipy.sparse" not in sys.modules, "the witness path loaded scipy.sparse"
+
+obs = observe(m, make_signal(sig), 0.1, 2)
+assert np.array_equal(m.to_csr() @ make_signal(sig) + obs.w, obs.y)
+assert solve(m, obs.y, LassoConfig(lam=0.2)).converged
+assert "scipy.sparse" in sys.modules
+"""
+
+
+def test_witness_path_never_loads_scipy_sparse():
+    """A witness-mode sweep, serial and forked, build, h_vector and the CLI's
+    gen and witness never import scipy.sparse; to_csr and the solver load it
+    when they are called."""
+    src = str(pathlib.Path(sparselasso.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _WITNESS_PATH_SCRIPT], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

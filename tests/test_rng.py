@@ -56,7 +56,7 @@ def test_bits_depend_only_on_key_and_counter(key, counters, data):
 @settings(max_examples=100, deadline=None)
 @example(key=2**64 - 1, n=7, p=10, prob=0.4, block_entries=30)  # 3 rows per block, partial last block
 @example(key=12345, n=5, p=60, prob=0.3, block_entries=59)  # p > BLOCK_ENTRIES: one row per block
-@example(key=2**63 + 1, n=3, p=70_001, prob=0.05, block_entries=2**16)  # real BLOCK_ENTRIES, p > 2^16
+@example(key=2**63 + 1, n=3, p=70_001, prob=0.05, block_entries=rng.BLOCK_ENTRIES)  # real size, p > BLOCK_ENTRIES
 @given(
     key=st.integers(0, 2**64 - 1),
     n=st.integers(1, 40),

@@ -24,7 +24,7 @@ import pathlib
 
 import pytest
 
-from sparselasso import SignalSpec, SweepConfig, build, grid_points, noise_vector, sample_matrix
+from sparselasso import SignalSpec, SweepConfig, blas, build, grid_points, noise_vector, sample_matrix
 from sparselasso.sweep import trial_seed
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "sampler_fingerprint.json"
@@ -70,7 +70,8 @@ def fingerprint(fields: dict, p: int, theta: float, trial: int, value_seed) -> d
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_sampler_matches_recorded_fingerprint(name):
     expected = json.loads(GOLDEN.read_text())[name]
-    assert fingerprint(*INSTANCES[name]) == expected
+    got = fingerprint(*INSTANCES[name])
+    assert got == expected, f"margins recorded on OpenBLAS's SkylakeX kernel; this process runs {blas.core_names()}"
 
 
 def test_fingerprint_golden_covers_every_instance():

@@ -379,7 +379,7 @@ def _shapes(draw):
 
 @settings(max_examples=80, deadline=None)
 @example(shape=(3, 12, 6, 2, 9), gamma=0.7, convention="rescaled", seed=4, block_entries=5, draw_chunk=3)  # n < k
-@example(shape=(4, 70_001, 2, 1, 70_001), gamma=1.0, convention="standard", seed=2, block_entries=2**16, draw_chunk=2**14)
+@example(shape=(4, 70_001, 2, 1, 70_001), gamma=1.0, convention="standard", seed=2, block_entries=rng.BLOCK_ENTRIES, draw_chunk=rng.DRAW_CHUNK)
 @given(
     shape=_shapes(),
     gamma=st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.just(1.0)),
