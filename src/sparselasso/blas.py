@@ -1,4 +1,5 @@
-"""Thread counts of the OpenBLAS libraries loaded in this process.
+"""Thread counts of the OpenBLAS libraries loaded in this process, and
+the two LAPACK routines of scipy's copy that the witness calls.
 
 numpy and scipy wheels each bundle their own OpenBLAS, and each starts a
 thread pool as wide as the machine.  On a few cores the two pools and
@@ -21,6 +22,17 @@ nothing is found every function here is a no-op.  `core_names` reads
 which kernel set each copy picked for the CPU at load time: the thread
 count is pinned, the kernel is not, and the witness's floats differ
 between kernels in the last digits.
+
+LAPACK.  `cholesky` and `cholesky_solve` are what the witness gets from
+`scipy.linalg.cho_factor(G, lower=True)` and `cho_solve`, bit for bit,
+without importing `scipy.linalg` (44 modules and about 6 MB).  They call
+`scipy_dpotrf_` and `scipy_dpotrs_` of scipy's own OpenBLAS, the routines
+behind scipy's wrappers, which `scipy.special` (the sampler's `ndtri`)
+has already mapped into the process.  It is the copy whose thread count
+`single_threaded` pins, so the pin covers them.  numpy's copy is not
+used: it is another OpenBLAS release, and its potrf gave other bits.
+Where no mapped library exports both routines, the two functions call
+`scipy.linalg` itself.
 
 Forked processes.  OpenBLAS shuts its thread pool down before a fork and
 rebuilds it in the child on the child's first setter call, whatever
@@ -51,6 +63,9 @@ import contextlib
 import ctypes
 import functools
 import os
+from typing import Optional
+
+import numpy as np
 
 # (getter, setter) name patterns: numpy's ILP64 build, scipy's LP64 build
 # and a plain system OpenBLAS.
@@ -66,6 +81,10 @@ _CORE_NAME_SYMBOLS = (
     ("scipy_openblas_get_corename",),
     ("openblas_get_corename",),
 )
+
+# The Cholesky factor and solve of scipy's LP64 build; numpy's ILP64 copy
+# exports them with a 64_ suffix and is not matched.
+_LAPACK_SYMBOLS = (("scipy_dpotrf_", "scipy_dpotrs_"),)
 
 
 def _exported(path: str, patterns):
@@ -148,3 +167,66 @@ def single_threaded():
         yield
     finally:
         set_thread_counts(saved)
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+
+
+@functools.cache
+def _lapack():
+    """(dpotrf, dpotrs) of the first mapped library that exports both, or None."""
+    for path in _paths():
+        functions = _exported(path, _LAPACK_SYMBOLS)
+        if functions is not None:
+            potrf, potrs = functions
+            # Fortran arguments by reference; the trailing size_t is the hidden length of UPLO.
+            potrf.argtypes = [ctypes.c_char_p, _INT, ctypes.c_void_p, _INT, _INT, ctypes.c_size_t]
+            potrs.argtypes = [ctypes.c_char_p, _INT, _INT, ctypes.c_void_p, _INT, ctypes.c_void_p, _INT, _INT, ctypes.c_size_t]
+            potrf.restype = potrs.restype = None
+            return potrf, potrs
+    return None
+
+
+def cholesky(G) -> Optional[np.ndarray]:
+    """The lower Cholesky factor L of the symmetric matrix G, as
+    `scipy.linalg.cho_factor(G, lower=True)[0]` gives it: a Fortran-ordered
+    copy of G whose lower triangle holds L and whose strict upper triangle
+    keeps G's entries.  None where G is not positive definite (scipy raises
+    LinAlgError there); ValueError where G holds an inf or a NaN."""
+    c = np.array(np.asarray_chkfinite(G), dtype=np.float64, order="F")
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {c.shape}")
+    lapack = _lapack()
+    if lapack is None:
+        import scipy.linalg
+
+        try:
+            return scipy.linalg.cho_factor(c, lower=True, check_finite=False)[0]
+        except scipy.linalg.LinAlgError:
+            return None
+    n, ld, info = ctypes.c_int(c.shape[0]), ctypes.c_int(max(1, c.shape[0])), ctypes.c_int(0)
+    lapack[0](b"L", n, c.ctypes.data, ld, info, 1)
+    if info.value < 0:
+        raise ValueError(f"illegal value in argument {-info.value} of potrf")
+    return c if info.value == 0 else None
+
+
+def cholesky_solve(c: np.ndarray, b) -> np.ndarray:
+    """x with L L^T x = b for a factor c from `cholesky` and a vector b, as
+    `scipy.linalg.cho_solve((c, True), b)` gives it; ValueError where b
+    holds an inf or a NaN."""
+    x = np.array(np.asarray_chkfinite(b), dtype=np.float64)
+    if c.dtype != np.float64 or not c.flags.f_contiguous or c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ValueError("expected a factor from cholesky")
+    if x.shape != c.shape[:1]:
+        raise ValueError(f"incompatible dimensions ({c.shape} and {x.shape})")
+    lapack = _lapack()
+    if lapack is None:
+        import scipy.linalg
+
+        return scipy.linalg.cho_solve((c, True), x, check_finite=False)
+    n, ld, one, info = ctypes.c_int(c.shape[0]), ctypes.c_int(max(1, c.shape[0])), ctypes.c_int(1), ctypes.c_int(0)
+    lapack[1](b"L", n, one, c.ctypes.data, ld, x.ctypes.data, ld, info, 1)
+    if info.value != 0:
+        raise ValueError(f"illegal value in argument {-info.value} of potrs")
+    return x

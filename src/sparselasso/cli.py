@@ -16,7 +16,9 @@ import configparser
 import dataclasses
 import difflib
 import sys
-from concurrent.futures.process import BrokenProcessPool
+# The base of the BrokenProcessPool a parallel sweep raises when a worker
+# dies; concurrent.futures.process itself would load multiprocessing.
+from concurrent.futures import BrokenExecutor
 from typing import Callable
 
 import numpy as np
@@ -378,7 +380,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"{PROG} {args.subcommand}: error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, OSError, BrokenProcessPool) as exc:
+    except (DataError, OSError, BrokenExecutor) as exc:
         print(f"{PROG} {args.subcommand}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,13 +18,11 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import multiprocessing
-import multiprocessing.connection
 import os
-import tempfile
+import pickle
+import sys
 import time
 import traceback
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -137,6 +135,7 @@ class TrialRecord:
     dual_ratio: Optional[float]
     u_ratio: Optional[float]
     invertible: Optional[bool]
+    converged: Optional[bool]
     elapsed: float
 
     @property
@@ -163,6 +162,7 @@ class SweepRow:
     mean_u_ratio: Optional[float] = None
     full_successes: Optional[int] = None
     agreements: Optional[int] = None
+    nonconverged: Optional[int] = None
 
 
 @dataclass
@@ -259,7 +259,7 @@ def _execute(cfg: SweepConfig, point: GridPoint, trial_index: int) -> TrialRecor
     sig = ensemble.SignalSpec(p=point.p, k=point.k, beta_min=cfg.beta_min)
 
     witness_success = full_success = agreement = None
-    dual_ratio = u_ratio = invertible = None
+    dual_ratio = u_ratio = invertible = converged = None
     if cfg.mode in ("witness", "both"):
         if m is None:
             rep = witness.build_sampled(point.spec, seed, sig, w, point.lam)
@@ -274,8 +274,9 @@ def _execute(cfg: SweepConfig, point: GridPoint, trial_index: int) -> TrialRecor
         beta_star = ensemble.make_signal(sig)
         y = m.to_csr() @ beta_star + w
         sol = lasso.solve(m, y, lasso.LassoConfig(lam=point.lam))
+        converged = bool(sol.converged)
         full_success = bool(
-            sol.converged
+            converged
             and np.array_equal(
                 lasso.signed_support(sol.beta_hat, sol.config.zero_tol),
                 lasso.signed_support(beta_star, 0.0),
@@ -299,6 +300,7 @@ def _execute(cfg: SweepConfig, point: GridPoint, trial_index: int) -> TrialRecor
         dual_ratio=dual_ratio,
         u_ratio=u_ratio,
         invertible=invertible,
+        converged=converged,
         elapsed=time.perf_counter() - t0,
     )
 
@@ -344,6 +346,8 @@ def _aggregate(cfg: SweepConfig, point: GridPoint, records: list) -> SweepRow:
         if inv:
             row.mean_dual_ratio = float(np.mean([r.dual_ratio for r in inv]))
             row.mean_u_ratio = float(np.mean([r.u_ratio for r in inv]))
+    if cfg.mode in ("full", "both"):
+        row.nonconverged = sum(1 for r in records if not r.converged)
     if cfg.mode == "both":
         row.full_successes = sum(1 for r in records if r.full_success)
         row.agreements = sum(1 for r in records if r.agreement)
@@ -355,7 +359,8 @@ def _claim_points(cfg: SweepConfig, points: list, order: list, claimed, slots, s
     record its index in slots[slot] and run its trials, until none is left.
     Then send one message over conn: (list of (point index, batch), None)
     when every trial ran, or (exception, traceback text) for the first
-    trial that raised."""
+    trial that raised.  An exception that does not survive pickling is
+    sent as a RuntimeError naming its type and message."""
     done = []
     try:
         while True:
@@ -367,7 +372,12 @@ def _claim_points(cfg: SweepConfig, points: list, order: list, claimed, slots, s
             slots[slot] = order[i]
             done.append((order[i], _point_batch((cfg, points[order[i]]))))
     except Exception as exc:
-        conn.send((exc, traceback.format_exc()))
+        trace = traceback.format_exc()
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = RuntimeError(f"{type(exc).__qualname__}: {exc}")
+        conn.send((exc, trace))
     else:
         conn.send((done, None))
     finally:
@@ -377,21 +387,27 @@ def _claim_points(cfg: SweepConfig, points: list, order: list, claimed, slots, s
 def _run_forked(cfg: SweepConfig, points: list, workers: int) -> list:
     """Every point's batch, in grid order, computed by min(workers, len(points))
     forked processes that claim the points largest first."""
+    import multiprocessing.connection
+    from concurrent.futures.process import BrokenProcessPool
+
+    # Fork on Linux whatever the caller's start method: a spawned worker
+    # would re-import numpy and scipy and start with unpinned OpenBLAS pools.
+    ctx = multiprocessing.get_context("fork" if sys.platform.startswith("linux") else None)
     # Largest n*p first, so that no large point starts last and leaves one
     # worker running alone at the end (longest-processing-time-first).
     order = sorted(range(len(points)), key=lambda i: -points[i].n * points[i].p)
-    claimed = multiprocessing.Value("q", 0)
-    slots = multiprocessing.RawArray("q", [-1] * min(workers, len(points)))
+    claimed = ctx.Value("q", 0)
+    slots = ctx.RawArray("q", [-1] * min(workers, len(points)))
     procs, conns = [], {}
     batches = [None] * len(points)
     try:
         # Each pipe's write end is closed here before the next worker forks,
         # so a dead worker's pipe reads as end-of-file.
         for slot in range(len(slots)):
-            reader, writer = multiprocessing.Pipe(duplex=False)
+            reader, writer = ctx.Pipe(duplex=False)
             conns[reader] = slot
             with writer:
-                proc = multiprocessing.Process(target=_claim_points, args=(cfg, points, order, claimed, slots, slot, writer))
+                proc = ctx.Process(target=_claim_points, args=(cfg, points, order, claimed, slots, slot, writer))
                 proc.start()
             procs.append(proc)
         while conns:
@@ -521,25 +537,35 @@ def distinct_paths(paths) -> None:
         seen[real] = path
 
 
+def _create_staging(head: str, tail: str):
+    """(fd, path) of a new file `.<tail>.<random>.tmp` in directory head,
+    opened for writing with mode 0o666 less the umask, as open() applies it."""
+    for _ in range(100):
+        tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
+    raise FileExistsError(f"no free staging name for {tail} in {head}")
+
+
 def write_files(jobs) -> None:
     """Write each (path, write) job to a fresh temporary file in the
     path's directory through write(fh), then move all of them into place,
     so a failure or interrupt leaves any earlier outputs intact and no
     partial file, and no existing file is staged over.  Outputs get the
-    mode a plain open() would give them, 0o666 less the umask.
+    mode a plain open() would give them, 0o666 less the umask, which the
+    kernel applies at creation; the process umask is never changed.
     Paths naming the same file are rejected before anything is written."""
     distinct_paths([path for path, _ in jobs])
-    umask = os.umask(0)
-    os.umask(umask)
     staged = []
     try:
         for path, write in jobs:
             head, tail = os.path.split(os.fspath(path))
             try:
-                fd, tmp = tempfile.mkstemp(prefix=f".{tail}.", suffix=".tmp", dir=head or os.curdir)
+                fd, tmp = _create_staging(head or os.curdir, tail)
                 staged.append(tmp)
                 with open(fd, "w") as fh:
-                    os.fchmod(fd, 0o666 & ~umask)
                     write(fh)
             except OSError as exc:
                 raise DataError(f"cannot write {path}: {exc}") from exc

@@ -16,6 +16,12 @@ va + vb) and every support entry keeps its sign after the error u is
 added (sign_consistent).  event_u is the simpler magnitude condition
 max |u| <= beta_min; it does not by itself decide success, but its
 margin lower-bounds the sign margin.
+
+The support Gram X_S^T X_S / n is factored and solved by
+`blas.cholesky` and `blas.cholesky_solve`: scipy's LAPACK potrf and
+potrs called directly, the same bits as `scipy.linalg.cho_factor` and
+`cho_solve` without loading `scipy.linalg`.  A non-finite Gram raises
+ValueError, as scipy's finiteness check does.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .ensemble import EnsembleSpec, SignalSpec, SparseMeasurementMatrix, sample_blocks, signal_signs
 from .errors import ParameterError, integer, positive, unit_interval, vector
@@ -59,14 +64,13 @@ class WitnessReport:
 
 
 def _factor_gram(Xs: np.ndarray):
-    """The Cholesky factor of X_S^T X_S / n for the n x k support columns Xs,
-    or None when that block is numerically singular."""
+    """The lower Cholesky factor (blas.cholesky) of X_S^T X_S / n for the
+    n x k support columns Xs, or None when that block is numerically singular."""
     G = Xs.T @ Xs / Xs.shape[0]
-    try:
-        fac = scipy.linalg.cho_factor(G, lower=True)
-    except scipy.linalg.LinAlgError:
+    fac = blas.cholesky(G)
+    if fac is None:
         return None
-    singular = float(np.diagonal(fac[0]).min()) ** 2 <= _SINGULAR_REL * float(G.diagonal().max())
+    singular = float(np.diagonal(fac).min()) ** 2 <= _SINGULAR_REL * float(G.diagonal().max())
     return None if singular else fac
 
 
@@ -92,9 +96,9 @@ def _support_terms(n: int, p: int, blocks, s: SignalSpec, w: np.ndarray, lam: fl
     if fac is None:
         return None
     xtw = Xs.T @ w / n
-    u = scipy.linalg.cho_solve(fac, xtw - lam * signs)
-    hs = Xs @ scipy.linalg.cho_solve(fac, signs)
-    g = (w - Xs @ scipy.linalg.cho_solve(fac, xtw)) / n
+    u = blas.cholesky_solve(fac, xtw - lam * signs)
+    hs = Xs @ blas.cholesky_solve(fac, signs)
+    g = (w - Xs @ blas.cholesky_solve(fac, xtw)) / n
     return u, hs, g
 
 
@@ -203,7 +207,7 @@ def h_vector(m: SparseMeasurementMatrix, s: SignalSpec) -> HVector:
     Xs, fac = _support(m.spec.n, m.spec.p, m.row_blocks, s)
     if fac is None:
         raise ParameterError("support gram block is singular")
-    h = Xs @ scipy.linalg.cho_solve(fac, np.ones(s.k)) / m.spec.n
+    h = Xs @ blas.cholesky_solve(fac, np.ones(s.k)) / m.spec.n
     return HVector(h=h, squared_norm=float(h @ h))
 
 

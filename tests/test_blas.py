@@ -1,12 +1,20 @@
 import ctypes.util
+import dataclasses
+import io
+import os
 import pathlib
+import subprocess
 import sys
+from unittest import mock
 
 import numpy
 import pytest
-import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS)
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sparselasso import blas
+import sparselasso
+from sparselasso import blas, ensemble, sweep, witness
 
 
 @pytest.fixture
@@ -36,6 +44,8 @@ def test_finds_each_bundled_openblas():
     if not bundled:
         pytest.skip("numpy and scipy do not bundle OpenBLAS here")
     assert len(blas._libraries()) == len(bundled)
+    # scipy's copy exports the LP64 potrf/potrs that the witness calls
+    assert blas._lapack() is not None
 
 
 def test_core_names_name_the_kernel_of_each_openblas(monkeypatch, tmp_path):
@@ -83,3 +93,151 @@ def test_single_threaded_calls_a_setter_only_to_change_a_count(monkeypatch):
         assert blas.thread_counts() == (1, 1)
     assert blas.thread_counts() == (2, 1)
     assert [lib.sets for lib in libs] == [2, 0]
+
+
+@st.composite
+def _grams(draw):
+    """k x k Gram matrices X^T X / n for k in 1-130: well-conditioned ones,
+    ones with two nearly equal columns, rank-deficient ones (n < k) and zero."""
+    k = draw(st.integers(1, 130))
+    kind = draw(st.sampled_from(["spd", "near_singular", "rank_deficient", "zero"]))
+    r = numpy.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "zero":
+        return numpy.zeros((k, k))
+    n = draw(st.integers(0, k - 1)) if kind == "rank_deficient" else k + draw(st.integers(0, 40))
+    X = r.standard_normal((n, k))
+    if kind == "near_singular" and k > 1:
+        X[:, -1] = X[:, 0] + draw(st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12])) * r.standard_normal(n)
+    return X.T @ X / max(n, 1)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@example(G=numpy.zeros((1, 1)))
+@example(G=numpy.ones((2, 2)))
+@example(G=numpy.eye(130) * 3.0)
+@given(G=_grams())
+def test_cholesky_and_solve_equal_scipy_bit_for_bit(G):
+    """The factor and the solve, direct and through the scipy.linalg
+    fallback, equal cho_factor(lower=True) and cho_solve bit for bit, and
+    the factor is None exactly where cho_factor raises LinAlgError."""
+    k = G.shape[0]
+    b = numpy.random.default_rng(k).standard_normal(k)
+    try:
+        want = scipy.linalg.cho_factor(G, lower=True)[0]
+    except scipy.linalg.LinAlgError:
+        want = None
+    for lapack in (blas._lapack(), None):
+        with mock.patch.object(blas, "_lapack", lambda: lapack):
+            got = blas.cholesky(G)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert _same_bits(got, want) and got.flags.f_contiguous
+                assert _same_bits(blas.cholesky_solve(got, b), scipy.linalg.cho_solve((want, True), b))
+
+
+@pytest.mark.parametrize("bad", [numpy.nan, numpy.inf, -numpy.inf])
+def test_non_finite_input_raises_value_error_as_scipy_does(bad):
+    G, b = numpy.eye(3), numpy.ones(3)
+    for lapack in (blas._lapack(), None):
+        with mock.patch.object(blas, "_lapack", lambda: lapack):
+            G[1, 2] = bad
+            with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+                blas.cholesky(G)
+            G[1, 2] = 0.0
+            b[0] = bad
+            with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+                blas.cholesky_solve(blas.cholesky(G), b)
+            b[0] = 1.0
+
+
+def test_shapes_are_checked_before_lapack_is_called():
+    with pytest.raises(ValueError, match="square"):
+        blas.cholesky(numpy.ones((2, 3)))
+    c = blas.cholesky(numpy.eye(3))
+    for b in (numpy.ones(4), numpy.ones((3, 1))):
+        with pytest.raises(ValueError, match="incompatible dimensions"):
+            blas.cholesky_solve(c, b)
+    with pytest.raises(ValueError, match="factor from cholesky"):
+        blas.cholesky_solve(numpy.ascontiguousarray(numpy.eye(3)[:, :2]), numpy.ones(3))
+
+
+def _reports_bytes(reports):
+    """Every field of each witness report, arrays as bytes."""
+    return [
+        tuple(v.tobytes() if isinstance(v, numpy.ndarray) else v for v in dataclasses.astuple(r)) for r in reports
+    ]
+
+
+def _witness_outputs():
+    """build, build_sampled and h_vector at a few criterion-2 shapes, one of
+    them singular (n < k), and a witness-mode sweep CSV at one and two workers."""
+    reports, hs = [], []
+    for n, p, seed in ((5, 64, 1), (120, 128, 2), (700, 256, 3)):
+        spec = ensemble.EnsembleSpec(n=n, p=p, gamma=0.3)
+        sig = ensemble.SignalSpec(p=p, k=p // 8)
+        w = ensemble.noise_vector(n, 0.0625, seed)
+        m = ensemble.sample_matrix(spec, seed)
+        reports += [witness.build(m, sig, w, 0.5), witness.build_sampled(spec, seed, sig, w, 0.5)]
+        if reports[-1].invertible:
+            hs.append(witness.h_vector(m, sig).h.tobytes())
+    cfg = sweep.SweepConfig(p_list=(64, 128), theta_grid=(0.4, 1.0, 1.6), trials=3, base_seed=5, sparsity_rule="linear")
+    csvs = []
+    for workers in (1, 2):
+        buf = io.StringIO()
+        sweep.write_csv(sweep.run_sweep(cfg, workers=workers), buf)
+        csvs.append(buf.getvalue())
+    return _reports_bytes(reports), hs, csvs
+
+
+def test_scipy_linalg_fallback_gives_the_same_outputs(monkeypatch):
+    direct = _witness_outputs()
+    assert [r[0] for r in direct[0]] == [False, False, True, True, True, True]  # the invertible field
+    monkeypatch.setattr(blas, "_lapack", lambda: None)
+    with mock.patch.object(scipy.linalg, "cho_factor", wraps=scipy.linalg.cho_factor) as spy:
+        assert _witness_outputs() == direct
+    assert spy.called
+
+
+# Every witness route a user reaches never loads scipy.linalg, and a serial
+# sweep and the CLI's gen, witness and solve never load multiprocessing.
+# Run in a fresh interpreter, whose sys.modules no other test has touched.
+_LOADING_SCRIPT = """
+import contextlib, io, os, sys
+from sparselasso import sweep
+
+cfg = sweep.SweepConfig(p_list=(64, 128), theta_grid=(0.5, 1.5), trials=2, base_seed=3, mode="witness")
+serial = sweep.run_sweep(cfg, workers=1)
+assert "multiprocessing" not in sys.modules, "a serial sweep loaded multiprocessing"
+
+from sparselasso import EnsembleSpec, SignalSpec, build, cli, h_vector, noise_vector, observe, make_signal, sample_matrix
+m = sample_matrix(EnsembleSpec(n=60, p=64, gamma=0.5), 1)
+sig = SignalSpec(p=64, k=3)
+assert build(m, sig, noise_vector(60, 0.1, 2), 0.2).invertible
+h_vector(m, sig)
+path, y = os.path.join(sys.argv[1], "m.txt"), os.path.join(sys.argv[1], "y.txt")
+with open(y, "w") as fh:
+    fh.write("".join(f"{float(v)!r}\\n" for v in observe(m, make_signal(sig), 0.1, 2).y))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["gen", "--n", "60", "--p", "64", "--gamma", "0.5", "--seed", "1", "--out", path]) == 0
+    assert cli.main(["witness", "--matrix", path, "--k", "3", "--lam", "0.2", "--noise-seed", "2"]) == 0
+    assert "scipy.linalg" not in sys.modules, "the witness path loaded scipy.linalg"
+    assert cli.main(["solve", "--matrix", path, "--y", y, "--lam", "0.2"]) == 0
+assert "multiprocessing" not in sys.modules, "the CLI loaded multiprocessing"
+
+assert sweep.run_sweep(cfg, workers=2) == serial
+assert "scipy.linalg" not in sys.modules, "a forked sweep loaded scipy.linalg"
+"""
+
+
+def test_witness_path_never_loads_scipy_linalg(tmp_path):
+    """A witness-mode sweep, serial and forked, build, h_vector and the CLI's
+    gen and witness never import scipy.linalg; a serial sweep and the CLI's
+    gen, witness and solve never import multiprocessing."""
+    src = str(pathlib.Path(sparselasso.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _LOADING_SCRIPT, str(tmp_path)], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

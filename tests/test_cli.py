@@ -2,7 +2,6 @@ import contextlib
 import dataclasses
 import io
 import json
-import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -413,7 +412,7 @@ def _die_at_first_point(args):
     return _point_batch(args)
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patched worker must be inherited by fork")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the patched worker must be inherited by fork")
 def test_sweep_crashed_worker_exits_1_naming_the_point(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sweep, "_point_batch", _die_at_first_point)
     csv, js = tmp_path / "s.csv", tmp_path / "s.json"

@@ -1,16 +1,21 @@
 import dataclasses
+import functools
 import io
 import json
 import math
 import multiprocessing
 import os
+import pathlib
+import subprocess
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import sparselasso
 from sparselasso import (
     CapacityError,
     DataError,
@@ -194,8 +199,8 @@ def test_results_do_not_depend_on_worker_count_record_by_record():
         assert _csv_of(tables[w]) == _csv_of(tables[1])
 
 
-class _PidRecordingProcess(multiprocessing.Process):
-    """A process that records its pid in `started` when it starts."""
+class _PidRecordingProcess(multiprocessing.context.ForkProcess):
+    """A forked process that records its pid in `started` when it starts."""
 
     started = []
 
@@ -206,9 +211,10 @@ class _PidRecordingProcess(multiprocessing.Process):
 
 @pytest.fixture
 def worker_pids(monkeypatch):
-    """The pids of the worker processes started during the test."""
+    """The pids of the worker processes started during the test, which the
+    sweep forks from the fork context."""
     _PidRecordingProcess.started = []
-    monkeypatch.setattr(multiprocessing, "Process", _PidRecordingProcess)
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", _PidRecordingProcess)
     return _PidRecordingProcess.started
 
 
@@ -216,6 +222,38 @@ def test_pool_is_sized_to_the_grid(worker_pids):
     cfg = _small_cfg(p_list=(32,), trials=1)
     assert _csv_of(run_sweep(cfg, workers=8)) == _csv_of(run_sweep(cfg))
     assert len(worker_pids) == 2
+
+
+# A caller that picks another start method still gets forked workers:
+# spawned or forkserver ones would re-import numpy and scipy and start with
+# unpinned OpenBLAS pools.  Run in a fresh interpreter, so that the start
+# method of the test process stays as it is.
+_START_METHOD_SCRIPT = """
+import multiprocessing, multiprocessing.context, os, sys
+from sparselasso import sweep
+
+def refuse(process_obj):
+    raise AssertionError(f"the sweep started a {type(process_obj).__name__}")
+
+multiprocessing.context.SpawnProcess._Popen = staticmethod(refuse)
+multiprocessing.context.ForkServerProcess._Popen = staticmethod(refuse)
+cfg = sweep.SweepConfig(p_list=(32, 64), theta_grid=(0.5, 1.0), trials=2, base_seed=11)
+d = sys.argv[1]
+sweep.write_outputs(sweep.run_sweep(cfg), os.path.join(d, "serial.csv"))
+for method in ("spawn", "forkserver"):
+    multiprocessing.set_start_method(method, force=True)
+    sweep.write_outputs(sweep.run_sweep(cfg, workers=2), os.path.join(d, method + ".csv"))
+    with open(os.path.join(d, "serial.csv")) as a, open(os.path.join(d, method + ".csv")) as b:
+        assert a.read() == b.read(), method
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sweeps fork their workers on Linux only")
+def test_workers_fork_whatever_the_callers_start_method(tmp_path):
+    src = str(pathlib.Path(sparselasso.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _START_METHOD_SCRIPT, str(tmp_path)], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_run_trial_matches_sweep_records():
@@ -311,6 +349,27 @@ def test_mode_full_counts_full_solves():
     # both modes draw the same trial seeds, so full mode's successes are both mode's full_successes
     both = run_sweep(_small_cfg(mode="both"))
     assert [r["successes"] for r in read_csv(io.StringIO(_csv_of(table)))] == [r.full_successes for r in both.rows]
+
+
+def test_nonconverged_solves_are_counted(monkeypatch):
+    cfg = _small_cfg(mode="both", trials=2, keep_trials=True)
+    table = run_sweep(cfg)
+    assert {r.converged for r in table.trial_records} == {True}
+    assert [row.nonconverged for row in table.rows] == [0] * 4
+    # one coordinate sweep: no solve converges, and none counts as a recovery
+    monkeypatch.setattr(lasso, "LassoConfig", functools.partial(lasso.LassoConfig, max_iter=1))
+    for mode in ("both", "full"):
+        table = run_sweep(_small_cfg(mode=mode, trials=2, keep_trials=True))
+        assert {(r.converged, r.full_success) for r in table.trial_records} == {(False, False)}
+        assert [row.nonconverged for row in table.rows] == [2] * 4
+        payload = table_to_dict(table)
+        assert [row["nonconverged"] for row in payload["rows"]] == [2] * 4
+        assert {r["converged"] for r in payload["trials"]} == {False}
+        assert _csv_of(table).splitlines()[0] == CSV_HEADER
+    # witness mode solves nothing
+    table = run_sweep(_small_cfg(keep_trials=True))
+    assert {r.converged for r in table.trial_records} == {None}
+    assert {row.nonconverged for row in table.rows} == {None}
 
 
 def test_deep_success_region():
@@ -459,6 +518,20 @@ def test_write_outputs_leaves_a_users_tmp_file_alone_and_keeps_the_open_mode(tmp
     assert (tmp_path / "out.csv").stat().st_mode & 0o777 == 0o640
 
 
+def test_write_outputs_never_changes_the_umask(tmp_path):
+    # a thread's file created while the umask were 0 would get mode 0o666
+    table = run_sweep(_small_cfg())
+    umask = os.umask(0o002)
+    try:
+        with mock.patch.object(os, "umask", side_effect=AssertionError("write_files changed the umask")):
+            write_outputs(table, tmp_path / "out.csv", tmp_path / "out.json")
+    finally:
+        os.umask(umask)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json"]
+    assert {p.stat().st_mode & 0o777 for p in tmp_path.iterdir()} == {0o664}
+    assert (tmp_path / "out.csv").read_text() == _csv_of(table)
+
+
 CRITERION_2 = dict(
     p_list=(256, 512, 1024),
     theta_grid=(0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0),
@@ -583,10 +656,35 @@ def _raise_at_theta_1_5(args):
     return _sleep_at_theta_1(args)
 
 
+class _UnpicklableError(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None  # pickle cannot send a lambda
+
+
+def _raise_unpicklable_at_theta_1(args):
+    if args[1].theta == 1.0:
+        raise _UnpicklableError("trial failed")
+    return _real_point_batch(args)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the patched batch must be inherited by fork")
+def test_unpicklable_trial_exception_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(sweep, "_point_batch", _raise_unpicklable_at_theta_1)
+    cfg = SweepConfig(p_list=(32,), theta_grid=(0.5, 1.0), trials=1, base_seed=1)
+    with pytest.raises(_UnpicklableError, match="trial failed"):
+        run_sweep(cfg)
+    with pytest.raises(RuntimeError, match=r"^_UnpicklableError: trial failed$") as info:
+        run_sweep(cfg, workers=2)
+    cause = str(info.value.__cause__)
+    assert cause.startswith("raised in a sweep worker:\nTraceback")
+    assert 'raise _UnpicklableError("trial failed")' in cause
+
+
 _THREE_POINTS = dict(p_list=(32,), theta_grid=(0.5, 1.0, 1.5), trials=2, base_seed=7)
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patched batch must be inherited by fork")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the patched batch must be inherited by fork")
 @pytest.mark.parametrize("outcome", ["success", "trial raises", "worker exits"])
 def test_no_worker_outlives_the_sweep(outcome, caller_blas, worker_pids, monkeypatch):
     counts = tuple(max(2, c) for c in caller_blas)
@@ -615,7 +713,7 @@ def test_no_worker_outlives_the_sweep(outcome, caller_blas, worker_pids, monkeyp
 
 
 @pytest.mark.skipif(
-    not sys.platform.startswith("linux") or multiprocessing.get_start_method() != "fork",
+    not sys.platform.startswith("linux"),
     reason="counts /proc/self/task in workers that inherit the patched batch by fork",
 )
 def test_forked_workers_start_no_blas_threads(caller_blas, monkeypatch):

@@ -130,6 +130,18 @@ def test_build_input_validation():
         build(m, SignalSpec(p=8, k=3, beta_min=0.5), np.zeros(16), lam=0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_support_value_raises_value_error(bad):
+    # read_matrix and validate reject such a value; a matrix built in code
+    # can still carry one, and the witness must not factor it
+    m = _scaled_identity(16, 6)
+    values = m.values.copy()
+    values[1] = bad  # column 1, inside the k=3 support
+    m = dataclasses.replace(m, values=values)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        build(m, SignalSpec(p=6, k=3, beta_min=0.5), np.zeros(16), lam=0.1)
+
+
 def _synthetic_report(u, va, vb, signs, lam=0.25, beta_min=0.5):
     u = np.asarray(u, dtype=np.float64)
     return WitnessReport(
