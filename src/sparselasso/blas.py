@@ -52,9 +52,11 @@ The README has the measured effect of both rules.
 Open: the caller's own pools.  The fork shuts the caller's pools down
 too, and when `run_sweep` returns, `single_threaded` restores the
 caller's counts, so each setter call rebuilds a pool whose threads then
-busy-wait.  After a 2-worker witness-mode sweep with both copies at 2
-threads, the caller burned 0.25-0.27 s of CPU in a 0.5 s sleep; after a
-serial sweep, none.
+busy-wait.  In a loop of `witness_linear_par` sweeps with both copies
+at 2 threads, a 0.3 s sleep right after a 2-worker sweep burned
+0.25-0.27 s of CPU; after a serial sweep, none.  Per 2-worker sweep the
+parent spent about 9 ms of main-thread CPU, two forks at 2.0 ms each
+included, and about 3 ms in the pool threads the restore rebuilds.
 """
 
 from __future__ import annotations
@@ -67,18 +69,20 @@ from typing import Optional
 
 import numpy as np
 
-# (getter, setter) name patterns: numpy's ILP64 build, scipy's LP64 build
-# and a plain system OpenBLAS.
+# (getter, setter) name patterns: numpy 2.x's ILP64 build, scipy's LP64
+# build, numpy 1.x's ILP64 build and a plain system OpenBLAS.
 _SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 
-# The kernel-name getter of each of the same three builds.
+# The kernel-name getter of each of the same four builds.
 _CORE_NAME_SYMBOLS = (
     ("scipy_openblas_get_corename64_",),
     ("scipy_openblas_get_corename",),
+    ("openblas_get_corename64_",),
     ("openblas_get_corename",),
 )
 

@@ -105,7 +105,7 @@ _WITNESS_OPTS = _filling(
     Opt("beta_min", float, help="support magnitude"),
     Opt("sign_pattern", str, help="support sign pattern"),
     Opt("sign_seed", int, help="seed for sign_pattern=seeded_random"),
-    Opt("sigma2", float, default=0.0625, help="noise variance"),
+    *_filling(sweep.SweepConfig, Opt("sigma2", float, help="noise variance")),
     Opt("noise_seed", int, required=True, help="noise seed"),
     Opt("lam", float, required=True, help="regularization weight"),
 )
@@ -150,7 +150,7 @@ _CHECK_OPTS = (
     *_K_OPTS,
     Opt("gamma_rule", str, default="sixth_root", help="sparsification schedule"),
     Opt("eps", float, default=0.0, help="sample-size slack"),
-    Opt("beta_min", float, default=1.0, help="support magnitude"),
+    *_filling(ensemble.SignalSpec, Opt("beta_min", float, help="support magnitude")),
 )
 
 

@@ -204,7 +204,7 @@ def _entry_values(spec: EnsembleSpec, value_key: int, indptr: np.ndarray, flat: 
     words = (rows * np.uint64(2**32 - q) + np.uint64(r0 * q + j0)).repeat(np.diff(indptr))
     words += flat.view(np.uint64)
     np.bitwise_and(words, np.uint64(0xFFFFFFFF), out=flat.view(np.uint64))
-    values = rng.draw_in_place(value_key, words, normal=True)
+    values = rng.draw_in_place(value_key, words)
     if spec.convention == "rescaled":
         values *= 1.0 / math.sqrt(spec.gamma)
     return values

@@ -9,7 +9,7 @@ reports converged=False rather than raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol, Union
+from typing import Protocol, Union
 
 import numpy as np
 
@@ -113,12 +113,7 @@ def signed_support(beta: np.ndarray, zero_tol: float = LassoConfig.zero_tol) -> 
 
 
 @blas.single_threaded()
-def solve(
-    X: MatrixLike,
-    y: np.ndarray,
-    config: LassoConfig,
-    beta0: Optional[np.ndarray] = None,
-) -> LassoSolution:
+def solve(X: MatrixLike, y: np.ndarray, config: LassoConfig) -> LassoSolution:
     Xc, y = _problem(X, y)
     n, p = Xc.shape
 
@@ -128,12 +123,8 @@ def solve(
         seg = data[indptr[j] : indptr[j + 1]]
         col_scale[j] = seg @ seg / n
 
-    if beta0 is None:
-        beta = np.zeros(p)
-    else:
-        beta = vector("beta0", beta0, "p", p)
-        beta[col_scale == 0.0] = 0.0
-    r = y - Xc @ beta
+    beta = np.zeros(p)
+    r = y.copy()
 
     lam, tol = config.lam, config.tol
     converged = False

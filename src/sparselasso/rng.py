@@ -157,10 +157,10 @@ def kept_entries(key: int, n: int, p: int, prob: float) -> np.ndarray:
     return np.concatenate(kept)
 
 
-def draw_in_place(key: int, words: np.ndarray, normal: bool) -> np.ndarray:
+def draw_in_place(key: int, words: np.ndarray) -> np.ndarray:
     """Overwrite the C-contiguous uint64 counters `words`, DRAW_CHUNK entries
-    at a time, with the stream `key`'s standard normals (its uniforms unless
-    `normal`) at those counters; returns them as a float64 view of `words`."""
+    at a time, with the stream `key`'s standard normals at those counters;
+    returns them as a float64 view of `words`."""
     flat = words.reshape(-1)
     scratch = np.empty(min(flat.size, DRAW_CHUNK), dtype=np.uint64)
     for lo in range(0, flat.size, DRAW_CHUNK):
@@ -171,18 +171,13 @@ def draw_in_place(key: int, words: np.ndarray, normal: bool) -> np.ndarray:
         u += 2.0**-54
         np.minimum(u, 1.0 - 2.0**-53, out=u)
         u[u == 0.5] = 0.5 + 2.0**-53
-        z.view(np.float64)[:] = ndtri(u, out=u) if normal else u
+        ndtri(u, out=z.view(np.float64))
     return words.view(np.float64)
-
-
-def uniforms_at(key: int, counters: np.ndarray) -> np.ndarray:
-    """Uniforms in the open interval (0, 1), never 1/2, at the given counters."""
-    return draw_in_place(key, np.array(counters, dtype=np.uint64, order="C"), normal=False)
 
 
 def normals_at(key: int, counters: np.ndarray) -> np.ndarray:
     """Standard normals at the given counters (fixed inverse-CDF method)."""
-    return draw_in_place(key, np.array(counters, dtype=np.uint64, order="C"), normal=True)
+    return draw_in_place(key, np.array(counters, dtype=np.uint64, order="C"))
 
 
 def bernoulli_threshold(prob: float) -> int:

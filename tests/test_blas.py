@@ -34,6 +34,31 @@ def test_bind_tolerates_missing_library_or_symbols(tmp_path):
         assert blas._bind(libc) is None
 
 
+class _Numpy1OpenBLAS:
+    """numpy 1.x's bundled OpenBLAS, reduced to what blas looks up: it
+    exports its utility functions and its LAPACK with a bare 64_ suffix."""
+
+    def __init__(self):
+        self.count = 4
+        self.openblas_get_num_threads64_ = mock.Mock(side_effect=lambda: self.count)
+        self.openblas_set_num_threads64_ = mock.Mock(side_effect=lambda n: setattr(self, "count", n))
+        self.openblas_get_corename64_ = mock.Mock(return_value=b"Haswell")
+        self.dpotrf_64_ = self.dpotrs_64_ = mock.Mock()
+
+
+def test_binds_numpy_1x_openblas_by_its_64_names(monkeypatch):
+    path = "libopenblas64_p-r0-2f7c42d4.3.23.dev.so"
+    monkeypatch.setattr(blas.ctypes, "CDLL", lambda _: _Numpy1OpenBLAS())
+    monkeypatch.setattr(blas, "_paths", lambda: (path,))
+    get, set_ = blas._bind(path)
+    assert get() == 4
+    set_(1)
+    assert get() == 1
+    assert blas.core_names() == ("Haswell",)
+    # its ILP64 LAPACK stays unmatched
+    assert blas._exported(path, blas._LAPACK_SYMBOLS) is None
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="discovery reads /proc/self/maps")
 def test_finds_each_bundled_openblas():
     bundled = [

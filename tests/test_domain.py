@@ -231,7 +231,6 @@ _VECTORS = [
     (kkt_residual, "y", "n=40", _VALID_CALLS[kkt_residual]),
     (kkt_residual, "beta", "p=20", _VALID_CALLS[kkt_residual]),
     (solve, "y", "n=40", dict(X=_M, y=_Y, config=LassoConfig(lam=0.1, max_iter=50))),
-    (solve, "beta0", "p=20", dict(X=_M, y=_Y, config=LassoConfig(lam=0.1, max_iter=50), beta0=make_signal(_S))),
 ]
 
 

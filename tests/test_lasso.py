@@ -164,12 +164,6 @@ def test_zero_column_stays_zero():
     sol = solve(X, y, LassoConfig(lam=0.05))
     assert sol.beta_hat[2] == 0.0
     assert np.all(np.isfinite(sol.beta_hat))
-    # a warm start with mass on the dead column gets cleared
-    beta0 = np.zeros(6)
-    beta0[2] = 5.0
-    sol2 = solve(X, y, LassoConfig(lam=0.05), beta0=beta0)
-    assert sol2.beta_hat[2] == 0.0
-    assert np.allclose(sol.beta_hat, sol2.beta_hat)
 
 
 def test_max_iter_exhaustion_reports_not_converged():
@@ -191,8 +185,6 @@ def test_non_finite_inputs_rejected():
         solve(X, ybad, LassoConfig(lam=0.1))
     with pytest.raises(ParameterError):
         solve(X, y[:-1], LassoConfig(lam=0.1))
-    with pytest.raises(ParameterError):
-        solve(X, y, LassoConfig(lam=0.1), beta0=np.zeros(4))
 
 
 def test_signed_support():

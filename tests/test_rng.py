@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from sparselasso import rng
 
@@ -162,11 +162,12 @@ def test_derive_key_step_is_injective(seed, tags, tag):
 
 
 def test_uniforms_open_interval():
+    """The uniforms under the normals lie inside (0, 1) and are never 1/2:
+    every normal is finite and non-zero, and maps back to uniform moments."""
     key = rng.derive_key(11, rng.TAG_VALUE)
-    u = rng.uniforms_at(key, np.arange(200_000, dtype=np.uint64))
-    assert u.min() > 0.0
-    assert u.max() < 1.0
-    assert not np.any(u == 0.5)
+    z = rng.normals_at(key, np.arange(200_000, dtype=np.uint64))
+    assert np.all(np.isfinite(z)) and np.all(z != 0.0)
+    u = ndtr(z)
     assert abs(u.mean() - 0.5) < 0.005
     assert abs(u.var() - 1.0 / 12.0) < 0.002
 
@@ -212,16 +213,16 @@ def test_endpoint_words_stay_inside_the_open_interval():
     key = rng.derive_key(11, rng.TAG_VALUE)
     counters = np.array([7936378029797026846, 3900546397066986092], dtype=np.uint64)
     assert (rng.bits_at(key, counters) >> np.uint64(11)).tolist() == [2**52, 2**53 - 1]
-    assert rng.uniforms_at(key, counters).tolist() == [0.5 + 2.0**-53, 1.0 - 2.0**-53]
     z = rng.normals_at(key, counters)
+    assert z.tolist() == ndtri([0.5 + 2.0**-53, 1.0 - 2.0**-53]).tolist()
     assert np.all(np.isfinite(z)) and np.all(z != 0.0)
     assert z[0] > 0.0
 
 
 def test_only_the_endpoint_words_move():
-    """Every other word near 1/2 and 1 keeps the uniform m * 2^-53 + 2^-54 (rounded to nearest even),
-    also in arrays that end just before, at and after a draw chunk, and from int64 counters, which
-    are left untouched."""
+    """Every other word near 1/2 and 1 keeps the uniform m * 2^-53 + 2^-54 (rounded to nearest even)
+    under its normal, in arrays that end just before, at and after a draw chunk, and from int64
+    counters, which are left untouched."""
     key = rng.derive_key(3, rng.TAG_NOISE)
     tops = [2**52 - 2, 2**52 - 1, 2**52, 2**52 + 1, 2**52 + 2, 2**53 - 3, 2**53 - 2, 2**53 - 1, 0, 1]
     words = [(m << 11) | low for m in tops for low in (0, 1, 2**11 - 1)]
@@ -229,12 +230,20 @@ def test_only_the_endpoint_words_move():
     assert rng.bits_at(key, counters).tolist() == words
     moved = {2**52: 0.5 + 2.0**-53, 2**53 - 1: 1.0 - 2.0**-53}
     expected = [moved.get(w >> 11, (w >> 11) * 2.0**-53 + 2.0**-54) for w in words]
-    assert rng.uniforms_at(key, counters).tolist() == expected
     chunk = rng.DRAW_CHUNK
     for size in (chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
         tiled, want = np.resize(counters, size), np.resize(expected, size)
         for arr in (tiled, tiled.view(np.int64)):
             before = arr.copy()
-            assert np.array_equal(rng.uniforms_at(key, arr), want)
             assert np.array_equal(rng.normals_at(key, arr), ndtri(want))
             assert arr.dtype == before.dtype and np.array_equal(arr, before)
+
+
+@pytest.mark.parametrize("size", [rng.DRAW_CHUNK - 1, rng.DRAW_CHUNK, rng.DRAW_CHUNK + 1])
+def test_draw_in_place_overwrites_the_buffer_it_was_given(size):
+    key = rng.derive_key(5, rng.TAG_VALUE)
+    counters = np.arange(size, dtype=np.uint64) * np.uint64(0x100000001)
+    words = counters.copy()
+    z = rng.draw_in_place(key, words)
+    assert z.dtype == np.float64 and z.shape == words.shape and np.shares_memory(z, words)
+    assert z.tobytes() == rng.normals_at(key, counters).tobytes()
