@@ -27,9 +27,10 @@ LAPACK.  `cholesky` and `cholesky_solve` are what the witness gets from
 `scipy.linalg.cho_factor(G, lower=True)` and `cho_solve`, bit for bit,
 without importing `scipy.linalg` (44 modules and about 6 MB).  They call
 `scipy_dpotrf_` and `scipy_dpotrs_` of scipy's own OpenBLAS, the routines
-behind scipy's wrappers, which `scipy.special` (the sampler's `ndtri`)
-has already mapped into the process.  It is the copy whose thread count
-`single_threaded` pins, so the pin covers them.  numpy's copy is not
+behind scipy's wrappers.  The extension module `scipy.special._ufuncs`,
+which the sampler's `ndtri` comes from, links that library, so importing
+rng has already mapped it into the process.  It is the copy whose thread
+count `single_threaded` pins, so the pin covers them.  numpy's copy is not
 used: it is another OpenBLAS release, and its potrf gave other bits.
 Where no mapped library exports both routines, the two functions call
 `scipy.linalg` itself.

@@ -17,12 +17,88 @@ The 2^11 words with m = 2^52, whose sum rounds to exactly 1/2, move to
 1/2 + 2^-53, and the 2^11 with m = 2^53 - 1, whose sum rounds to 1, move
 to 1 - 2^-53: values no other word gives.  So a uniform is never 0, 1/2
 or 1, and a normal is never zero or infinite.
+
+The inverse CDF is scipy's `ndtri` ufunc, taken from the extension module
+`scipy.special._ufuncs` without running `scipy/special/__init__.py`, which
+loads scipy's array-API shim (about 280 modules and 20 MB) that nothing
+here uses; `_load_ndtri` has the details.
 """
 
 from __future__ import annotations
 
+import _imp
+import importlib
+import importlib.machinery
+import os
+import sys
+import types
+
 import numpy as np
-from scipy.special import ndtri
+import scipy
+
+
+def _real_special(name: str):
+    """`name` of the real scipy.special, imported on first use."""
+    return getattr(importlib.import_module("scipy.special"), name)
+
+
+def _load_ndtri():
+    """scipy's ndtri ufunc, the object `scipy.special.ndtri` is.
+
+    Unless scipy.special is already imported, it is taken from
+    `scipy.special._ufuncs` by `_ufuncs_ndtri`.  The global import lock is
+    held from the check to the stub's removal, so no other thread starts
+    importing the package in between or gets the stub.  Where that route
+    fails, ndtri comes from `from scipy.special import ndtri`: a scipy whose
+    extension modules import more of the package finds the stub bare, an
+    ImportError or, for a name read off the stub, an AttributeError.
+    """
+    _imp.acquire_lock()
+    try:
+        if "scipy.special" not in sys.modules:
+            return _ufuncs_ndtri()
+    except (ImportError, AttributeError):
+        pass
+    finally:
+        _imp.release_lock()
+    from scipy.special import ndtri
+
+    return ndtri
+
+
+def _ufuncs_ndtri():
+    """ndtri from `scipy.special._ufuncs`, imported (with _ufuncs_cxx,
+    _special_ufuncs, _gufuncs and _ellip_harm_2) under a bare package stub
+    that stands in sys.modules for scipy.special and is taken out again.
+
+    A later `import scipy.special` runs the real __init__, which reuses these
+    extension modules.  Only importing a package through the import system
+    sets it as an attribute of its parent, so `scipy.special` is never the
+    stub, and scipy's module __getattr__ still imports the real package on
+    first read.  The caller holds the global import lock, and the stub's
+    spec is marked as initializing, so another thread's `import scipy.special`
+    waits for the lock and then imports the real package; a thread that got
+    the stub from `from scipy.special import name` reads the package through
+    the stub's __getattr__.  Checked with scipy on Python 3.11 only.
+    """
+    stub = types.ModuleType("scipy.special")
+    stub.__path__ = [os.path.join(os.path.dirname(scipy.__file__), "special")]
+    stub.__package__ = stub.__name__
+    stub.__spec__ = importlib.machinery.ModuleSpec(stub.__name__, None, is_package=True)
+    stub.__spec__.submodule_search_locations = stub.__path__
+    stub.__spec__._initializing = True
+    sys.modules[stub.__name__] = stub
+    try:
+        from scipy.special._ufuncs import ndtri
+
+        return ndtri
+    finally:
+        if sys.modules.get(stub.__name__) is stub:
+            del sys.modules[stub.__name__]
+        stub.__getattr__ = _real_special
+
+
+ndtri = _load_ndtri()
 
 # splitmix64's constants as Python ints, for scalar words, and as uint64
 # scalars, for arrays.

@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
+import scipy
 
 from . import blas, ensemble, lasso, rng, theory, witness
 from .errors import CapacityError, DataError, ParameterError, distinct, finite, integer, non_negative, one_of, positive, read_only_by, unit_interval
@@ -513,8 +514,11 @@ def table_to_dict(table: SweepTable) -> dict:
 
 
 def write_json(table: SweepTable, fh, provenance: Optional[dict] = None) -> None:
-    """JSON mirror of the table; provenance, when given, records where each parameter came from."""
+    """JSON mirror of the table; provenance, when given, records where each
+    parameter came from.  `libraries` names what the floats depend on beyond
+    the seeds: numpy's and scipy's versions and each loaded OpenBLAS's kernel."""
     out = table_to_dict(table)
+    out["libraries"] = {"numpy": np.__version__, "scipy": scipy.__version__, "openblas_cores": list(blas.core_names())}
     if provenance is not None:
         out["provenance"] = provenance
     dump_json(out, fh)

@@ -9,12 +9,13 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparselasso
 from sparselasso import EnsembleSpec, LassoConfig, ParameterError, SignalSpec, SweepConfig, grid_points, read_matrix
-from sparselasso import cli, ensemble, sample_matrix, sweep, write_matrix
+from sparselasso import blas, cli, ensemble, sample_matrix, sweep, write_matrix
 from sparselasso.cli import main
 from sparselasso.sweep import SPARSITY_RULES, _point_batch
 
@@ -403,6 +404,17 @@ def test_sweep_outputs_are_reproducible(tmp_path, capsys):
     assert payload["config"]["base_seed"] == 7
     assert len(payload["rows"]) == 2
     assert "trials" not in payload
+
+
+def test_sweep_json_records_the_libraries(tmp_path, capsys):
+    """The JSON mirror names numpy's and scipy's versions and each loaded
+    OpenBLAS kernel; the CSV written with it is the CSV written alone."""
+    alone, mirrored, jsn = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "b.json"
+    assert main(_sweep_args(["--out-csv", str(alone)])) == 0
+    assert main(_sweep_args(["--out-csv", str(mirrored), "--out-json", str(jsn)])) == 0
+    assert alone.read_bytes() == mirrored.read_bytes()
+    libraries = json.loads(jsn.read_text())["libraries"]
+    assert libraries == {"numpy": np.__version__, "scipy": scipy.__version__, "openblas_cores": list(blas.core_names())}
 
 
 def _die_at_first_point(args):

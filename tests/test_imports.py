@@ -3,7 +3,9 @@ module reads a private name of another, `__all__` lists exactly what
 `__init__` imports, only errors.py tests a scalar for finiteness or
 words the message of `one_of`, `read_only_by` or `distinct`, no CLI
 option that takes its default from a dataclass field also states one,
-and the witness path runs without loading scipy.sparse."""
+only rng.py imports scipy.special, and the witness path runs without
+loading scipy.sparse, scipy.special's __init__ or scipy's array-API
+shim."""
 
 import ast
 import dataclasses
@@ -171,9 +173,52 @@ def test_filled_options_state_no_default_of_their_own():
     assert _dead_literals(pathlib.Path(cli.__file__).read_text(), fields_of) == []
 
 
+def _special_imports(source: str) -> list:
+    """Each import of scipy.special, of a module under it or of a name from
+    it in source, and each `scipy.special` attribute read, which imports
+    the package through scipy's module __getattr__."""
+
+    def under(name):
+        return name == "scipy.special" or name.startswith("scipy.special.")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names if under(alias.name))
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module is not None:
+            if under(node.module):
+                found.extend(f"{node.module}.{alias.name}" for alias in node.names)
+            elif node.module == "scipy":
+                found.extend(f"scipy.{alias.name}" for alias in node.names if alias.name == "special")
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if (node.value.id, node.attr) == ("scipy", "special"):
+                found.append("scipy.special")
+    return sorted(found)
+
+
+def test_scipy_special_import_is_found():
+    source = (
+        "import scipy, scipy.sparse\n"
+        "import scipy.special._ufuncs as uf\n"
+        "from scipy.special import erf\n"
+        "from scipy import linalg, special\n"
+        "from scipy.specialized import x\n"
+        "from .special import y\n"
+        "z = scipy.special.ndtr(0.0) + scipy.sparse.eye(1)\n"
+    )
+    assert _special_imports(source) == ["scipy.special", "scipy.special", "scipy.special._ufuncs", "scipy.special.erf"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "rng.py"] + [pathlib.Path(sparselasso.__file__)], ids=lambda p: p.stem)
+def test_only_rng_imports_scipy_special(path):
+    """scipy.special's __init__ loads scipy's array-API shim, about 280
+    modules; rng.py takes ndtri without it, and nothing else may load it."""
+    assert _special_imports(path.read_text()) == []
+
+
 # Every witness route a user reaches, then the two calls that do need
-# scipy.sparse.  Run in a fresh interpreter, whose sys.modules no other
-# test has touched.
+# scipy.sparse, then the scipy packages a user may import next.  Run in a
+# fresh interpreter, whose sys.modules no other test has touched.
 _WITNESS_PATH_SCRIPT = """
 import contextlib, io, os, sys, tempfile
 import numpy as np
@@ -191,18 +236,28 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["gen", "--n", "60", "--p", "64", "--gamma", "0.5", "--seed", "1", "--out", path]) == 0
     assert cli.main(["witness", "--matrix", path, "--k", "3", "--lam", "0.2", "--noise-seed", "2"]) == 0
 assert "scipy.sparse" not in sys.modules, "the witness path loaded scipy.sparse"
+assert "scipy.special" not in sys.modules, "the witness path ran scipy.special's __init__"
+assert "scipy._lib._array_api" not in sys.modules, "the witness path loaded scipy's array-API shim"
+from sparselasso import blas, rng
+assert blas._lapack() is not None, "no loaded library exports scipy's dpotrf and dpotrs"
 
 obs = observe(m, make_signal(sig), 0.1, 2)
 assert np.array_equal(m.to_csr() @ make_signal(sig) + obs.w, obs.y)
 assert solve(m, obs.y, LassoConfig(lam=0.2)).converged
 assert "scipy.sparse" in sys.modules
+
+import scipy.special, scipy.stats, scipy.linalg, scipy.sparse
+assert scipy.special.ndtri is rng.ndtri
+assert scipy.special.erf(0.0) == 0.0 and abs(scipy.special.erf(1.0) - 0.8427007929497149) < 1e-15
 """
 
 
 def test_witness_path_never_loads_scipy_sparse():
     """A witness-mode sweep, serial and forked, build, h_vector and the CLI's
-    gen and witness never import scipy.sparse; to_csr and the solver load it
-    when they are called."""
+    gen and witness never import scipy.sparse, run scipy.special's __init__
+    or load scipy._lib._array_api, and scipy's LAPACK is still found; to_csr
+    and the solver load scipy.sparse when they are called, and scipy.special
+    imported later holds rng's ndtri."""
     src = str(pathlib.Path(sparselasso.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", _WITNESS_PATH_SCRIPT], env=env, capture_output=True, text=True, timeout=300)

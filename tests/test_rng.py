@@ -1,3 +1,8 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -6,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
+import sparselasso
 from sparselasso import rng
 
 
@@ -247,3 +253,133 @@ def test_draw_in_place_overwrites_the_buffer_it_was_given(size):
     z = rng.draw_in_place(key, words)
     assert z.dtype == np.float64 and z.shape == words.shape and np.shares_memory(z, words)
     assert z.tobytes() == rng.normals_at(key, counters).tobytes()
+
+
+def _run_fresh(script: str, *args: str) -> str:
+    """Standard output of `script` run in a fresh interpreter, whose
+    sys.modules no test has touched, with this package on its path."""
+    src = str(pathlib.Path(sparselasso.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# Imports rng by one of three routes and reports how ndtri was loaded and
+# the digest of normals at the two endpoint words and 2^16 more counters.
+# "stub": nothing else loaded; "preloaded": scipy.special imported first;
+# "refused": a finder makes the stub route raise ImportError.  "loaded"
+# says whether scipy.special is then in sys.modules and set on scipy.  Every
+# ModuleSpec made through importlib.machinery is recorded, so a stub
+# counts even if it never reached sys.modules.
+_LOAD_SCRIPT = """
+import hashlib, importlib.machinery, json, sys
+import numpy as np
+
+specs = []
+class RecordedSpec(importlib.machinery.ModuleSpec):
+    def __init__(self, name, *args, **kwargs):
+        specs.append(name)
+        super().__init__(name, *args, **kwargs)
+importlib.machinery.ModuleSpec = RecordedSpec
+
+refused = []
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special._ufuncs" and not hasattr(sys.modules["scipy.special"], "__file__"):
+            refused.append(name)
+            raise ImportError("the stub route is refused")
+        return None
+
+if sys.argv[1] == "preloaded":
+    import scipy.special
+elif sys.argv[1] == "refused":
+    sys.meta_path.insert(0, Refuse())
+from sparselasso import rng
+loaded = "scipy.special" in sys.modules
+attribute = "special" in vars(sys.modules["scipy"])
+import scipy.special
+assert scipy.special.ndtri is rng.ndtri
+key = rng.derive_key(11, rng.TAG_VALUE)
+counters = np.concatenate([np.array([7936378029797026846, 3900546397066986092], dtype=np.uint64), np.arange(1 << 16, dtype=np.uint64)])
+digest = hashlib.sha256(rng.normals_at(key, counters).tobytes()).hexdigest()
+print(json.dumps({"stubs": specs.count("scipy.special"), "refused": len(refused), "loaded": [loaded, attribute], "sha256": digest}))
+"""
+
+# The digest _LOAD_SCRIPT prints, recorded when ndtri still came from
+# `from scipy.special import ndtri` (scipy 1.17.1).
+_NORMALS_SHA256 = "c196285ab89caf609b8a4a18553cc4589f540e0dcfc6a0b4df99ad68cb1ae3b4"
+
+
+@pytest.mark.parametrize(
+    "route, stubs, refused, loaded",
+    [("stub", 1, 0, False), ("preloaded", 0, 0, True), ("refused", 1, 1, True)],
+)
+def test_every_ndtri_load_route_gives_the_same_normals(route, stubs, refused, loaded):
+    """ndtri comes from scipy.special._ufuncs under a stub unless scipy.special
+    is already imported, when no stub is made, or the stub route fails, when
+    the package is imported; the normals are the same bits on every route,
+    and rng.ndtri is the package's ndtri once it is imported."""
+    got = json.loads(_run_fresh(_LOAD_SCRIPT, route))
+    assert got == {"stubs": stubs, "refused": refused, "loaded": [loaded, loaded], "sha256": _NORMALS_SHA256}
+
+
+# Two threads import scipy.special, one with `import scipy.special` and one
+# with `from scipy.special import erf`, while the main thread's import of
+# rng holds the stub in sys.modules: a finder holds that window open until
+# both threads are about to import, and half a second more.
+_RACE_SCRIPT = """
+import sys, threading, time
+import scipy
+
+window = threading.Event()
+ready = [threading.Event(), threading.Event()]
+got = {}
+
+class HoldOpen:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special._ufuncs" and not window.is_set():
+            assert not hasattr(sys.modules["scipy.special"], "__file__"), "no stub in sys.modules"
+            window.set()
+            for event in ready:
+                event.wait(60)
+            time.sleep(0.5)
+        return None
+
+def plain():
+    import scipy.special
+    return scipy.special.ndtri, scipy.special.erf
+
+def from_import():
+    from scipy.special import erf, ndtri
+    return ndtri, erf
+
+def race(i, imports):
+    window.wait(60)
+    ready[i].set()
+    try:
+        got[imports.__name__] = imports()
+    except Exception as exc:
+        got[imports.__name__] = repr(exc)
+
+threads = [threading.Thread(target=race, args=(i, f), daemon=True) for i, f in enumerate((plain, from_import))]
+sys.meta_path.insert(0, HoldOpen())
+for t in threads:
+    t.start()
+from sparselasso import rng
+taken = window.is_set()
+window.set()
+for t in threads:
+    t.join(60)
+    assert not t.is_alive(), "a thread is still importing"
+assert taken, "the stub route was not taken"
+import scipy.special
+assert got == {name: (rng.ndtri, scipy.special.erf) for name in ("plain", "from_import")}, got
+"""
+
+
+def test_import_of_scipy_special_during_the_stub_gets_the_package():
+    """Threads that import scipy.special while the stub stands in for it wait
+    for the global import lock and get the real package, whichever import
+    statement they use."""
+    _run_fresh(_RACE_SCRIPT)
