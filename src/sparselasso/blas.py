@@ -16,12 +16,14 @@ the dense algebra through these, so they compute the same floats
 whatever thread count the caller has set.
 
 The libraries are found once per process from the memory map (Linux
-only) and driven through their exported getter and setter via ctypes,
-so no third-party package or environment variable is involved.  Where
-nothing is found every function here is a no-op.  `core_names` reads
-which kernel set each copy picked for the CPU at load time: the thread
-count is pinned, the kernel is not, and the witness's floats differ
-between kernels in the last digits.
+only), and each is opened once via ctypes into one `Library` record: its
+thread getter and setter and its kernel name, under the first of four
+namings whose getter and setter it exports, and its LAPACK routines.  A
+copy without such a pair gets no record.  No third-party package or
+environment variable is involved.  Where nothing is found every function
+here is a no-op.  `core_names` gives which kernel set each copy picked
+for the CPU at load time: the thread count is pinned, the kernel is not,
+and the witness's floats differ between kernels in the last digits.
 
 LAPACK.  `cholesky` and `cholesky_solve` are what the witness gets from
 `scipy.linalg.cho_factor(G, lower=True)` and `cho_solve`, bit for bit,
@@ -29,11 +31,12 @@ without importing `scipy.linalg` (44 modules and about 6 MB).  They call
 `scipy_dpotrf_` and `scipy_dpotrs_` of scipy's own OpenBLAS, the routines
 behind scipy's wrappers.  The extension module `scipy.special._ufuncs`,
 which the sampler's `ndtri` comes from, links that library, so importing
-rng has already mapped it into the process.  It is the copy whose thread
-count `single_threaded` pins, so the pin covers them.  numpy's copy is not
-used: it is another OpenBLAS release, and its potrf gave other bits.
-Where no mapped library exports both routines, the two functions call
-`scipy.linalg` itself.
+rng has already mapped it into the process.  They are read from the
+record of a copy whose thread count `single_threaded` pins, so the pin
+covers them.  numpy's copy is not used: it is another OpenBLAS release,
+and its potrf gave other bits.  Where no pinned copy exports both
+routines (scipy wheels before 1.13, non-wheel builds), the two
+functions call `scipy.linalg` itself.
 
 Forked processes.  OpenBLAS shuts its thread pool down before a fork and
 rebuilds it in the child on the child's first setter call, whatever
@@ -62,6 +65,7 @@ included, and about 3 ms in the pool threads the restore rebuilds.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
@@ -70,53 +74,48 @@ from typing import Optional
 
 import numpy as np
 
-# (getter, setter) name patterns: numpy 2.x's ILP64 build, scipy's LP64
-# build, numpy 1.x's ILP64 build and a plain system OpenBLAS.
-_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
+# The namings of numpy 2.x's ILP64 build, scipy's LP64 build, numpy 1.x's
+# ILP64 build and a plain system OpenBLAS, filled with a utility's name.
+_NAMINGS = ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}")
 
-# The kernel-name getter of each of the same four builds.
-_CORE_NAME_SYMBOLS = (
-    ("scipy_openblas_get_corename64_",),
-    ("scipy_openblas_get_corename",),
-    ("openblas_get_corename64_",),
-    ("openblas_get_corename",),
-)
+# One mapped OpenBLAS: its thread getter and setter, the kernel name it
+# picked at load time (None where it exports no getter for it) and the
+# (dpotrf, dpotrs) of scipy's LP64 build, or None.  numpy's ILP64 copy
+# exports its LAPACK with a 64_ suffix and is not matched.
+Library = collections.namedtuple("Library", ["get", "set", "core", "lapack"])
 
-# The Cholesky factor and solve of scipy's LP64 build; numpy's ILP64 copy
-# exports them with a 64_ suffix and is not matched.
-_LAPACK_SYMBOLS = (("scipy_dpotrf_", "scipy_dpotrs_"),)
+_INT = ctypes.POINTER(ctypes.c_int)
 
 
-def _exported(path: str, patterns):
-    """The functions of the first name pattern in `patterns` that the shared
-    object at `path` exports in full, or None if it cannot be loaded or
-    exports none of them."""
+def _bind(path: str) -> Optional[Library]:
+    """The record of the OpenBLAS at `path`, read under the first naming
+    whose thread getter and setter it exports, or None if it cannot be
+    loaded or exports neither under any naming."""
     try:
         lib = ctypes.CDLL(path)
     except OSError:
         return None
-    for names in patterns:
+    for naming in _NAMINGS:
         try:
-            return tuple(getattr(lib, name) for name in names)
+            get, set_ = getattr(lib, naming.format("get_num_threads")), getattr(lib, naming.format("set_num_threads"))
         except AttributeError:
             continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        core, get_core = None, getattr(lib, naming.format("get_corename"), None)
+        if get_core is not None:
+            get_core.argtypes, get_core.restype = [], ctypes.c_char_p
+            core = get_core().decode()
+        try:
+            potrf, potrs = lib.scipy_dpotrf_, lib.scipy_dpotrs_
+        except AttributeError:
+            return Library(get, set_, core, None)
+        # Fortran arguments by reference; the trailing size_t is the hidden length of UPLO.
+        potrf.argtypes = [ctypes.c_char_p, _INT, ctypes.c_void_p, _INT, _INT, ctypes.c_size_t]
+        potrs.argtypes = [ctypes.c_char_p, _INT, _INT, ctypes.c_void_p, _INT, ctypes.c_void_p, _INT, _INT, ctypes.c_size_t]
+        potrf.restype = potrs.restype = None
+        return Library(get, set_, core, (potrf, potrs))
     return None
-
-
-def _bind(path: str):
-    """(getter, setter) of the OpenBLAS at `path`, or None if it has neither pattern."""
-    functions = _exported(path, _SYMBOLS)
-    if functions is None:
-        return None
-    get, set_ = functions
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
 
 
 @functools.cache
@@ -132,35 +131,29 @@ def _paths() -> tuple:
 
 @functools.cache
 def _libraries() -> tuple:
-    """(getter, setter) pairs of the OpenBLAS copies mapped into this process."""
+    """The Library record of each OpenBLAS mapped into this process, in path order."""
     return tuple(lib for lib in map(_bind, _paths()) if lib is not None)
 
 
 def core_names() -> tuple:
     """The kernel set (e.g. 'SkylakeX') that each loaded OpenBLAS picked for
-    this CPU when it was loaded, in discovery order.  Float results of its
-    dense algebra depend on it; the thread count is pinned, the kernel is not."""
-    names = []
-    for path in _paths():
-        functions = _exported(path, _CORE_NAME_SYMBOLS)
-        if functions is not None:
-            (get,) = functions
-            get.argtypes, get.restype = [], ctypes.c_char_p
-            names.append(get().decode())
-    return tuple(names)
+    this CPU when it was loaded, in thread_counts order; None for a copy that
+    exports no kernel getter.  Float results of its dense algebra depend on
+    it; the thread count is pinned, the kernel is not."""
+    return tuple(lib.core for lib in _libraries())
 
 
 def thread_counts() -> tuple:
     """Current thread count of each loaded OpenBLAS, in discovery order."""
-    return tuple(get() for get, _ in _libraries())
+    return tuple(lib.get() for lib in _libraries())
 
 
 def set_thread_counts(counts) -> None:
     """Set each loaded OpenBLAS to the matching entry of `counts` (as from
     thread_counts), calling the setter only where the count differs."""
-    for (get, set_), n in zip(_libraries(), counts):
-        if get() != n:
-            set_(n)
+    for lib, n in zip(_libraries(), counts):
+        if lib.get() != n:
+            lib.set(n)
 
 
 @contextlib.contextmanager
@@ -174,22 +167,10 @@ def single_threaded():
         set_thread_counts(saved)
 
 
-_INT = ctypes.POINTER(ctypes.c_int)
-
-
 @functools.cache
 def _lapack():
-    """(dpotrf, dpotrs) of the first mapped library that exports both, or None."""
-    for path in _paths():
-        functions = _exported(path, _LAPACK_SYMBOLS)
-        if functions is not None:
-            potrf, potrs = functions
-            # Fortran arguments by reference; the trailing size_t is the hidden length of UPLO.
-            potrf.argtypes = [ctypes.c_char_p, _INT, ctypes.c_void_p, _INT, _INT, ctypes.c_size_t]
-            potrs.argtypes = [ctypes.c_char_p, _INT, _INT, ctypes.c_void_p, _INT, ctypes.c_void_p, _INT, _INT, ctypes.c_size_t]
-            potrf.restype = potrs.restype = None
-            return potrf, potrs
-    return None
+    """(dpotrf, dpotrs) of the first pinned library that exports both, or None."""
+    return next((lib.lapack for lib in _libraries() if lib.lapack is not None), None)
 
 
 def cholesky(G) -> Optional[np.ndarray]:

@@ -322,8 +322,7 @@ def run_trial(cfg: SweepConfig, p: int, theta: float, trial_index: int) -> Trial
     return _execute(cfg, _point_for(cfg, p_idx, theta_idx), trial_index)
 
 
-def _point_batch(args) -> list:
-    cfg, point = args
+def _point_batch(cfg: SweepConfig, point: GridPoint) -> list:
     return [_execute(cfg, point, t) for t in range(cfg.trials)]
 
 
@@ -371,7 +370,7 @@ def _claim_points(cfg: SweepConfig, points: list, order: list, claimed, slots, s
             if i >= len(order):
                 break
             slots[slot] = order[i]
-            done.append((order[i], _point_batch((cfg, points[order[i]]))))
+            done.append((order[i], _point_batch(cfg, points[order[i]])))
     except Exception as exc:
         trace = traceback.format_exc()
         try:
@@ -452,7 +451,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepTable:
     workers = integer("workers", workers, 1)
     points = grid_points(cfg)
     if workers == 1 or len(points) == 1:
-        batches = [_point_batch((cfg, pt)) for pt in points]
+        batches = [_point_batch(cfg, pt) for pt in points]
     else:
         # Fork the workers with every OpenBLAS already on one thread, so
         # their pinned trials never call a setter (see the blas module).

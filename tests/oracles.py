@@ -12,17 +12,38 @@ boolean mask and draws their values block by block.
 
 The witness oracle checks `witness.build` against a converged Lasso
 solution and against a QR projection of the noise.
+
+`run_fresh` runs Python in a fresh interpreter with this package on its
+path, for the tests that need a sys.modules, a start method or an
+environment that no other test has touched.
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
+import sparselasso
 from sparselasso import blas, rng
 from sparselasso.ensemble import SeedInfo, SignalSpec, SparseMeasurementMatrix, make_signal
 from sparselasso.errors import ParameterError
 from sparselasso.lasso import LassoSolution
 from sparselasso.witness import build
+
+
+def run_fresh(*argv: str, **environ: str) -> str:
+    """Standard output of `python *argv` run in a fresh interpreter, whose
+    sys.modules no test has touched, with this package on its path and
+    `environ` added to the environment."""
+    src = str(pathlib.Path(sparselasso.__file__).parents[1])
+    env = dict(os.environ, **environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def sample_matrix_unblocked(spec, seed, value_seed=None):

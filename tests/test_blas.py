@@ -1,9 +1,8 @@
 import ctypes.util
 import dataclasses
+import functools
 import io
-import os
 import pathlib
-import subprocess
 import sys
 from unittest import mock
 
@@ -13,7 +12,6 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import sparselasso
 from sparselasso import blas, ensemble, sweep, witness
 
 
@@ -47,16 +45,33 @@ class _Numpy1OpenBLAS:
 
 
 def test_binds_numpy_1x_openblas_by_its_64_names(monkeypatch):
-    path = "libopenblas64_p-r0-2f7c42d4.3.23.dev.so"
     monkeypatch.setattr(blas.ctypes, "CDLL", lambda _: _Numpy1OpenBLAS())
-    monkeypatch.setattr(blas, "_paths", lambda: (path,))
-    get, set_ = blas._bind(path)
-    assert get() == 4
-    set_(1)
-    assert get() == 1
-    assert blas.core_names() == ("Haswell",)
+    lib = blas._bind("libopenblas64_p-r0-2f7c42d4.3.23.dev.so")
+    assert lib.get() == 4
+    lib.set(1)
+    assert lib.get() == 1
+    assert lib.core == "Haswell"
     # its ILP64 LAPACK stays unmatched
-    assert blas._exported(path, blas._LAPACK_SYMBOLS) is None
+    assert lib.lapack is None
+
+
+class _LapackOnly:
+    """A library that exports scipy's potrf and potrs but no thread getter or setter."""
+
+    def __init__(self):
+        self.scipy_dpotrf_ = self.scipy_dpotrs_ = mock.Mock()
+
+
+def test_lapack_comes_only_from_a_pinned_library(monkeypatch):
+    """LAPACK is read from the record of a library single_threaded pins, so
+    a copy whose thread count nothing can set is never called."""
+    fakes = {"libopenblas_a_lapack_only.so": _LapackOnly(), "libopenblas_b_numpy1.so": _Numpy1OpenBLAS()}
+    monkeypatch.setattr(blas.ctypes, "CDLL", fakes.__getitem__)
+    monkeypatch.setattr(blas, "_paths", lambda: tuple(fakes))
+    monkeypatch.setattr(blas, "_libraries", functools.cache(blas._libraries.__wrapped__))
+    assert blas._lapack.__wrapped__() is None
+    assert blas._bind("libopenblas_a_lapack_only.so") is None
+    assert [lib.core for lib in blas._libraries()] == ["Haswell"]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="discovery reads /proc/self/maps")
@@ -79,7 +94,22 @@ def test_core_names_name_the_kernel_of_each_openblas(monkeypatch, tmp_path):
     assert all(isinstance(name, str) and name for name in names)
     libc = ctypes.util.find_library("c")
     monkeypatch.setattr(blas, "_paths", lambda: tuple(filter(None, (str(tmp_path / "libopenblas_missing.so"), libc))))
+    monkeypatch.setattr(blas, "_libraries", functools.cache(blas._libraries.__wrapped__))
     assert blas.core_names() == ()
+
+
+def test_core_names_follow_thread_counts_and_open_no_library(caller_counts):
+    """One kernel name per pinned library, in thread_counts order, read
+    when the library was bound: no call opens a library again."""
+    names = blas.core_names()
+    with mock.patch.object(blas.ctypes, "CDLL", side_effect=OSError("opened again")):
+        assert blas.core_names() == names
+    counts = tuple(range(1, len(caller_counts) + 1))
+    blas.set_thread_counts(counts)
+    assert len(names) == len(blas.thread_counts())
+    # each library opened afresh has the count and the kernel of its position
+    fresh = [(lib.get(), lib.core) for lib in map(blas._bind, blas._paths()) if lib is not None]
+    assert fresh == list(zip(counts, names))
 
 
 def test_single_threaded_pins_and_restores(caller_counts):
@@ -108,7 +138,7 @@ class _CountingLibrary:
 
 def test_single_threaded_calls_a_setter_only_to_change_a_count(monkeypatch):
     libs = [_CountingLibrary(1), _CountingLibrary(1)]
-    monkeypatch.setattr(blas, "_libraries", lambda: tuple((lib.get, lib.set) for lib in libs))
+    monkeypatch.setattr(blas, "_libraries", lambda: tuple(blas.Library(lib.get, lib.set, None, None) for lib in libs))
     with blas.single_threaded():
         assert blas.thread_counts() == (1, 1)
     assert [lib.sets for lib in libs] == [0, 0] and all(lib.gets > 0 for lib in libs)
@@ -225,44 +255,3 @@ def test_scipy_linalg_fallback_gives_the_same_outputs(monkeypatch):
     with mock.patch.object(scipy.linalg, "cho_factor", wraps=scipy.linalg.cho_factor) as spy:
         assert _witness_outputs() == direct
     assert spy.called
-
-
-# Every witness route a user reaches never loads scipy.linalg, and a serial
-# sweep and the CLI's gen, witness and solve never load multiprocessing.
-# Run in a fresh interpreter, whose sys.modules no other test has touched.
-_LOADING_SCRIPT = """
-import contextlib, io, os, sys
-from sparselasso import sweep
-
-cfg = sweep.SweepConfig(p_list=(64, 128), theta_grid=(0.5, 1.5), trials=2, base_seed=3, mode="witness")
-serial = sweep.run_sweep(cfg, workers=1)
-assert "multiprocessing" not in sys.modules, "a serial sweep loaded multiprocessing"
-
-from sparselasso import EnsembleSpec, SignalSpec, build, cli, h_vector, noise_vector, observe, make_signal, sample_matrix
-m = sample_matrix(EnsembleSpec(n=60, p=64, gamma=0.5), 1)
-sig = SignalSpec(p=64, k=3)
-assert build(m, sig, noise_vector(60, 0.1, 2), 0.2).invertible
-h_vector(m, sig)
-path, y = os.path.join(sys.argv[1], "m.txt"), os.path.join(sys.argv[1], "y.txt")
-with open(y, "w") as fh:
-    fh.write("".join(f"{float(v)!r}\\n" for v in observe(m, make_signal(sig), 0.1, 2).y))
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["gen", "--n", "60", "--p", "64", "--gamma", "0.5", "--seed", "1", "--out", path]) == 0
-    assert cli.main(["witness", "--matrix", path, "--k", "3", "--lam", "0.2", "--noise-seed", "2"]) == 0
-    assert "scipy.linalg" not in sys.modules, "the witness path loaded scipy.linalg"
-    assert cli.main(["solve", "--matrix", path, "--y", y, "--lam", "0.2"]) == 0
-assert "multiprocessing" not in sys.modules, "the CLI loaded multiprocessing"
-
-assert sweep.run_sweep(cfg, workers=2) == serial
-assert "scipy.linalg" not in sys.modules, "a forked sweep loaded scipy.linalg"
-"""
-
-
-def test_witness_path_never_loads_scipy_linalg(tmp_path):
-    """A witness-mode sweep, serial and forked, build, h_vector and the CLI's
-    gen and witness never import scipy.linalg; a serial sweep and the CLI's
-    gen, witness and solve never import multiprocessing."""
-    src = str(pathlib.Path(sparselasso.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", _LOADING_SCRIPT, str(tmp_path)], env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr

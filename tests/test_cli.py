@@ -3,8 +3,6 @@ import dataclasses
 import io
 import json
 import os
-import pathlib
-import subprocess
 import sys
 
 import numpy as np
@@ -13,11 +11,12 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sparselasso
 from sparselasso import EnsembleSpec, LassoConfig, ParameterError, SignalSpec, SweepConfig, grid_points, read_matrix
 from sparselasso import blas, cli, ensemble, sample_matrix, sweep, write_matrix
 from sparselasso.cli import main
 from sparselasso.sweep import SPARSITY_RULES, _point_batch
+
+from oracles import run_fresh
 
 
 def _gen_args(path, n=16, p=6, gamma=0.7, seed=3, convention="standard"):
@@ -417,11 +416,10 @@ def test_sweep_json_records_the_libraries(tmp_path, capsys):
     assert libraries == {"numpy": np.__version__, "scipy": scipy.__version__, "openblas_cores": list(blas.core_names())}
 
 
-def _die_at_first_point(args):
-    cfg, point = args
+def _die_at_first_point(cfg, point):
     if point.theta == cfg.theta_grid[0]:
         os._exit(3)
-    return _point_batch(args)
+    return _point_batch(cfg, point)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the patched worker must be inherited by fork")
@@ -705,17 +703,10 @@ def test_witness_output_does_not_depend_on_blas_threads(tmp_path):
     path = tmp_path / "m.txt"
     with open(path, "w") as fh:
         write_matrix(sample_matrix(pt.spec, seed=1), fh)
-    src = str(pathlib.Path(sparselasso.__file__).parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "sparselasso.cli", "witness", "--matrix", str(path), "--k", str(pt.k),
-             "--lam", repr(pt.lam), "--noise-seed", "2"],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
+    outputs = [
+        run_fresh("-m", "sparselasso.cli", "witness", "--matrix", str(path), "--k", str(pt.k), "--lam", repr(pt.lam),
+                  "--noise-seed", "2", OPENBLAS_NUM_THREADS=threads)
+        for threads in ("1", "2")
+    ]
     assert json.loads(outputs[0])["invertible"] is True
     assert outputs[0] == outputs[1]

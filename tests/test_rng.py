@@ -1,8 +1,4 @@
 import json
-import os
-import pathlib
-import subprocess
-import sys
 from unittest import mock
 
 import numpy as np
@@ -11,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
-import sparselasso
 from sparselasso import rng
+
+from oracles import run_fresh
 
 
 def test_derive_key_deterministic():
@@ -255,16 +252,6 @@ def test_draw_in_place_overwrites_the_buffer_it_was_given(size):
     assert z.tobytes() == rng.normals_at(key, counters).tobytes()
 
 
-def _run_fresh(script: str, *args: str) -> str:
-    """Standard output of `script` run in a fresh interpreter, whose
-    sys.modules no test has touched, with this package on its path."""
-    src = str(pathlib.Path(sparselasso.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 # Imports rng by one of three routes and reports how ndtri was loaded and
 # the digest of normals at the two endpoint words and 2^16 more counters.
 # "stub": nothing else loaded; "preloaded": scipy.special imported first;
@@ -320,7 +307,7 @@ def test_every_ndtri_load_route_gives_the_same_normals(route, stubs, refused, lo
     is already imported, when no stub is made, or the stub route fails, when
     the package is imported; the normals are the same bits on every route,
     and rng.ndtri is the package's ndtri once it is imported."""
-    got = json.loads(_run_fresh(_LOAD_SCRIPT, route))
+    got = json.loads(run_fresh("-c", _LOAD_SCRIPT, route))
     assert got == {"stubs": stubs, "refused": refused, "loaded": [loaded, loaded], "sha256": _NORMALS_SHA256}
 
 
@@ -382,4 +369,4 @@ def test_import_of_scipy_special_during_the_stub_gets_the_package():
     """Threads that import scipy.special while the stub stands in for it wait
     for the global import lock and get the real package, whichever import
     statement they use."""
-    _run_fresh(_RACE_SCRIPT)
+    run_fresh("-c", _RACE_SCRIPT)

@@ -5,8 +5,6 @@ import json
 import math
 import multiprocessing
 import os
-import pathlib
-import subprocess
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -15,7 +13,6 @@ from unittest import mock
 import numpy as np
 import pytest
 
-import sparselasso
 from sparselasso import (
     CapacityError,
     DataError,
@@ -30,6 +27,8 @@ from sparselasso import (
 )
 from sparselasso import blas, ensemble, lasso, sweep, witness
 from sparselasso.sweep import CSV_HEADER, read_csv, table_to_dict, trial_seed, write_csv, write_json
+
+from oracles import run_fresh
 
 
 def _small_cfg(**overrides):
@@ -250,10 +249,7 @@ for method in ("spawn", "forkserver"):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sweeps fork their workers on Linux only")
 def test_workers_fork_whatever_the_callers_start_method(tmp_path):
-    src = str(pathlib.Path(sparselasso.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", _START_METHOD_SCRIPT, str(tmp_path)], env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    run_fresh("-c", _START_METHOD_SCRIPT, str(tmp_path))
 
 
 def test_run_trial_matches_sweep_records():
@@ -621,16 +617,16 @@ def test_sweep_without_openblas_matches_pinned_sweep(monkeypatch):
 _real_point_batch = sweep._point_batch
 
 
-def _batch_starting_no_threads(args):
+def _batch_starting_no_threads(cfg, point):
     before = len(os.listdir("/proc/self/task"))
-    batch = _real_point_batch(args)
+    batch = _real_point_batch(cfg, point)
     after = len(os.listdir("/proc/self/task"))
     if after > before:
         raise RuntimeError(f"worker grew from {before} to {after} threads")
     return batch
 
 
-def _exit_in_worker(args):
+def _exit_in_worker(cfg, point):
     os._exit(3)
 
 
@@ -638,22 +634,22 @@ class _TrialError(Exception):
     pass
 
 
-def _sleep_at_theta_1(args):
-    if args[1].theta == 1.0:
+def _sleep_at_theta_1(cfg, point):
+    if point.theta == 1.0:
         time.sleep(30)
-    return _real_point_batch(args)
+    return _real_point_batch(cfg, point)
 
 
-def _exit_at_theta_1_5(args):
-    if args[1].theta == 1.5:
+def _exit_at_theta_1_5(cfg, point):
+    if point.theta == 1.5:
         os._exit(3)
-    return _sleep_at_theta_1(args)
+    return _sleep_at_theta_1(cfg, point)
 
 
-def _raise_at_theta_1_5(args):
-    if args[1].theta == 1.5:
+def _raise_at_theta_1_5(cfg, point):
+    if point.theta == 1.5:
         raise _TrialError("trial failed")
-    return _sleep_at_theta_1(args)
+    return _sleep_at_theta_1(cfg, point)
 
 
 class _UnpicklableError(Exception):
@@ -662,10 +658,10 @@ class _UnpicklableError(Exception):
         self.hook = lambda: None  # pickle cannot send a lambda
 
 
-def _raise_unpicklable_at_theta_1(args):
-    if args[1].theta == 1.0:
+def _raise_unpicklable_at_theta_1(cfg, point):
+    if point.theta == 1.0:
         raise _UnpicklableError("trial failed")
-    return _real_point_batch(args)
+    return _real_point_batch(cfg, point)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the patched batch must be inherited by fork")
