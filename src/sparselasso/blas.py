@@ -97,7 +97,8 @@ def _bind(path: str) -> Optional[Library]:
         return None
     for naming in _NAMINGS:
         try:
-            get, set_ = getattr(lib, naming.format("get_num_threads")), getattr(lib, naming.format("set_num_threads"))
+            get = getattr(lib, naming.format("get_num_threads"))
+            set_ = getattr(lib, naming.format("set_num_threads"))
         except AttributeError:
             continue
         get.argtypes, get.restype = [], ctypes.c_int

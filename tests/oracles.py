@@ -89,10 +89,18 @@ assert run_sweep(cfg, workers=2) == serial
 note("witness path")
 lapack = blas._lapack() is not None
 
-# The forked sweep has loaded multiprocessing; a None entry makes any import of it raise.
-sys.modules["multiprocessing"], forked = None, sys.modules["multiprocessing"]
+# The forked sweep has loaded multiprocessing.  The CLI's solve runs with it,
+# its submodules and concurrent.futures' process pool taken out of sys.modules
+# and of that package, so that reaching any of them by any route imports
+# multiprocessing afresh.
+futures = sys.modules["concurrent.futures"]
+forked = {name: sys.modules.pop(name) for name in list(sys.modules)
+          if name.partition(".")[0] == "multiprocessing" or name == "concurrent.futures.process"}
+pool = {name: vars(futures).pop(name) for name in ("process", "ProcessPoolExecutor") if name in vars(futures)}
 run_cli("solve", "--matrix", path, "--y", y, "--lam", "0.2")
-sys.modules["multiprocessing"] = forked
+note("CLI solve")
+sys.modules.update(forked)
+vars(futures).update(pool)
 assert np.array_equal(m.to_csr() @ make_signal(sig) + obs.w, obs.y)
 assert solve(m, obs.y, LassoConfig(lam=0.2)).converged
 note("solve")
@@ -110,8 +118,9 @@ print(json.dumps({**loaded, "lapack": lapack}))
 def witness_path_loads() -> dict:
     """The watched packages loaded after each stage of `_WITNESS_PATH_SCRIPT`,
     keyed "serial sweep", "gen, witness", "witness path" (after the forked
-    sweep) and "solve", and under "lapack" whether `blas._lapack()` found
-    scipy's dpotrf and dpotrs, from one run in a fresh interpreter."""
+    sweep), "CLI solve" (with multiprocessing unloaded for it) and "solve",
+    and under "lapack" whether `blas._lapack()` found scipy's dpotrf and
+    dpotrs, from one run in a fresh interpreter."""
     with tempfile.TemporaryDirectory() as tmp:
         return json.loads(run_fresh("-c", _WITNESS_PATH_SCRIPT, tmp))
 
