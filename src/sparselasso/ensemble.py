@@ -15,7 +15,9 @@ Matrices are stored row-compressed (CSR triple); dense consumers read
 through `to_csr()` / `dense_columns()`; nothing densifies the full
 matrix.  A consumer that needs only some columns reads them as row
 slabs: `row_blocks` cuts them from a matrix, and `sample_blocks` draws
-the same slabs' entries without sampling the other columns.
+the same entries, in slabs cut at hash-block boundaries, without
+sampling the other columns.  One slab generator does all the sampling:
+`sample_matrix` is its one-slab case, all rows and columns at once.
 `scipy.sparse` is imported on demand, by the first `to_csr()`: sampling,
 observing and the witness never load it.
 """
@@ -148,46 +150,51 @@ def sample_matrix(spec: EnsembleSpec, seed: int, value_seed: Optional[int] = Non
     The Bernoulli pattern and the Gaussian values come from separate
     streams keyed off `seed`; passing `value_seed` re-draws the values on
     an identical pattern.  Entry (i, j) depends only on the stream keys
-    and (i, j), so the result is independent of generation order.
+    and (i, j), so the result is independent of generation order.  Its
+    arrays are the one slab of all rows and columns that sample_blocks'
+    generator yields when a slab closes only at row n.
     """
     seed = integer("seed", seed)
     value_seed = seed if value_seed is None else integer("value_seed", value_seed)
-    pattern_seed = rng.derive_key(seed, rng.TAG_PATTERN)
-    value_seed_eff = rng.derive_key(value_seed, rng.TAG_VALUE)
-
-    n, p = spec.n, spec.p
-    indices = rng.kept_entries(pattern_seed, n, p, spec.gamma)
-    indptr = np.searchsorted(indices, np.arange(n + 1, dtype=np.int64) * p)
-    values = _entry_values(spec, value_seed_eff, indptr, indices, 0, 0, p)
-
     info = SeedInfo(
         seed=seed,
-        pattern_seed=pattern_seed,
-        value_seed=value_seed_eff,
+        pattern_seed=rng.derive_key(seed, rng.TAG_PATTERN),
+        value_seed=rng.derive_key(value_seed, rng.TAG_VALUE),
     )
+    [(_, indptr, indices, values)] = _slabs(spec, info.pattern_seed, info.value_seed, 0, spec.p, math.inf)
     return SparseMeasurementMatrix(spec=spec, indptr=indptr, indices=indices, values=values, seed_info=info)
 
 
 def sample_blocks(spec: EnsembleSpec, seed: int, j0: int, j1: int):
     """Yield the entries of sample_matrix(spec, seed) in the columns [j0, j1)
-    as row slabs (r0, indptr, indices, values), in row order, as
-    SparseMeasurementMatrix.row_blocks cuts them, but without sampling the
-    other columns or holding more than one slab.  A slab gathers the rows
-    of consecutive hash blocks of rng.kept_blocks until it keeps at least
+    as row slabs (r0, indptr, indices, values), in row order, without
+    sampling the other columns or holding more than one slab.  The slabs
+    hold the same entries as SparseMeasurementMatrix.row_blocks', with
+    other row boundaries: row_blocks cuts the rows that hold
+    rng.DRAW_CHUNK entries on average, and a slab here gathers the rows of
+    consecutive hash blocks of rng.kept_blocks until it keeps at least
     rng.DRAW_CHUNK entries, so that its values are drawn in whole chunks."""
     seed = integer("seed", seed)
     value_key = rng.derive_key(seed, rng.TAG_VALUE)
+    return _slabs(spec, rng.derive_key(seed, rng.TAG_PATTERN), value_key, j0, j1, rng.DRAW_CHUNK)
+
+
+def _slabs(spec: EnsembleSpec, pattern_key: int, value_key: int, j0: int, j1: int, min_entries: float):
+    """Yield the row slabs (r0, indptr, indices, values) of the columns
+    [j0, j1), each closed once it keeps min_entries entries or reaches row n."""
     q = j1 - j0
     s0, parts, size = 0, [], 0
-    for r0, r1, flat in rng.kept_blocks(rng.derive_key(seed, rng.TAG_PATTERN), spec.n, j0, j1, spec.gamma):
+    for r0, r1, flat in rng.kept_blocks(pattern_key, spec.n, j0, j1, spec.gamma):
         flat += (r0 - s0) * q
         parts.append(flat)
         size += flat.size
-        if size >= rng.DRAW_CHUNK or r1 == spec.n:
-            flat = np.concatenate(parts)
+        if size >= min_entries or r1 == spec.n:
+            # The blocks' own arrays go before the values are drawn, so a
+            # slab holds its indices once.
+            flat, parts = np.concatenate(parts), []
             indptr = np.searchsorted(flat, np.arange(r1 - s0 + 1, dtype=np.int64) * q)
             yield s0, indptr, flat, _entry_values(spec, value_key, indptr, flat, s0, j0, q)
-            s0, parts, size = r1, [], 0
+            s0, size = r1, 0
 
 
 def _entry_values(spec: EnsembleSpec, value_key: int, indptr: np.ndarray, flat: np.ndarray, r0: int, j0: int, q: int) -> np.ndarray:

@@ -220,19 +220,6 @@ def kept_blocks(key: int, n: int, j0: int, j1: int, prob: float):
         yield r0, r1, np.flatnonzero(np.less(_finalize(z, scratch[:size]), threshold, out=below[:size]))
 
 
-def kept_entries(key: int, n: int, p: int, prob: float) -> np.ndarray:
-    """Ascending flat indices i * p + j of the n x p grid entries (p < 2^32)
-    kept by kept_blocks over the whole column range [0, p).  Besides
-    kept_blocks' buffers, which are freed before the concatenation, it
-    holds every block's kept indices: 8 bytes per kept entry, as the
-    output does."""
-    kept = []
-    for r0, _, flat in kept_blocks(key, n, 0, p, prob):
-        flat += r0 * p
-        kept.append(flat)
-    return np.concatenate(kept)
-
-
 def draw_in_place(key: int, words: np.ndarray) -> np.ndarray:
     """Overwrite the C-contiguous uint64 counters `words`, DRAW_CHUNK entries
     at a time, with the stream `key`'s standard normals at those counters;

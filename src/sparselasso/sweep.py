@@ -308,18 +308,16 @@ def _execute(cfg: SweepConfig, point: GridPoint, trial_index: int) -> TrialRecor
 
 def run_trial(cfg: SweepConfig, p: int, theta: float, trial_index: int) -> TrialRecord:
     """Run one trial at the named grid point, reproducible in isolation."""
-    try:
-        p_idx = cfg.p_list.index(p)
-    except ValueError:
-        raise ParameterError(f"p={p} is not in the configured p_list") from None
-    try:
-        theta_idx = cfg.theta_grid.index(float(theta))
-    except ValueError:
-        raise ParameterError(f"theta={theta} is not in the configured theta_grid") from None
+    p = integer("p", p)
+    if p not in cfg.p_list:
+        raise ParameterError(f"p={p} is not in the configured p_list")
+    theta = positive("theta", theta)
+    if theta not in cfg.theta_grid:
+        raise ParameterError(f"theta={theta} is not in the configured theta_grid")
     trial_index = integer("trial_index", trial_index, 0)
     if trial_index >= cfg.trials:
         raise ParameterError(f"trial_index must lie in [0, {cfg.trials}), got {trial_index}")
-    return _execute(cfg, _point_for(cfg, p_idx, theta_idx), trial_index)
+    return _execute(cfg, _point_for(cfg, cfg.p_list.index(p), cfg.theta_grid.index(theta)), trial_index)
 
 
 def _point_batch(cfg: SweepConfig, point: GridPoint) -> list:

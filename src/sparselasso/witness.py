@@ -215,5 +215,7 @@ def thinned_squared_norm(h: np.ndarray, gamma: float, seed: int) -> float:
     """||H||^2 after keeping each entry of h independently with probability gamma."""
     h = vector("h", h, "h.size", np.size(h))
     key = rng.derive_key(integer("seed", seed), rng.TAG_THIN)
-    kept = h[rng.kept_entries(key, 1, h.size, unit_interval("gamma", gamma))]
+    # A one-row grid is one block.
+    [(_, _, flat)] = rng.kept_blocks(key, 1, 0, h.size, unit_interval("gamma", gamma))
+    kept = h[flat]
     return float(kept @ kept)

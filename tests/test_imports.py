@@ -23,20 +23,36 @@ from oracles import witness_path_loads
 MODULES = sorted(p for p in pathlib.Path(sparselasso.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
 
+def _dotted(node) -> str:
+    """`a.b.c` for the name or attribute chain a.b.c, else the empty string."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(attrs)]) if isinstance(node, ast.Name) else ""
+
+
 def _unused_imports(source: str) -> list:
+    """Each name an import in source binds that source never reads, an
+    annotation included; `import a.b` is read only through `a.b`."""
     tree = ast.parse(source)
     bound = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
             bound.update(alias.asname or alias.name for alias in node.names)
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {_dotted(node) for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
     return sorted(bound - used)
 
 
 def test_unused_import_is_found():
-    assert _unused_imports("import os\nfrom typing import Optional, Sequence\nx: Sequence = os.sep\n") == ["Optional"]
+    source = (
+        "import os\n"
+        "import os.path\n"
+        "import importlib.machinery\n"
+        "from typing import Optional, Sequence\n"
+        "x: Sequence = os.sep + importlib.machinery.SOURCE_SUFFIXES[0]\n"
+    )
+    assert _unused_imports(source) == ["Optional", "os.path"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)

@@ -67,17 +67,21 @@ def test_bits_depend_only_on_key_and_counter(key, counters, data):
     prob=st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.just(1.0)),
     block_entries=st.integers(1, 500),
 )
-def test_kept_entries_equal_thresholded_bits_at_on_packed_counters(key, n, p, prob, block_entries):
-    """Any block size, including blocks of one row and a partial last block, keeps the same entries."""
+def test_kept_blocks_equal_thresholded_bits_at_on_packed_counters(key, n, p, prob, block_entries):
+    """Any block size, including blocks of one row and a partial last block,
+    tiles the rows in order and keeps each block's entries by the one rule."""
     counters = (np.arange(n, dtype=np.uint64)[:, None] << np.uint64(32)) | np.arange(p, dtype=np.uint64)
-    if prob == 1.0:
-        expected = np.arange(n * p)
-    else:
-        expected = np.flatnonzero(rng.bits_at(key, counters) < np.uint64(rng.bernoulli_threshold(prob)))
     with mock.patch.object(rng, "BLOCK_ENTRIES", block_entries):
-        kept = rng.kept_entries(key, n, p, prob)
-    assert kept.dtype == np.int64
-    assert np.array_equal(kept, expected)
+        blocks = list(rng.kept_blocks(key, n, 0, p, prob))
+    rows_per_block = max(1, block_entries // max(p, 1))
+    assert [(r0, r1) for r0, r1, _ in blocks] == [(r0, min(n, r0 + rows_per_block)) for r0 in range(0, n, rows_per_block)]
+    for r0, r1, flat in blocks:
+        if prob == 1.0:
+            expected = np.arange((r1 - r0) * p)
+        else:
+            expected = np.flatnonzero(rng.bits_at(key, counters[r0:r1]) < np.uint64(rng.bernoulli_threshold(prob)))
+        assert flat.dtype == np.int64
+        assert np.array_equal(flat, expected)
 
 
 _PHI = 0x9E3779B97F4A7C15

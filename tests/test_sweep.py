@@ -272,6 +272,12 @@ def test_run_trial_validates_coordinates():
         run_trial(cfg, 32, 0.7, 0)
     with pytest.raises(ParameterError):
         run_trial(cfg, 32, 0.5, cfg.trials)
+    with pytest.raises(ParameterError):
+        run_trial(cfg, 64, None, 0)
+    with pytest.raises(ParameterError):
+        run_trial(cfg, 64, "1.0", 0)
+    with pytest.raises(ParameterError):
+        run_trial(cfg, 64.0, 1.0, 0)
 
 
 def test_trial_seed_injective():
