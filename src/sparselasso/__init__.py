@@ -28,7 +28,6 @@ from .sweep import SweepConfig, SweepRow, SweepTable, TrialRecord, grid_points, 
 from .theory import (
     BoundCheck,
     ConditionReport,
-    GammaSchedule,
     control_parameter,
     gamma_schedule,
     lambda_schedule,
@@ -75,7 +74,6 @@ __all__ = [
     "write_outputs",
     "BoundCheck",
     "ConditionReport",
-    "GammaSchedule",
     "control_parameter",
     "gamma_schedule",
     "lambda_schedule",

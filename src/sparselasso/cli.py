@@ -306,8 +306,7 @@ def _cmd_sweep(cfg: dict, prov: dict) -> int:
         print("grid:")
         print("  p      theta    k      n      gamma        lambda")
         for pt in points:
-            clamp = "  (gamma clamped)" if pt.gamma_clamped else ""
-            print(f"  {pt.p:<6d} {pt.theta:<8.4g} {pt.k:<6d} {pt.n:<6d} {pt.gamma:<12.6g} {pt.lam:<.6g}{clamp}")
+            print(f"  {pt.p:<6d} {pt.theta:<8.4g} {pt.k:<6d} {pt.n:<6d} {pt.gamma:<12.6g} {pt.lam:<.6g}")
         return 0
     table = sweep.run_sweep(scfg, workers=cfg["threads"])
     sweep.write_outputs(table, cfg["out_csv"], cfg["out_json"], provenance=prov)
@@ -343,16 +342,15 @@ def _cmd_check_conditions(cfg: dict, prov: dict) -> int:
         try:
             k = sweep.derive_k(**rule, p_idx=i)
             n = theory.required_sample_size(p, k, cfg["eps"])
-            gamma, clamped = theory.gamma_schedule(p, k, cfg["gamma_rule"])
+            gamma = theory.gamma_schedule(p, k, cfg["gamma_rule"])
             lam = theory.lambda_schedule(n, p, k)
             cond = theory.recovery_conditions(n, p, k, gamma, lam, cfg["beta_min"])
             snr = theory.snr_diagnostic(gamma, n, cfg["beta_min"])
         except ParameterError as exc:
             raise type(exc)(f"p={p}: {exc}") from exc
-        mark = " *clamped*" if clamped else ""
         lines.append(
             f"{p:>8d} {k:>6d} {n:>8d} {gamma:>10.5g} {lam:>10.5g} "
-            f"{cond.q1:>10.5g} {cond.q2:>10.5g} {cond.q3:>10.5g} {snr:>12.6g}{mark}"
+            f"{cond.q1:>10.5g} {cond.q2:>10.5g} {cond.q3:>10.5g} {snr:>12.6g}"
         )
     print("\n".join(lines))
     return 0

@@ -106,14 +106,18 @@ class SparseMeasurementMatrix:
         hold rng.DRAW_CHUNK stored entries on average: the entries of row
         r0 + r are indices[indptr[r]:indptr[r + 1]] (ascending) and the
         matching values."""
+        j0, j1 = _column_range(self.spec, j0, j1)
         n = self.spec.n
         rows_per_block = max(1, rng.DRAW_CHUNK * n // max(self.nnz, 1))
-        for r0 in range(0, n, rows_per_block):
+
+        def slab(r0):
             r1 = min(n, r0 + rows_per_block)
             lo, hi = self.indptr[r0], self.indptr[r1]
             cols = self.indices[lo:hi]
             kept = np.flatnonzero((cols >= j0) & (cols < j1))
-            yield r0, np.searchsorted(kept, self.indptr[r0 : r1 + 1] - lo), cols[kept], self.values[lo:hi][kept]
+            return r0, np.searchsorted(kept, self.indptr[r0 : r1 + 1] - lo), cols[kept], self.values[lo:hi][kept]
+
+        return map(slab, range(0, n, rows_per_block))
 
     def dense_columns(self, cols) -> np.ndarray:
         """Dense n x len(cols) block of the requested columns."""
@@ -175,8 +179,18 @@ def sample_blocks(spec: EnsembleSpec, seed: int, j0: int, j1: int):
     consecutive hash blocks of rng.kept_blocks until it keeps at least
     rng.DRAW_CHUNK entries, so that its values are drawn in whole chunks."""
     seed = integer("seed", seed)
+    j0, j1 = _column_range(spec, j0, j1)
     value_key = rng.derive_key(seed, rng.TAG_VALUE)
     return _slabs(spec, rng.derive_key(seed, rng.TAG_PATTERN), value_key, j0, j1, rng.DRAW_CHUNK)
+
+
+def _column_range(spec: EnsembleSpec, j0: int, j1: int) -> tuple[int, int]:
+    """The column range [j0, j1) of a slab source, checked to be integers
+    with 0 <= j0 <= j1 <= p."""
+    j0, j1 = integer("j0", j0, 0), integer("j1", j1)
+    if not j0 <= j1 <= spec.p:
+        raise ParameterError(f"column range needs 0 <= j0 <= j1 <= p = {spec.p}, got j0 = {j0}, j1 = {j1}")
+    return j0, j1
 
 
 def _slabs(spec: EnsembleSpec, pattern_key: int, value_key: int, j0: int, j1: int, min_entries: float):

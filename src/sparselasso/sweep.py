@@ -37,22 +37,22 @@ GAMMA_RULES = ("constant",) + theory.GAMMA_RULES
 LAMBDA_RULES = ("scaled", "constant")
 MODES = ("witness", "full", "both")
 
-# The sweep CSV, one entry per column: (header name, parser, cell of a row and its config).
+# The sweep CSV, one entry per column: (header name, cell of a row and its config).
 _CSV_COLUMNS = (
-    ("theta", float, lambda r, cfg: r.theta),
-    ("n", int, lambda r, cfg: r.n),
-    ("p", int, lambda r, cfg: r.p),
-    ("k", int, lambda r, cfg: r.k),
-    ("gamma", float, lambda r, cfg: r.gamma),
-    ("lambda", float, lambda r, cfg: r.lam),
-    ("sigma2", float, lambda r, cfg: cfg.sigma2),
-    ("mode", str, lambda r, cfg: cfg.mode),
-    ("trials", int, lambda r, cfg: r.trials),
-    ("successes", int, lambda r, cfg: r.successes),
-    ("success_rate", float, lambda r, cfg: r.success_rate),
-    ("base_seed", int, lambda r, cfg: cfg.base_seed),
+    ("theta", lambda r, cfg: r.theta),
+    ("n", lambda r, cfg: r.n),
+    ("p", lambda r, cfg: r.p),
+    ("k", lambda r, cfg: r.k),
+    ("gamma", lambda r, cfg: r.gamma),
+    ("lambda", lambda r, cfg: r.lam),
+    ("sigma2", lambda r, cfg: cfg.sigma2),
+    ("mode", lambda r, cfg: cfg.mode),
+    ("trials", lambda r, cfg: r.trials),
+    ("successes", lambda r, cfg: r.successes),
+    ("success_rate", lambda r, cfg: r.success_rate),
+    ("base_seed", lambda r, cfg: cfg.base_seed),
 )
-CSV_HEADER = ",".join(name for name, _, _ in _CSV_COLUMNS)
+CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,6 @@ class GridPoint:
     k: int
     n: int
     gamma: float
-    gamma_clamped: bool
     lam: float
     spec: ensemble.EnsembleSpec
 
@@ -214,9 +213,9 @@ def _point_for(cfg: SweepConfig, p_idx: int, theta_idx: int) -> GridPoint:
         k = derive_k(cfg.p_list, cfg.sparsity_rule, cfg.poly_exponent, cfg.linear_alpha, cfg.k_list, p_idx)
         n = theory.sample_size(theta, p, k)
         if cfg.gamma_rule == "constant":
-            gamma, clamped = float(cfg.gamma_value), False
+            gamma = float(cfg.gamma_value)
         else:
-            gamma, clamped = theory.gamma_schedule(p, k, cfg.gamma_rule)
+            gamma = theory.gamma_schedule(p, k, cfg.gamma_rule)
         lam = float(cfg.lambda_value) if cfg.lambda_rule == "constant" else theory.lambda_schedule(n, p, k)
         spec = ensemble.EnsembleSpec(n=n, p=p, gamma=gamma, convention=cfg.convention)
     except ParameterError as exc:
@@ -229,7 +228,6 @@ def _point_for(cfg: SweepConfig, p_idx: int, theta_idx: int) -> GridPoint:
         k=k,
         n=n,
         gamma=gamma,
-        gamma_clamped=clamped,
         lam=lam,
         spec=spec,
     )
@@ -474,30 +472,7 @@ def _fmt(value) -> str:
 def write_csv(table: SweepTable, fh) -> None:
     fh.write(CSV_HEADER + "\n")
     for r in table.rows:
-        fh.write(",".join(_fmt(cell(r, table.config)) for _, _, cell in _CSV_COLUMNS) + "\n")
-
-
-def read_csv(fh) -> list:
-    """Parse a sweep CSV back into per-row dictionaries (floats and ints)."""
-    header = fh.readline().rstrip("\n")
-    if header != CSV_HEADER:
-        raise DataError(f"unexpected sweep CSV header: {header!r}")
-    rows = []
-    for lineno, line in enumerate(fh, start=2):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(_CSV_COLUMNS):
-            raise DataError(f"line {lineno}: expected {len(_CSV_COLUMNS)} cells, got {len(parts)}")
-        row = {}
-        for (name, parse, _), cell in zip(_CSV_COLUMNS, parts):
-            try:
-                row[name] = parse(cell)
-            except ValueError as exc:
-                raise DataError(f"line {lineno}: column {name}: {exc}") from exc
-        rows.append(row)
-    return rows
+        fh.write(",".join(_fmt(cell(r, table.config)) for _, cell in _CSV_COLUMNS) + "\n")
 
 
 def table_to_dict(table: SweepTable) -> dict:

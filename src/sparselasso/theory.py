@@ -54,30 +54,20 @@ def required_sample_size(p: int, k: int, eps: float = 0.0) -> int:
     return math.floor((2.0 + non_negative("eps", eps)) * k * _log_gap(p, k)) + 1
 
 
-def clamp_unit(value: float) -> tuple[float, bool]:
-    """Clamp a schedule value into (0, 1]; flags when clamping happened."""
-    if value > 1.0:
-        return 1.0, True
-    return value, False
-
-
-GammaSchedule = namedtuple("GammaSchedule", ["value", "clamped"])
-
-
-def gamma_schedule(p: int, k: int, gamma_rule: str) -> GammaSchedule:
+def gamma_schedule(p: int, k: int, gamma_rule: str) -> float:
     """Sparsification level as a function of problem shape.
 
     * sixth_root: (log log(p-k) / log(p-k))^(1/6), the slowest decay the
       recovery guarantee tolerates.
     * log_over_sqrt: 0.5 log(p-k) / sqrt(p-k), a much more aggressive
       decay used for the phase-transition experiments.
+
+    Since log(x) / x <= 1/e, both stay below 1: sixth_root at most
+    e^(-1/6) ~ 0.846 and log_over_sqrt at most 1/e ~ 0.368.
     """
     if one_of("gamma_rule", gamma_rule, GAMMA_RULES) == "sixth_root":
-        value = (_loglog_gap(p, k) / _log_gap(p, k)) ** (1.0 / 6.0)
-    else:
-        value = 0.5 * _log_gap(p, k) / math.sqrt(p - k)
-    clamped_value, clamped = clamp_unit(value)
-    return GammaSchedule(value=clamped_value, clamped=clamped)
+        return (_loglog_gap(p, k) / _log_gap(p, k)) ** (1.0 / 6.0)
+    return 0.5 * _log_gap(p, k) / math.sqrt(p - k)
 
 
 def lambda_schedule(n: int, p: int, k: int) -> float:

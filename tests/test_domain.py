@@ -6,6 +6,7 @@ exactly under that choice, every data vector must have its length and
 finite entries, seeds must be integers, and numpy scalars are accepted
 wherever plain numbers are."""
 
+import functools
 import math
 import typing
 
@@ -34,6 +35,7 @@ from sparselasso import (
     thinned_squared_norm,
     theory,
 )
+from sparselasso.ensemble import sample_blocks
 from sparselasso.sweep import derive_k
 
 _M = sample_matrix(EnsembleSpec(n=40, p=20, gamma=1.0), 3)
@@ -212,6 +214,30 @@ def test_negative_seeds_stay_masked_to_64_bits_except_for_the_bound_checks():
 def test_noise_vector_checks_its_length(n, message):
     with pytest.raises(ParameterError, match=message):
         noise_vector(n, 1.0, 1)
+
+
+_SLAB_SPEC = EnsembleSpec(n=6, p=8, gamma=0.5)
+_SLAB_SOURCES = {
+    "sample_blocks": functools.partial(sample_blocks, _SLAB_SPEC, 3),
+    "row_blocks": sample_matrix(_SLAB_SPEC, 3).row_blocks,
+}
+
+
+@pytest.mark.parametrize("source", _SLAB_SOURCES)
+@pytest.mark.parametrize(
+    "j0, j1, message",
+    [
+        (0, 9, "^column range needs 0 <= j0 <= j1 <= p = 8, got j0 = 0, j1 = 9$"),
+        (5, 2, "^column range needs 0 <= j0 <= j1 <= p = 8, got j0 = 5, j1 = 2$"),
+        (-1, 3, "^j0 must be at least 0, got -1$"),
+        (0.5, 3, "^j0: expected an integer, got 0.5$"),
+        (0, None, "^j1: expected an integer, got None$"),
+    ],
+    ids=["past_p", "reversed", "negative", "not_integer", "none"],
+)
+def test_slab_sources_check_their_column_range_when_called(source, j0, j1, message):
+    with pytest.raises(ParameterError, match=message):
+        _SLAB_SOURCES[source](j0, j1)
 
 
 def test_snr_diagnostic_takes_gamma_in_the_unit_interval():

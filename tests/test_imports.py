@@ -1,4 +1,5 @@
-"""Every import a library module binds is used in that module, no
+"""Every import a library module binds is used in that module, every
+public name a module defines is exported or read in the package, no
 module reads a private name of another, `__all__` lists exactly what
 `__init__` imports, only errors.py tests a scalar for finiteness or
 words the message of `one_of`, `read_only_by` or `distinct`, no CLI
@@ -58,6 +59,61 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _unread_public_names(sources: dict, exported) -> list:
+    """Each top-level public def, class or assigned name of a module in
+    sources (module name to source text), as `<module>.<name>`, that is
+    not in exported and that no module in sources reads: as a loaded
+    name, as an attribute or through a relative `from ... import`."""
+    trees = {mod: ast.parse(source) for mod, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                read.update(alias.name for alias in node.names)
+    known = read | set(exported)
+    found = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found.extend(f"{mod}.{name}" for name in names if not name.startswith("_") and name not in known)
+    return sorted(found)
+
+
+def test_unread_public_name_is_found():
+    sources = {
+        "a": (
+            "from . import b\n"
+            "from .b import imported\n"
+            "LIMIT = 1\n"
+            "def helper():\n"
+            "    return b.attribute + imported\n"
+            "def _private():\n"
+            "    pass\n"
+            "class Exported:\n"
+            "    pass\n"
+            "unread, _skipped = helper(), 2\n"
+        ),
+        "b": "attribute = 2\nimported = 3\ndef never_read():\n    pass\n",
+    }
+    assert _unread_public_names(sources, {"Exported"}) == ["a.LIMIT", "a.unread", "b.never_read"]
+
+
+def test_every_public_name_is_exported_or_read():
+    package = pathlib.Path(sparselasso.__file__).parent
+    sources = {path.stem: path.read_text() for path in package.glob("*.py")}
+    assert _unread_public_names(sources, set(sparselasso.__all__)) == []
 
 
 def test_all_lists_exactly_the_imported_names():

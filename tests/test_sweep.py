@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import functools
 import io
@@ -26,7 +27,7 @@ from sparselasso import (
     write_outputs,
 )
 from sparselasso import blas, ensemble, lasso, sweep, witness
-from sparselasso.sweep import CSV_HEADER, read_csv, table_to_dict, trial_seed, write_csv, write_json
+from sparselasso.sweep import CSV_HEADER, table_to_dict, trial_seed, write_csv, write_json
 
 from oracles import run_fresh
 
@@ -159,7 +160,7 @@ def test_grid_point_derivation():
         assert pt.n == math.ceil(pt.theta * 2.0 * pt.k * math.log(pt.p - pt.k))
         # n is the ceiling, so the realized control parameter can only overshoot
         assert control_parameter(pt.n, pt.p, pt.k) >= pt.theta
-        assert pt.gamma == 0.5 and not pt.gamma_clamped
+        assert pt.gamma == 0.5
         assert pt.spec.convention == "rescaled"
 
 
@@ -350,7 +351,7 @@ def test_mode_full_counts_full_solves():
         assert (row.invertible_trials, row.mean_dual_ratio, row.mean_u_ratio) == (None, None, None)
     # both modes draw the same trial seeds, so full mode's successes are both mode's full_successes
     both = run_sweep(_small_cfg(mode="both"))
-    assert [r["successes"] for r in read_csv(io.StringIO(_csv_of(table)))] == [r.full_successes for r in both.rows]
+    assert [int(r["successes"]) for r in csv.DictReader(io.StringIO(_csv_of(table)))] == [r.full_successes for r in both.rows]
 
 
 def test_nonconverged_solves_are_counted(monkeypatch):
@@ -396,44 +397,21 @@ def test_csv_round_trip(tmp_path):
     table = run_sweep(cfg)
     text = _csv_of(table)
     assert text.splitlines()[0] == CSV_HEADER
-    rows = read_csv(io.StringIO(text))
+    rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == len(table.rows)
     for parsed, row in zip(rows, table.rows):
-        assert parsed["n"] == row.n
-        assert parsed["p"] == row.p
-        assert parsed["k"] == row.k
-        assert parsed["trials"] == row.trials
-        assert parsed["successes"] == row.successes
-        assert parsed["base_seed"] == cfg.base_seed
+        assert int(parsed["n"]) == row.n
+        assert int(parsed["p"]) == row.p
+        assert int(parsed["k"]) == row.k
+        assert int(parsed["trials"]) == row.trials
+        assert int(parsed["successes"]) == row.successes
+        assert int(parsed["base_seed"]) == cfg.base_seed
         assert parsed["mode"] == cfg.mode
-        assert parsed["theta"] == pytest.approx(row.theta, rel=1e-9)
-        assert parsed["gamma"] == pytest.approx(row.gamma, rel=1e-9)
-        assert parsed["lambda"] == pytest.approx(row.lam, rel=1e-9)
-        assert parsed["sigma2"] == pytest.approx(cfg.sigma2, rel=1e-9)
-        assert parsed["success_rate"] == pytest.approx(row.success_rate, rel=1e-9)
-
-
-@pytest.mark.parametrize(
-    "cells, where",
-    [
-        (["x"] * 12, "line 2: column theta: "),
-        (["1", "2.5"] + ["1"] * 10, "line 2: column n: "),
-        (["1"] * 11 + ["seed"], "line 2: column base_seed: "),
-    ],
-    ids=["all_cells", "float_in_int_column", "last_column"],
-)
-def test_read_csv_reports_a_bad_cell_as_data_error(cells, where):
-    with pytest.raises(DataError, match=f"^{where}"):
-        read_csv(io.StringIO(CSV_HEADER + "\n" + ",".join(cells) + "\n"))
-
-
-def test_read_csv_rejects_bad_input():
-    with pytest.raises(DataError):
-        read_csv(io.StringIO("nonsense\n"))
-    good = CSV_HEADER + "\n"
-    assert read_csv(io.StringIO(good)) == []
-    with pytest.raises(DataError):
-        read_csv(io.StringIO(good + "1,2,3\n"))
+        assert float(parsed["theta"]) == pytest.approx(row.theta, rel=1e-9)
+        assert float(parsed["gamma"]) == pytest.approx(row.gamma, rel=1e-9)
+        assert float(parsed["lambda"]) == pytest.approx(row.lam, rel=1e-9)
+        assert float(parsed["sigma2"]) == pytest.approx(cfg.sigma2, rel=1e-9)
+        assert float(parsed["success_rate"]) == pytest.approx(row.success_rate, rel=1e-9)
 
 
 def test_empty_table_writes_header_only():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sparselasso import (
     EnsembleSpec,
@@ -19,8 +21,8 @@ from sparselasso import (
 )
 from sparselasso.theory import (
     DOMINATION_GRID,
+    GAMMA_RULES,
     chi2_bound,
-    clamp_unit,
     gaussian_bound,
     hoeffding_bound,
 )
@@ -49,27 +51,30 @@ def test_required_sample_size():
         required_sample_size(10, 2, -0.5)
 
 
-def test_clamp_unit():
-    assert clamp_unit(0.3) == (0.3, False)
-    assert clamp_unit(1.0) == (1.0, False)
-    assert clamp_unit(1.7) == (1.0, True)
-
-
 def test_gamma_schedules():
-    g = gamma_schedule(1024, 32, "sixth_root")
-    assert g.value == pytest.approx(0.8088037202, abs=1e-9)
-    assert not g.clamped
-    g = gamma_schedule(1024, 32, "log_over_sqrt")
-    assert g.value == pytest.approx(0.1095332139, abs=1e-9)
-    assert not g.clamped
+    assert gamma_schedule(1024, 32, "sixth_root") == pytest.approx(0.8088037202, abs=1e-9)
+    assert gamma_schedule(1024, 32, "log_over_sqrt") == pytest.approx(0.1095332139, abs=1e-9)
     with pytest.raises(ParameterError):
         gamma_schedule(1024, 32, "linear")
     # sixth_root needs log log > 0, i.e. p - k >= 3
     with pytest.raises(ParameterError):
         gamma_schedule(6, 4, "sixth_root")
     # log_over_sqrt only needs p - k >= 2
-    g = gamma_schedule(6, 4, "log_over_sqrt")
-    assert g.value == pytest.approx(0.5 * math.log(2) / math.sqrt(2), rel=1e-12)
+    assert gamma_schedule(6, 4, "log_over_sqrt") == pytest.approx(0.5 * math.log(2) / math.sqrt(2), rel=1e-12)
+
+
+@given(gap=st.integers(2, 2**40), rule=st.sampled_from(GAMMA_RULES))
+@example(gap=7, rule="log_over_sqrt")  # the integers nearest each maximum
+@example(gap=15, rule="sixth_root")
+def test_gamma_schedules_stay_below_one(gap, rule):
+    # log(x) / x <= 1/e, at x = sqrt(p - k) for log_over_sqrt and at
+    # x = log(p - k) for sixth_root, so neither rule ever reaches gamma = 1
+    if rule == "sixth_root" and gap < 3:
+        with pytest.raises(ParameterError):
+            gamma_schedule(gap + 1, 1, rule)
+        return
+    bound = math.exp(-1.0 / 6.0) if rule == "sixth_root" else 1.0 / math.e
+    assert 0.0 < gamma_schedule(gap + 1, 1, rule) <= bound
 
 
 def test_lambda_schedule():
@@ -104,7 +109,7 @@ def test_recovery_conditions_values():
     got = []
     for p, k in shapes:
         n = required_sample_size(p, k)
-        gamma = gamma_schedule(p, k, "sixth_root").value
+        gamma = gamma_schedule(p, k, "sixth_root")
         lam = lambda_schedule(n, p, k)
         cond = recovery_conditions(n, p, k, gamma, lam, beta_min=1.0)
         got.append((cond, snr_diagnostic(gamma, n, 1.0)))
