@@ -23,7 +23,7 @@ from .ensemble import (
     signal_signs,
     write_matrix,
 )
-from .lasso import LassoConfig, LassoSolution, kkt_residual, objective_value, signed_support, soft_threshold, solve
+from .lasso import LassoConfig, LassoSolution, kkt_residual, signed_support, soft_threshold, solve
 from .sweep import SweepConfig, SweepRow, SweepTable, TrialRecord, grid_points, run_sweep, run_trial, write_outputs
 from .theory import (
     BoundCheck,
@@ -37,7 +37,7 @@ from .theory import (
     singular_extremes,
     snr_diagnostic,
 )
-from .witness import HVector, Margins, WitnessReport, build, check_events, h_vector, thinned_squared_norm
+from .witness import HVector, Margins, WitnessReport, build, h_vector, thinned_squared_norm
 
 __version__ = "0.1.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     "LassoConfig",
     "LassoSolution",
     "kkt_residual",
-    "objective_value",
     "signed_support",
     "soft_threshold",
     "solve",
@@ -86,7 +85,6 @@ __all__ = [
     "Margins",
     "WitnessReport",
     "build",
-    "check_events",
     "h_vector",
     "thinned_squared_norm",
     "__version__",

@@ -76,15 +76,6 @@ def _problem(X: MatrixLike, y: np.ndarray) -> tuple:
     return Xc, y
 
 
-def objective_value(X: MatrixLike, y: np.ndarray, beta: np.ndarray, lam: float) -> float:
-    lam = non_negative("lam", lam)
-    Xc, y = _problem(X, y)
-    n, p = Xc.shape
-    beta = vector("beta", beta, "p", p)
-    r = y - Xc @ beta
-    return float(0.5 / n * (r @ r) + lam * np.abs(beta).sum())
-
-
 def kkt_residual(X: MatrixLike, y: np.ndarray, lam: float, beta: np.ndarray, zero_tol: float = LassoConfig.zero_tol) -> float:
     """Worst-coordinate violation of the stationarity conditions.
 

@@ -131,18 +131,17 @@ GENERATOR_NAME = "splitmix64"
 NORMAL_METHOD = "inverse_cdf"
 
 
-def _finalize(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+def _finalize(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """splitmix64 output finalizer; bijective on 64-bit words.
 
-    Given `scratch`, a uint64 array shaped like `z`, the words of
-    z are mixed in place (scratch holds the shifted words) and z is
+    The words of the uint64 array z are mixed in place, with `scratch`, a
+    uint64 array shaped like z, holding the shifted words, and z is
     returned, so no temporary is allocated.
     """
-    out = None if scratch is None else z
     for shift, mult in ((np.uint64(30), _MIX1), (np.uint64(27), _MIX2), (np.uint64(31), None)):
-        z = np.bitwise_xor(z, np.right_shift(z, shift, out=scratch), out=out)
+        np.bitwise_xor(z, np.right_shift(z, shift, out=scratch), out=z)
         if mult is not None:
-            z = np.multiply(z, mult, out=out)
+            np.multiply(z, mult, out=z)
     return z
 
 

@@ -117,7 +117,8 @@ def _off_support_products(blocks, k: int, p: int, *zs: np.ndarray) -> np.ndarray
 
 
 def _margins(u: np.ndarray, v: np.ndarray, lam: float, beta_min: float, signs: np.ndarray) -> Margins:
-    dual = float(lam - (np.abs(v).max() if v.size else 0.0))
+    # SignalSpec keeps 2k <= p, so v has p - k >= 1 entries and a max.
+    dual = float(lam - np.abs(v).max())
     magnitude = float(beta_min - np.abs(u).max())
     sign = float((beta_min + signs * u).min())
     return Margins(dual=dual, magnitude=magnitude, sign=sign)
@@ -128,19 +129,6 @@ def _events(margins: Margins) -> Events:
     event_u = margins.magnitude >= 0.0
     sign_consistent = margins.sign > 0.0
     return Events(event_v, event_u, sign_consistent, event_v and sign_consistent)
-
-
-def check_events(r: WitnessReport, lam: float, beta_min: float) -> Events:
-    """Re-evaluate the success events of a report at the given thresholds.
-
-    The dual event is strict, the magnitude event is not, and success
-    pairs the dual event with strict sign consistency.
-    """
-    if not r.invertible:
-        raise ParameterError("events are undefined on a non-invertible report")
-    positive("lam", lam)
-    positive("beta_min", beta_min)
-    return _events(_margins(r.u, r.va + r.vb, lam, beta_min, r.signs))
 
 
 @blas.single_threaded()

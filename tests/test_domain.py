@@ -23,11 +23,9 @@ from sparselasso import (
     SignalSpec,
     SweepConfig,
     build,
-    check_events,
     kkt_residual,
     make_signal,
     noise_vector,
-    objective_value,
     observe,
     sample_matrix,
     signed_support,
@@ -52,9 +50,7 @@ _VALID_CALLS = {
     noise_vector: dict(n=3, variance=1.0, noise_seed=1),
     observe: dict(m=_M, beta_star=make_signal(_S), sigma2=0.01, noise_seed=1),
     build: dict(m=_M, s=_S, w=_W, lam=0.1),
-    check_events: dict(r=build(_M, _S, _W, 0.1), lam=0.1, beta_min=1.0),
     thinned_squared_norm: dict(h=np.ones(5), gamma=0.5, seed=1),
-    objective_value: dict(X=_M, y=_Y, beta=make_signal(_S), lam=0.1),
     kkt_residual: dict(X=_M, y=_Y, lam=0.1, beta=make_signal(_S), zero_tol=1e-8),
     signed_support: dict(beta=make_signal(_S), zero_tol=1e-8),
     theory.sample_size: dict(theta=1.0, p=100, k=5),
@@ -122,7 +118,7 @@ def test_numpy_scalars_are_accepted_by_signal_and_solver_configs():
     assert scalars.beta_hat.tobytes() == plain.beta_hat.tobytes()
 
 
-@pytest.mark.parametrize("target", [objective_value, kkt_residual, signed_support], ids=lambda t: t.__name__)
+@pytest.mark.parametrize("target", [kkt_residual, signed_support], ids=lambda t: t.__name__)
 def test_lasso_helpers_accept_zero_and_reject_negative_penalty_and_tolerance(target):
     """lam = 0 is plain least squares and zero_tol = 0 an exact-zero test; both stay accepted."""
     call = _VALID_CALLS[target]
@@ -252,8 +248,6 @@ _VECTORS = [
     (observe, "beta_star", "p=20", _VALID_CALLS[observe]),
     (build, "w", "n=40", _VALID_CALLS[build]),
     (thinned_squared_norm, "h", "h.size=5", _VALID_CALLS[thinned_squared_norm]),
-    (objective_value, "y", "n=40", _VALID_CALLS[objective_value]),
-    (objective_value, "beta", "p=20", _VALID_CALLS[objective_value]),
     (kkt_residual, "y", "n=40", _VALID_CALLS[kkt_residual]),
     (kkt_residual, "beta", "p=20", _VALID_CALLS[kkt_residual]),
     (solve, "y", "n=40", dict(X=_M, y=_Y, config=LassoConfig(lam=0.1, max_iter=50))),
@@ -286,7 +280,7 @@ def test_witness_noise_must_be_finite(bad):
         build(_M, _S, w, 0.1)
 
 
-@pytest.mark.parametrize("target", [objective_value, kkt_residual], ids=lambda t: t.__name__)
+@pytest.mark.parametrize("target", [kkt_residual], ids=lambda t: t.__name__)
 def test_lasso_helpers_check_the_lengths_and_finiteness_of_y_and_beta(target):
     call = _VALID_CALLS[target]
     with pytest.raises(ParameterError, match="^y must have length n=40$"):

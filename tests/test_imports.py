@@ -1,6 +1,8 @@
 """Every import a library module binds is used in that module, every
-public name a module defines is exported or read in the package, no
-module reads a private name of another, `__all__` lists exactly what
+public name a module defines is exported or read in the package, every
+exported name is read by the package, the benchmark, the README's
+examples or the acceptance tests, no module reads a private name of
+another, `__all__` lists exactly what
 `__init__` imports, only errors.py tests a scalar for finiteness or
 words the message of `one_of`, `read_only_by` or `distinct`, no CLI
 option that takes its default from a dataclass field also states one,
@@ -13,6 +15,7 @@ import ast
 import dataclasses
 import functools
 import pathlib
+import re
 
 import pytest
 
@@ -61,22 +64,28 @@ def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == []
 
 
+def _reads(tree, absolute: bool) -> set:
+    """The names tree reads: as a loaded name, as an attribute or through a
+    relative `from ... import`, or through any `from ... import` when
+    absolute."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (absolute or node.level):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
 def _unread_public_names(sources: dict, exported) -> list:
     """Each top-level public def, class or assigned name of a module in
     sources (module name to source text), as `<module>.<name>`, that is
     not in exported and that no module in sources reads: as a loaded
     name, as an attribute or through a relative `from ... import`."""
     trees = {mod: ast.parse(source) for mod, source in sources.items()}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and node.level:
-                read.update(alias.name for alias in node.names)
-    known = read | set(exported)
+    known = set(exported).union(*(_reads(tree, absolute=False) for tree in trees.values()))
     found = []
     for mod, tree in trees.items():
         for node in tree.body:
@@ -114,6 +123,32 @@ def test_every_public_name_is_exported_or_read():
     package = pathlib.Path(sparselasso.__file__).parent
     sources = {path.stem: path.read_text() for path in package.glob("*.py")}
     assert _unread_public_names(sources, set(sparselasso.__all__)) == []
+
+
+def _unreached_exports(sources: list, exported) -> list:
+    """Each name in exported that no source text in sources reads."""
+    return sorted(set(exported).difference(*(_reads(ast.parse(source), absolute=True) for source in sources)))
+
+
+def test_unreached_export_is_found():
+    sources = [
+        "import sparselasso\nfrom sparselasso import imported, solve as run\nx = sparselasso.attribute + run(loaded)\n",
+        "loaded = 1\nstored = 2\ndef defined():\n    pass\n",
+    ]
+    exported = {"attribute", "defined", "imported", "loaded", "solve", "stored"}
+    assert _unreached_exports(sources, exported) == ["defined", "stored"]
+
+
+def test_every_export_is_read_outside_the_tests():
+    """Each exported name is read by a module of the package other than
+    __init__, by perfbench, by a python block of the README or by the
+    acceptance tests, so none is kept for the unit tests alone."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    examples = re.findall(r"^```python\n(.*?)^```", (root / "README.md").read_text(), re.DOTALL | re.MULTILINE)
+    paths = [*MODULES, *(root / "perfbench").glob("*.py"), root / "tests" / "test_acceptance.py"]
+    assert examples and len(paths) > len(MODULES) + 1
+    exported = set(sparselasso.__all__) - {"__version__"}
+    assert _unreached_exports([*examples, *(path.read_text() for path in paths)], exported) == []
 
 
 def test_all_lists_exactly_the_imported_names():

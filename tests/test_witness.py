@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sparselasso import (
@@ -17,17 +17,18 @@ from sparselasso import (
     SignalSpec,
     WitnessReport,
     build,
-    check_events,
     h_vector,
+    lambda_schedule,
     make_signal,
     noise_vector,
+    observe,
     read_matrix,
     sample_matrix,
     signed_support,
     solve,
     thinned_squared_norm,
 )
-from sparselasso import rng
+from sparselasso import rng, witness
 from sparselasso.ensemble import sample_blocks
 from sparselasso.witness import build_sampled
 
@@ -83,8 +84,6 @@ def test_non_invertible_support():
     assert r.success is False
     for field in ("beta_min", "signs", "u", "va", "vb", "event_v", "event_u", "sign_consistent", "margins"):
         assert getattr(r, field) is None
-    with pytest.raises(ParameterError):
-        check_events(r, 0.1, 1.0)
     with pytest.raises(ParameterError):
         h_vector(m, s)
 
@@ -142,45 +141,31 @@ def test_non_finite_support_value_raises_value_error(bad):
         build(m, SignalSpec(p=6, k=3, beta_min=0.5), np.zeros(16), lam=0.1)
 
 
-def _synthetic_report(u, va, vb, signs, lam=0.25, beta_min=0.5):
-    u = np.asarray(u, dtype=np.float64)
-    return WitnessReport(
-        invertible=True,
-        k=u.size,
-        lam=lam,
-        success=True,
-        beta_min=beta_min,
-        signs=np.asarray(signs, dtype=np.float64),
-        u=u,
-        va=np.asarray(va, dtype=np.float64),
-        vb=np.asarray(vb, dtype=np.float64),
-    )
+def _events_at(u, v, signs, lam=0.25, beta_min=0.5):
+    """The events of a witness with support error u, off-support dual v and
+    signal signs, at lam and beta_min, as build evaluates them."""
+    u, v, signs = (np.asarray(a, dtype=np.float64) for a in (u, v, signs))
+    return witness._events(witness._margins(u, v, lam, beta_min, signs))
 
 
 def test_event_boundaries():
     # dual exactly at lam: the strict inequality fails
-    r = _synthetic_report(u=[0.0, 0.0], va=[0.25, 0.1, 0.0], vb=[0.0, 0.0, 0.0], signs=[1.0, 1.0])
-    ev = check_events(r, 0.25, 0.5)
+    ev = _events_at(u=[0.0, 0.0], v=[0.25, 0.1, 0.0], signs=[1.0, 1.0])
     assert not ev.event_v
     assert ev.event_u and ev.sign_consistent
     assert not ev.success
 
     # error exactly at -beta_min: magnitude event holds (non-strict) but
     # the sign flips to zero, which does not count as recovery
-    r = _synthetic_report(u=[-0.5, 0.0], va=[0.01, 0.0, 0.0], vb=[0.0, 0.0, 0.0], signs=[1.0, 1.0])
-    ev = check_events(r, 0.25, 0.5)
+    ev = _events_at(u=[-0.5, 0.0], v=[0.01, 0.0, 0.0], signs=[1.0, 1.0])
     assert ev.event_v
     assert ev.event_u
     assert not ev.sign_consistent
     assert not ev.success
 
     # clean interior point
-    r = _synthetic_report(u=[0.0, 0.0], va=[0.0, 0.0, 0.0], vb=[0.0, 0.0, 0.0], signs=[1.0, 1.0])
-    ev = check_events(r, 0.25, 0.5)
+    ev = _events_at(u=[0.0, 0.0], v=[0.0, 0.0, 0.0], signs=[1.0, 1.0])
     assert ev == (True, True, True, True)
-
-    with pytest.raises(ParameterError):
-        check_events(r, 0.25, 0.0)
 
 
 def test_va_linear_in_lam_and_vb_independent():
@@ -233,6 +218,42 @@ def test_verdict_matches_full_solve(seed):
         signed_support(sol.beta_hat, 1e-6), signed_support(make_signal(s))
     )
     assert recovered == r.success
+
+
+@st.composite
+def _small_shapes(draw):
+    """(n, p, k) with 8 <= p <= 40, 1 <= k <= p/2 and k <= n <= 80."""
+    p = draw(st.integers(8, 40))
+    k = draw(st.integers(1, p // 2))
+    return draw(st.integers(k, 80)), p, k
+
+
+@settings(max_examples=100, deadline=None)
+@example(shape=(80, 16, 2), gamma=1.0, convention="standard", pattern="all_plus", sigma2=0.0, seed=1, noise_seed=2)  # success
+@example(shape=(20, 40, 10), gamma=0.3, convention="rescaled", pattern="all_plus", sigma2=0.25, seed=3, noise_seed=4)  # failure
+@given(
+    shape=_small_shapes(),
+    gamma=st.sampled_from([0.3, 0.6, 1.0]),
+    convention=st.sampled_from(["standard", "rescaled"]),
+    pattern=st.sampled_from(["all_plus", "alternating"]),
+    sigma2=st.sampled_from([0.0, 0.01, 0.25]),
+    seed=st.integers(0, 2**32),
+    noise_seed=st.integers(0, 2**32),
+)
+def test_verdict_matches_converged_solve_away_from_the_boundary(shape, gamma, convention, pattern, sigma2, seed, noise_seed):
+    """Wherever the support block is invertible, the dual margin is at least
+    1e-3 lam and the sign margin at least 1e-3 in size, the witness says
+    success exactly when the converged Lasso recovers the signed support."""
+    n, p, k = shape
+    m = sample_matrix(EnsembleSpec(n=n, p=p, gamma=gamma, convention=convention), seed)
+    s = SignalSpec(p=p, k=k, sign_pattern=pattern)
+    lam = lambda_schedule(n, p, k)
+    obs = observe(m, make_signal(s), sigma2, noise_seed)
+    r = build(m, s, obs.w, lam)
+    assume(r.invertible and abs(r.margins.dual) >= 1e-3 * lam and abs(r.margins.sign) >= 1e-3)
+    sol = solve(m, obs.y, LassoConfig(lam=lam, tol=1e-12))
+    assert sol.converged
+    assert np.array_equal(signed_support(sol.beta_hat), signed_support(make_signal(s))) == r.success
 
 
 def test_dual_identity_check():
