@@ -51,16 +51,12 @@ rules keep that from happening:
   start with every OpenBLAS at one thread, so their pinned calls change
   nothing and no pool thread is ever started in them.
 
-The README has the measured effect of both rules.
+CHANGES.md has the measured effect of both rules.
 
 Open: the caller's own pools.  The fork shuts the caller's pools down
-too, and when `run_sweep` returns, `single_threaded` restores the
-caller's counts, so each setter call rebuilds a pool whose threads then
-busy-wait.  In a loop of `witness_linear_par` sweeps with both copies
-at 2 threads, a 0.3 s sleep right after a 2-worker sweep burned
-0.25-0.27 s of CPU; after a serial sweep, none.  Per 2-worker sweep the
-parent spent about 9 ms of main-thread CPU, two forks at 2.0 ms each
-included, and about 3 ms in the pool threads the restore rebuilds.
+too, and the restore when `run_sweep` returns rebuilds them, so their
+threads busy-wait after a parallel sweep.  ROADMAP.md lists it among its
+open items, with the measurements.
 """
 
 from __future__ import annotations

@@ -259,16 +259,7 @@ def _cmd_solve(cfg: dict, prov: dict) -> int:
     if y.size != m.spec.n:
         raise DataError(f"observation file {cfg['y']} has {y.size} values, but the matrix has n={m.spec.n} rows")
     solution = lasso.solve(m, y, config)
-    out = {
-        "beta_hat": solution.beta_hat,
-        "objective": solution.objective,
-        "kkt_residual": solution.kkt_residual,
-        "iterations": solution.iterations,
-        "converged": solution.converged,
-        "config": cfg,
-        "provenance": prov,
-    }
-    sweep.dump_json(out, sys.stdout)
+    sweep.dump_json({**dataclasses.asdict(solution), "config": cfg, "provenance": prov}, sys.stdout)
     return 0
 
 
@@ -277,27 +268,16 @@ def _cmd_witness(cfg: dict, prov: dict) -> int:
     sig = _build(ensemble.SignalSpec, cfg, p=m.spec.p)
     obs = ensemble.observe(m, ensemble.make_signal(sig), cfg["sigma2"], cfg["noise_seed"])
     report = witness.build(m, sig, obs.w, cfg["lam"])
-    out = {
-        "invertible": report.invertible,
-        "u": report.u,
-        "va": report.va,
-        "vb": report.vb,
-        "event_v": report.event_v,
-        "event_u": report.event_u,
-        "sign_consistent": report.sign_consistent,
-        "success": report.success,
-        "margins": None if report.margins is None else dict(report.margins._asdict()),
-        "noise_variance": obs.noise_variance,
-        "config": cfg,
-        "provenance": prov,
-    }
-    sweep.dump_json(out, sys.stdout)
+    out = dataclasses.asdict(report)
+    # asdict keeps Margins a namedtuple, which JSON would write as a list.
+    out["margins"] = None if report.margins is None else report.margins._asdict()
+    sweep.dump_json({**out, "noise_variance": obs.noise_variance, "config": cfg, "provenance": prov}, sys.stdout)
     return 0
 
 
 def _cmd_sweep(cfg: dict, prov: dict) -> int:
     scfg = _build(sweep.SweepConfig, cfg)
-    sweep.distinct_paths([cfg["out_csv"], cfg["out_json"]])
+    sweep.check_outputs([cfg["out_csv"], cfg["out_json"]])
     if cfg["dry_run"]:
         points = sweep.grid_points(scfg)
         print("resolved parameters:")

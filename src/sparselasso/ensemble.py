@@ -280,7 +280,6 @@ class ObservationSet:
     y: np.ndarray
     w: np.ndarray
     noise_variance: float
-    noise_seed: int
 
 
 def noise_vector(n: int, variance: float, noise_seed: int) -> np.ndarray:
@@ -306,7 +305,7 @@ def observe(m: SparseMeasurementMatrix, beta_star: np.ndarray, sigma2: float, no
     y = np.zeros(m.spec.n)
     np.add.at(y, np.repeat(np.arange(m.spec.n), np.diff(m.indptr)), m.values * beta_star[m.indices])
     y += w
-    return ObservationSet(y=y, w=w, noise_variance=variance, noise_seed=noise_seed)
+    return ObservationSet(y=y, w=w, noise_variance=variance)
 
 
 def write_matrix(m: SparseMeasurementMatrix, fh: IO[str]) -> None:

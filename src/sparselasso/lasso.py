@@ -50,7 +50,6 @@ class LassoSolution:
     kkt_residual: float
     iterations: int
     converged: bool
-    config: LassoConfig
 
 
 def soft_threshold(x, lam: float):
@@ -150,5 +149,4 @@ def solve(X: MatrixLike, y: np.ndarray, config: LassoConfig) -> LassoSolution:
         kkt_residual=kkt,
         iterations=it,
         converged=converged,
-        config=config,
     )

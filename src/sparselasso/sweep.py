@@ -277,7 +277,7 @@ def _execute(cfg: SweepConfig, point: GridPoint, trial_index: int) -> TrialRecor
         full_success = bool(
             converged
             and np.array_equal(
-                lasso.signed_support(sol.beta_hat, sol.config.zero_tol),
+                lasso.signed_support(sol.beta_hat),
                 lasso.signed_support(beta_star, 0.0),
             )
         )
@@ -502,15 +502,19 @@ def dump_json(obj, fh) -> None:
     fh.write("\n")
 
 
-def distinct_paths(paths) -> None:
+def check_outputs(paths) -> None:
     """Raise ParameterError when two of the output paths not None name the
-    same file, so that one output would replace the other."""
+    same file, so that one output would replace the other, and DataError
+    when one names an existing directory, which no file can replace."""
     seen = {}
     for path in (p for p in paths if p is not None):
         real = os.path.realpath(path)
         if real in seen:
             raise ParameterError(f"output paths {seen[real]} and {path} name the same file")
         seen[real] = path
+    for path in seen.values():
+        if os.path.isdir(path):
+            raise DataError(f"cannot write {path}: is a directory")
 
 
 def _create_staging(head: str, tail: str):
@@ -532,8 +536,9 @@ def write_files(jobs) -> None:
     partial file, and no existing file is staged over.  Outputs get the
     mode a plain open() would give them, 0o666 less the umask, which the
     kernel applies at creation; the process umask is never changed.
-    Paths naming the same file are rejected before anything is written."""
-    distinct_paths([path for path, _ in jobs])
+    Paths naming the same file or an existing directory are rejected
+    before anything is staged (check_outputs)."""
+    check_outputs([path for path, _ in jobs])
     staged = []
     try:
         for path, write in jobs:

@@ -49,11 +49,7 @@ Events = namedtuple("Events", ["event_v", "event_u", "sign_consistent", "success
 @dataclass
 class WitnessReport:
     invertible: bool
-    k: int
-    lam: float
     success: bool = False
-    beta_min: Optional[float] = None
-    signs: Optional[np.ndarray] = None
     u: Optional[np.ndarray] = None
     va: Optional[np.ndarray] = None
     vb: Optional[np.ndarray] = None
@@ -150,27 +146,22 @@ def _build(n: int, p: int, blocks, s: SignalSpec, w: np.ndarray, lam: float) -> 
     """The witness of an n x p matrix whose entries in the columns [j0, j1)
     blocks(j0, j1) yields as row slabs (r0, indptr, indices, values)."""
     positive("lam", lam)
-    k = s.k
     w = vector("w", w, "n", n)
     signs = signal_signs(s)
 
     terms = _support_terms(n, p, blocks, s, w, lam, signs)
     if terms is None:
-        return WitnessReport(invertible=False, k=k, lam=lam, success=False)
+        return WitnessReport(invertible=False)
 
     u, hs, g = terms
-    xh, vb = _off_support_products(blocks, k, p, hs, g)
+    xh, vb = _off_support_products(blocks, s.k, p, hs, g)
     va = lam * xh / n
 
     margins = _margins(u, va + vb, lam, s.beta_min, signs)
     events = _events(margins)
     return WitnessReport(
         invertible=True,
-        k=k,
-        lam=lam,
         success=events.success,
-        beta_min=s.beta_min,
-        signs=signs,
         u=u,
         va=va,
         vb=vb,

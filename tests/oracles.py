@@ -13,6 +13,8 @@ boolean mask and draws their values block by block.
 The witness oracle checks `witness.build` against a converged Lasso
 solution and against a QR projection of the noise.
 
+`same_bytes` compares two arrays bit for bit: dtype, shape and bytes.
+
 `run_fresh` runs Python in a fresh interpreter with this package on its
 path, for the tests that need a sys.modules, a start method or an
 environment that no other test has touched.  `witness_path_loads` runs
@@ -38,6 +40,11 @@ from sparselasso.ensemble import SeedInfo, SignalSpec, SparseMeasurementMatrix, 
 from sparselasso.errors import ParameterError
 from sparselasso.lasso import LassoSolution
 from sparselasso.witness import build
+
+
+def same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def run_fresh(*argv: str, **environ: str) -> str:
@@ -226,10 +233,9 @@ def dual_identity_check(
         raise ParameterError("support gram block is singular")
     if not (report.success and min(report.margins) > 1e-6):
         raise ParameterError("witness must succeed with all margins above 1e-6")
+    # solve reports converged only when its KKT residual meets its own tolerance.
     if not full_solution.converged:
         raise ParameterError("solution did not converge")
-    if full_solution.kkt_residual > 10.0 * full_solution.config.tol:
-        raise ParameterError("solution does not meet its own KKT tolerance")
 
     beta_star = make_signal(s)
     k = s.k

@@ -14,15 +14,7 @@ from hypothesis import strategies as st
 
 from sparselasso import blas, ensemble, sweep, witness
 
-from oracles import witness_path_loads
-
-
-@pytest.fixture
-def caller_counts():
-    """Restore the process's OpenBLAS thread counts after the test."""
-    saved = blas.thread_counts()
-    yield saved
-    blas.set_thread_counts(saved)
+from oracles import same_bytes, witness_path_loads
 
 
 def test_bind_tolerates_missing_library_or_symbols(tmp_path):
@@ -100,26 +92,26 @@ def test_core_names_name_the_kernel_of_each_openblas(monkeypatch, tmp_path):
     assert blas.core_names() == ()
 
 
-def test_core_names_follow_thread_counts_and_open_no_library(caller_counts):
+def test_core_names_follow_thread_counts_and_open_no_library(caller_blas):
     """One kernel name per pinned library, in thread_counts order, read
     when the library was bound: no call opens a library again."""
     names = blas.core_names()
     with mock.patch.object(blas.ctypes, "CDLL", side_effect=OSError("opened again")):
         assert blas.core_names() == names
-    counts = tuple(range(1, len(caller_counts) + 1))
+    counts = tuple(range(1, len(caller_blas) + 1))
     blas.set_thread_counts(counts)
     # each library opened afresh has the count and the kernel of its position
     fresh = [(lib.get(), lib.core) for lib in map(blas._bind, blas._paths()) if lib is not None]
     assert fresh == list(zip(counts, names))
 
 
-def test_single_threaded_pins_and_restores(caller_counts):
-    blas.set_thread_counts((2,) * len(caller_counts))
+def test_single_threaded_pins_and_restores(caller_blas):
+    blas.set_thread_counts((2,) * len(caller_blas))
     with pytest.raises(RuntimeError):
         with blas.single_threaded():
-            assert blas.thread_counts() == (1,) * len(caller_counts)
+            assert blas.thread_counts() == (1,) * len(caller_blas)
             raise RuntimeError("trial failed")
-    assert blas.thread_counts() == (2,) * len(caller_counts)
+    assert blas.thread_counts() == (2,) * len(caller_blas)
 
 
 class _CountingLibrary:
@@ -167,10 +159,6 @@ def _grams(draw):
     return X.T @ X / max(n, 1)
 
 
-def _same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 @settings(max_examples=150, deadline=None)
 @example(G=numpy.zeros((1, 1)))
 @example(G=numpy.ones((2, 2)))
@@ -191,8 +179,8 @@ def test_cholesky_and_solve_equal_scipy_bit_for_bit(G):
             got = blas.cholesky(G)
             assert (got is None) == (want is None)
             if want is not None:
-                assert _same_bits(got, want) and got.flags.f_contiguous
-                assert _same_bits(blas.cholesky_solve(got, b), scipy.linalg.cho_solve((want, True), b))
+                assert same_bytes(got, want) and got.flags.f_contiguous
+                assert same_bytes(blas.cholesky_solve(got, b), scipy.linalg.cho_solve((want, True), b))
 
 
 @pytest.mark.parametrize("bad", [numpy.nan, numpy.inf, -numpy.inf])

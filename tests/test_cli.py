@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparselasso import EnsembleSpec, LassoConfig, ParameterError, SignalSpec, SweepConfig, grid_points, read_matrix
-from sparselasso import blas, cli, ensemble, sample_matrix, sweep, write_matrix
+from sparselasso import blas, cli, ensemble, lasso, sample_matrix, sweep, witness, write_matrix
 from sparselasso.cli import main
 from sparselasso.sweep import SPARSITY_RULES, _point_batch
 
@@ -232,6 +232,19 @@ def test_witness_report_fields(tmp_path, capsys):
     assert payload["noise_variance"] == pytest.approx(0.0625 / 0.5)
 
 
+def test_witness_and_solve_print_their_records_fields(tmp_path, capsys):
+    mat, yfile = tmp_path / "m.txt", tmp_path / "y.txt"
+    assert main(_gen_args(mat, n=40, p=10, gamma=0.5, seed=101)) == 0
+    yfile.write_text("0.5\n" * 40)
+    capsys.readouterr()
+    assert main(["witness", "--matrix", str(mat), "--k", "3", "--lam", "0.25", "--noise-seed", "5"]) == 0
+    fields = {f.name for f in dataclasses.fields(witness.WitnessReport)}
+    assert set(json.loads(capsys.readouterr().out)) == fields | {"noise_variance", "config", "provenance"}
+    assert main(["solve", "--matrix", str(mat), "--y", str(yfile), "--lam", "0.1"]) == 0
+    fields = {f.name for f in dataclasses.fields(lasso.LassoSolution)}
+    assert set(json.loads(capsys.readouterr().out)) == fields | {"config", "provenance"}
+
+
 def _sweep_args(extra):
     return [
         "sweep",
@@ -347,14 +360,15 @@ _VALID_ARGV = {
 }
 
 # Every float and float-list option of every subcommand; the two sparsity
-# exponents under both rules, so each is also given where its rule does not read it.
+# exponents under both rules, so each is also given where its rule does not read it,
+# and each list also with a bad entry after a good one.
 _FLOAT_OPTIONS = [
     pytest.param(sub, opt, rule, value, id=f"{sub}-{opt.name}{'-' + rule if rule else ''}-{value}")
     for sub, (_, opts, _) in cli.SUBCOMMANDS.items()
     for opt in opts
     if opt.kind in (float, cli.float_list)
     for rule in (("polynomial", "linear") if opt.name in ("poly_exponent", "linear_alpha") else (None,))
-    for value in ("nan", "inf", "-inf")
+    for value in ("nan", "inf", "-inf") + (("1,inf",) if opt.kind is cli.float_list else ())
 ]
 
 
@@ -370,7 +384,7 @@ def test_every_float_option_rejects_non_finite_values(sub, opt, rule, value, tmp
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"{cli.PROG} {sub}: error: {opt.name} must be finite, got {float(value)!r}\n"
+    assert err == f"{cli.PROG} {sub}: error: {opt.name} must be finite, got {float(value.split(',')[-1])!r}\n"
     assert not out_path.exists()
 
 
@@ -525,6 +539,24 @@ def test_sweep_rejects_one_file_for_both_outputs_before_any_trial(tmp_path, monk
     assert out == ""
     assert err == "sparselasso sweep: error: output paths X and ./X name the same file\n"
     assert [(f.name, f.read_text()) for f in tmp_path.iterdir()] == [("X", "earlier output\n")]
+
+
+def test_sweep_rejects_a_directory_output_before_any_trial(tmp_path, monkeypatch, capsys):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sweep, "run_sweep", no_trials)
+    (tmp_path / "out.csv").write_text("earlier output\n")
+    (tmp_path / "out.json").mkdir()
+    rc = main(_sweep_args(["--out-csv", "out.csv", "--out-json", "out.json"]))
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "sparselasso sweep: error: cannot write out.json: is a directory\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["out.csv", "out.json"]
+    assert (tmp_path / "out.csv").read_text() == "earlier output\n"
+    assert list((tmp_path / "out.json").iterdir()) == []
 
 
 # The required parameters of each subcommand, and a value each kind of option converts.

@@ -258,11 +258,14 @@ _VECTORS = [
     "target, name, length, call", [pytest.param(*v, id=f"{v[0].__name__}.{v[1]}") for v in _VECTORS]
 )
 def test_data_vector_must_be_finite_with_its_length(target, name, length, call):
-    """A 1 x length matrix is not a vector, NaN and +-inf entries are bad
-    data, and the caller's vector is left as it was."""
+    """A 1 x length matrix and, where the length is fixed, a vector one
+    entry short are not vectors of that length, NaN and +-inf entries are
+    bad data, and the caller's vector is left as it was."""
     valid = np.array(call[name], dtype=np.float64)
-    with pytest.raises(ParameterError, match=f"^{name} must have length {length}$"):
-        target(**{**call, name: valid.reshape(1, -1)})
+    short = () if target is thinned_squared_norm else (valid[:-1],)  # h may have any length
+    for wrong in (valid.reshape(1, -1), *short):
+        with pytest.raises(ParameterError, match=f"^{name} must have length {length}$"):
+            target(**{**call, name: wrong})
     for bad in (math.nan, math.inf, -math.inf):
         values = valid.copy()
         values[1] = bad

@@ -478,6 +478,16 @@ def test_write_outputs_rejects_one_file_for_both_outputs(tmp_path, monkeypatch):
     assert [(f.name, f.read_text()) for f in tmp_path.iterdir()] == [("X", "earlier output\n")]
 
 
+def test_write_outputs_rejects_a_directory_before_staging_anything(tmp_path):
+    (tmp_path / "out.csv").write_text("earlier output\n")
+    (tmp_path / "out.json").mkdir()
+    with pytest.raises(DataError) as exc:
+        write_outputs(run_sweep(_small_cfg()), tmp_path / "out.csv", tmp_path / "out.json")
+    assert str(exc.value) == f"cannot write {tmp_path / 'out.json'}: is a directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json"]
+    assert (tmp_path / "out.csv").read_text() == "earlier output\n"
+
+
 def test_write_outputs_to_a_path_and_its_tmp_sibling_keeps_both(tmp_path):
     table = run_sweep(_small_cfg())
     write_outputs(table, tmp_path / "X.tmp", tmp_path / "X")
@@ -520,14 +530,6 @@ CRITERION_2 = dict(
     sparsity_rule="linear",
     linear_alpha=0.125,
 )
-
-
-@pytest.fixture
-def caller_blas():
-    """The process's OpenBLAS thread counts, restored after the test."""
-    saved = blas.thread_counts()
-    yield saved
-    blas.set_thread_counts(saved)
 
 
 def test_trial_floats_do_not_depend_on_caller_blas_threads(caller_blas):
