@@ -119,7 +119,7 @@ class GridPoint:
     spec: ensemble.EnsembleSpec
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TrialRecord:
     p: int
     k: int
@@ -129,13 +129,13 @@ class TrialRecord:
     lam: float
     trial_index: int
     seed: int
-    witness_success: Optional[bool]
-    full_success: Optional[bool]
-    agreement: Optional[bool]
-    dual_ratio: Optional[float]
-    u_ratio: Optional[float]
-    invertible: Optional[bool]
-    converged: Optional[bool]
+    witness_success: Optional[bool] = None
+    full_success: Optional[bool] = None
+    agreement: Optional[bool] = None
+    dual_ratio: Optional[float] = None
+    u_ratio: Optional[float] = None
+    invertible: Optional[bool] = None
+    converged: Optional[bool] = None
     elapsed: float
 
     @property
@@ -145,7 +145,7 @@ class TrialRecord:
         return bool(self.full_success)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SweepRow:
     p: int
     k: int
@@ -248,6 +248,11 @@ def trial_seed(base_seed: int, p_idx: int, theta_idx: int, trial_index: int) -> 
     return rng.derive_key(base_seed, rng.TAG_TRIAL, packed)
 
 
+def _coords(point: GridPoint) -> dict:
+    """The grid coordinates that each trial record and row of a point repeats."""
+    return dict(p=point.p, k=point.k, n=point.n, theta=point.theta, gamma=point.gamma, lam=point.lam)
+
+
 def _execute(cfg: SweepConfig, point: GridPoint, trial_index: int) -> TrialRecord:
     t0 = time.perf_counter()
     seed = trial_seed(cfg.base_seed, point.p_idx, point.theta_idx, trial_index)
@@ -257,51 +262,28 @@ def _execute(cfg: SweepConfig, point: GridPoint, trial_index: int) -> TrialRecor
     w = ensemble.noise_vector(point.n, cfg.sigma2, seed)
     sig = ensemble.SignalSpec(p=point.p, k=point.k, beta_min=cfg.beta_min)
 
-    witness_success = full_success = agreement = None
-    dual_ratio = u_ratio = invertible = converged = None
+    out = {}  # the outcomes this mode computes; the record's others stay None
     if cfg.mode in ("witness", "both"):
         if m is None:
             rep = witness.build_sampled(point.spec, seed, sig, w, point.lam)
         else:
             rep = witness.build(m, sig, w, point.lam)
-        invertible = rep.invertible
-        witness_success = bool(rep.success)
+        out["invertible"] = rep.invertible
+        out["witness_success"] = bool(rep.success)
         if rep.invertible:
-            dual_ratio = (point.lam - rep.margins.dual) / point.lam
-            u_ratio = (cfg.beta_min - rep.margins.magnitude) / cfg.beta_min
+            out["dual_ratio"] = (point.lam - rep.margins.dual) / point.lam
+            out["u_ratio"] = (cfg.beta_min - rep.margins.magnitude) / cfg.beta_min
     if cfg.mode in ("full", "both"):
         beta_star = ensemble.make_signal(sig)
         y = m.to_csr() @ beta_star + w
         sol = lasso.solve(m, y, lasso.LassoConfig(lam=point.lam))
-        converged = bool(sol.converged)
-        full_success = bool(
-            converged
-            and np.array_equal(
-                lasso.signed_support(sol.beta_hat),
-                lasso.signed_support(beta_star, 0.0),
-            )
+        out["converged"] = bool(sol.converged)
+        out["full_success"] = out["converged"] and np.array_equal(
+            lasso.signed_support(sol.beta_hat), lasso.signed_support(beta_star, 0.0)
         )
     if cfg.mode == "both":
-        agreement = witness_success == full_success
-
-    return TrialRecord(
-        p=point.p,
-        k=point.k,
-        n=point.n,
-        theta=point.theta,
-        gamma=point.gamma,
-        lam=point.lam,
-        trial_index=trial_index,
-        seed=seed,
-        witness_success=witness_success,
-        full_success=full_success,
-        agreement=agreement,
-        dual_ratio=dual_ratio,
-        u_ratio=u_ratio,
-        invertible=invertible,
-        converged=converged,
-        elapsed=time.perf_counter() - t0,
-    )
+        out["agreement"] = out["witness_success"] == out["full_success"]
+    return TrialRecord(**_coords(point), trial_index=trial_index, seed=seed, **out, elapsed=time.perf_counter() - t0)
 
 
 def run_trial(cfg: SweepConfig, p: int, theta: float, trial_index: int) -> TrialRecord:
@@ -324,30 +306,26 @@ def _point_batch(cfg: SweepConfig, point: GridPoint) -> list:
 
 def _aggregate(cfg: SweepConfig, point: GridPoint, records: list) -> SweepRow:
     successes = sum(1 for r in records if r.success)
-    row = SweepRow(
-        p=point.p,
-        k=point.k,
-        n=point.n,
-        theta=point.theta,
+    out = {}  # the counts this mode computes; the row's others stay None
+    if cfg.mode in ("witness", "both"):
+        inv = [r for r in records if r.invertible]
+        out["invertible_trials"] = len(inv)
+        if inv:
+            out["mean_dual_ratio"] = float(np.mean([r.dual_ratio for r in inv]))
+            out["mean_u_ratio"] = float(np.mean([r.u_ratio for r in inv]))
+    if cfg.mode in ("full", "both"):
+        out["nonconverged"] = sum(1 for r in records if not r.converged)
+    if cfg.mode == "both":
+        out["full_successes"] = sum(1 for r in records if r.full_success)
+        out["agreements"] = sum(1 for r in records if r.agreement)
+    return SweepRow(
+        **_coords(point),
         realized_theta=theory.control_parameter(point.n, point.p, point.k),
-        gamma=point.gamma,
-        lam=point.lam,
         trials=len(records),
         successes=successes,
         success_rate=successes / len(records),
+        **out,
     )
-    if cfg.mode in ("witness", "both"):
-        inv = [r for r in records if r.invertible]
-        row.invertible_trials = len(inv)
-        if inv:
-            row.mean_dual_ratio = float(np.mean([r.dual_ratio for r in inv]))
-            row.mean_u_ratio = float(np.mean([r.u_ratio for r in inv]))
-    if cfg.mode in ("full", "both"):
-        row.nonconverged = sum(1 for r in records if not r.converged)
-    if cfg.mode == "both":
-        row.full_successes = sum(1 for r in records if r.full_success)
-        row.agreements = sum(1 for r in records if r.agreement)
-    return row
 
 
 def _claim_points(cfg: SweepConfig, points: list, order: list, claimed, slots, slot: int, conn) -> None:

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .ensemble import EnsembleSpec, SignalSpec, SparseMeasurementMatrix, sample_blocks, signal_signs
-from .errors import ParameterError, integer, positive, unit_interval, vector
+from .errors import ParameterError, finite_array, integer, positive, unit_interval, vector
 from . import blas, rng
 
 # Relative floor on the restricted Gram's Cholesky pivots below which the
@@ -159,17 +159,7 @@ def _build(n: int, p: int, blocks, s: SignalSpec, w: np.ndarray, lam: float) -> 
 
     margins = _margins(u, va + vb, lam, s.beta_min, signs)
     events = _events(margins)
-    return WitnessReport(
-        invertible=True,
-        success=events.success,
-        u=u,
-        va=va,
-        vb=vb,
-        event_v=events.event_v,
-        event_u=events.event_u,
-        sign_consistent=events.sign_consistent,
-        margins=margins,
-    )
+    return WitnessReport(invertible=True, u=u, va=va, vb=vb, margins=margins, **events._asdict())
 
 
 HVector = namedtuple("HVector", ["h", "squared_norm"])
@@ -192,7 +182,10 @@ def h_vector(m: SparseMeasurementMatrix, s: SignalSpec) -> HVector:
 
 def thinned_squared_norm(h: np.ndarray, gamma: float, seed: int) -> float:
     """||H||^2 after keeping each entry of h independently with probability gamma."""
-    h = vector("h", h, "h.size", np.size(h))
+    h = np.array(h, dtype=np.float64)
+    if h.ndim != 1:
+        raise ParameterError(f"h must be 1-D, got shape {h.shape}")
+    finite_array("h", h)
     key = rng.derive_key(integer("seed", seed), rng.TAG_THIN)
     # A one-row grid is one block.
     [(_, _, flat)] = rng.kept_blocks(key, 1, 0, h.size, unit_interval("gamma", gamma))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparselasso import EnsembleSpec, LassoConfig, ParameterError, SignalSpec, SweepConfig, grid_points, read_matrix
-from sparselasso import blas, cli, ensemble, lasso, sample_matrix, sweep, witness, write_matrix
+from sparselasso import blas, cli, ensemble, sample_matrix, sweep, write_matrix
 from sparselasso.cli import main
 from sparselasso.sweep import SPARSITY_RULES, _point_batch
 
@@ -238,11 +238,14 @@ def test_witness_and_solve_print_their_records_fields(tmp_path, capsys):
     yfile.write_text("0.5\n" * 40)
     capsys.readouterr()
     assert main(["witness", "--matrix", str(mat), "--k", "3", "--lam", "0.25", "--noise-seed", "5"]) == 0
-    fields = {f.name for f in dataclasses.fields(witness.WitnessReport)}
-    assert set(json.loads(capsys.readouterr().out)) == fields | {"noise_variance", "config", "provenance"}
+    assert set(json.loads(capsys.readouterr().out)) == {
+        "invertible", "success", "u", "va", "vb", "event_v", "event_u", "sign_consistent", "margins",
+        "noise_variance", "config", "provenance",
+    }
     assert main(["solve", "--matrix", str(mat), "--y", str(yfile), "--lam", "0.1"]) == 0
-    fields = {f.name for f in dataclasses.fields(lasso.LassoSolution)}
-    assert set(json.loads(capsys.readouterr().out)) == fields | {"config", "provenance"}
+    assert set(json.loads(capsys.readouterr().out)) == {
+        "beta_hat", "objective", "kkt_residual", "iterations", "converged", "config", "provenance",
+    }
 
 
 def _sweep_args(extra):
@@ -463,6 +466,50 @@ def test_sweep_keep_trials_no_keeps_none(tmp_path, capsys):
     assert main(_sweep_args(["--out-csv", str(tmp_path / "t.csv"), "--out-json", str(jsn), "--keep-trials", "no"])) == 0
     assert "trial records" not in capsys.readouterr().out
     assert "trials" not in json.loads(jsn.read_text())
+
+
+_ROW_KEYS = {
+    "p", "k", "n", "theta", "realized_theta", "gamma", "lam", "trials", "successes", "success_rate",
+    "invertible_trials", "mean_dual_ratio", "mean_u_ratio", "full_successes", "agreements", "nonconverged",
+}
+_TRIAL_KEYS = {
+    "p", "k", "n", "theta", "gamma", "lam", "trial_index", "seed", "witness_success", "full_success",
+    "agreement", "dual_ratio", "u_ratio", "invertible", "converged", "elapsed",
+}
+
+
+@pytest.mark.parametrize(
+    "mode, row_nulls, trial_nulls",
+    [
+        ("witness", {"full_successes", "agreements", "nonconverged"}, {"full_success", "agreement", "converged"}),
+        (
+            "full",
+            {"invertible_trials", "mean_dual_ratio", "mean_u_ratio", "full_successes", "agreements"},
+            {"witness_success", "agreement", "dual_ratio", "u_ratio", "invertible"},
+        ),
+        ("both", set(), set()),
+    ],
+)
+def test_sweep_json_rows_and_trials_have_fixed_keys_and_mode_nulls(mode, row_nulls, trial_nulls, tmp_path, capsys):
+    """Every row and trial record of the sweep JSON has the same keys in
+    every mode, and the mode decides which are null. So does a singular
+    support block: at theta=0.25 every trial's block is singular, so those
+    trials have no ratios and their row no mean ratios."""
+    jsn = tmp_path / "s.json"
+    argv = [
+        "sweep", "--p-list", "32", "--theta-grid", "0.25,1.0", "--trials", "3", "--base-seed", "7",
+        "--gamma-rule", "constant", "--gamma-value", "0.2", "--mode", mode, "--keep-trials",
+        "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(jsn),
+    ]
+    assert main(argv) == 0
+    payload = json.loads(jsn.read_text())
+    singular_row, singular_trial = {"mean_dual_ratio", "mean_u_ratio"}, {"dual_ratio", "u_ratio"}
+    assert [set(r) for r in payload["rows"]] == [_ROW_KEYS] * 2
+    assert [{key for key, v in r.items() if v is None} for r in payload["rows"]] == [row_nulls | singular_row, row_nulls]
+    assert [set(t) for t in payload["trials"]] == [_TRIAL_KEYS] * 6
+    assert [{key for key, v in t.items() if v is None} for t in payload["trials"]] == (
+        [trial_nulls | singular_trial] * 3 + [trial_nulls] * 3
+    )
 
 
 def test_config_file_precedence(tmp_path, capsys):

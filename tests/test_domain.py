@@ -2,12 +2,13 @@
 public constructor or entry point rejects NaN and +-inf with a
 ParameterError that names it, every rule choice rejects a value outside
 its tuple the same way, a value that only one rule choice reads is given
-exactly under that choice, every data vector must have its length and
-finite entries, seeds must be integers, and numpy scalars are accepted
-wherever plain numbers are."""
+exactly under that choice, every data vector must have its length (or,
+where any length is allowed, be 1-D) and finite entries, seeds must be
+integers, and numpy scalars are accepted wherever plain numbers are."""
 
 import functools
 import math
+import re
 import typing
 
 import numpy as np
@@ -243,11 +244,11 @@ def test_snr_diagnostic_takes_gamma_in_the_unit_interval():
 
 
 # Every data vector an entry point takes: (target, vector name, its length
-# as the error words it, a valid call).
+# as the error words it or None where any length is allowed, a valid call).
 _VECTORS = [
     (observe, "beta_star", "p=20", _VALID_CALLS[observe]),
     (build, "w", "n=40", _VALID_CALLS[build]),
-    (thinned_squared_norm, "h", "h.size=5", _VALID_CALLS[thinned_squared_norm]),
+    (thinned_squared_norm, "h", None, _VALID_CALLS[thinned_squared_norm]),
     (kkt_residual, "y", "n=40", _VALID_CALLS[kkt_residual]),
     (kkt_residual, "beta", "p=20", _VALID_CALLS[kkt_residual]),
     (solve, "y", "n=40", dict(X=_M, y=_Y, config=LassoConfig(lam=0.1, max_iter=50))),
@@ -258,13 +259,17 @@ _VECTORS = [
     "target, name, length, call", [pytest.param(*v, id=f"{v[0].__name__}.{v[1]}") for v in _VECTORS]
 )
 def test_data_vector_must_be_finite_with_its_length(target, name, length, call):
-    """A 1 x length matrix and, where the length is fixed, a vector one
-    entry short are not vectors of that length, NaN and +-inf entries are
-    bad data, and the caller's vector is left as it was."""
+    """A 1 x length matrix and a vector one entry short are not vectors of
+    a fixed length, a 1 x length matrix and a 0-d value are not vectors of
+    any length, NaN and +-inf entries are bad data, and the caller's vector
+    is left as it was."""
     valid = np.array(call[name], dtype=np.float64)
-    short = () if target is thinned_squared_norm else (valid[:-1],)  # h may have any length
-    for wrong in (valid.reshape(1, -1), *short):
-        with pytest.raises(ParameterError, match=f"^{name} must have length {length}$"):
+    if length is None:
+        wrongs = [(wrong, f"{name} must be 1-D, got shape {wrong.shape}") for wrong in (valid.reshape(1, -1), valid[0])]
+    else:
+        wrongs = [(wrong, f"{name} must have length {length}") for wrong in (valid.reshape(1, -1), valid[:-1])]
+    for wrong, message in wrongs:
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             target(**{**call, name: wrong})
     for bad in (math.nan, math.inf, -math.inf):
         values = valid.copy()
@@ -273,25 +278,3 @@ def test_data_vector_must_be_finite_with_its_length(target, name, length, call):
             target(**{**call, name: values})
     target(**call)
     assert np.array_equal(call[name], valid)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_witness_noise_must_be_finite(bad):
-    w = _W.copy()
-    w[3] = bad
-    with pytest.raises(DataError, match="^w contains non-finite values$"):
-        build(_M, _S, w, 0.1)
-
-
-@pytest.mark.parametrize("target", [kkt_residual], ids=lambda t: t.__name__)
-def test_lasso_helpers_check_the_lengths_and_finiteness_of_y_and_beta(target):
-    call = _VALID_CALLS[target]
-    with pytest.raises(ParameterError, match="^y must have length n=40$"):
-        target(**{**call, "y": _Y[:-1]})
-    with pytest.raises(ParameterError, match="^beta must have length p=20$"):
-        target(**{**call, "beta": np.zeros(21)})
-    for bad in (math.nan, math.inf):
-        beta = make_signal(_S)
-        beta[5] = bad
-        with pytest.raises(DataError, match="^beta contains non-finite values$"):
-            target(**{**call, "beta": beta})

@@ -6,7 +6,8 @@ another, `__all__` lists exactly what
 `__init__` imports, only errors.py tests a scalar for finiteness or
 words the message of `one_of`, `read_only_by` or `distinct`, no CLI
 option that takes its default from a dataclass field also states one,
-only rng.py imports scipy.special, the witness path runs without
+only rng.py imports scipy.special, no module sets a field of a result
+record after building it, the witness path runs without
 loading scipy.linalg, scipy.sparse, scipy.special's __init__ or scipy's
 array-API shim, and a serial sweep and the CLI run without loading
 multiprocessing."""
@@ -20,7 +21,7 @@ import re
 import pytest
 
 import sparselasso
-from sparselasso import cli
+from sparselasso import cli, ensemble, lasso, sweep, witness
 
 from oracles import witness_path_loads
 
@@ -321,6 +322,41 @@ def test_only_rng_imports_scipy_special(path):
     """scipy.special's __init__ loads scipy's array-API shim, about 280
     modules; rng.py takes ndtri without it, and nothing else may load it."""
     assert _special_imports(path.read_text()) == []
+
+
+# The result records: each is built once, from the values that compute it.
+_RECORDS = (sweep.TrialRecord, sweep.SweepRow, witness.WitnessReport, lasso.LassoSolution, ensemble.ObservationSet)
+
+
+def _field_stores(source: str, fields) -> list:
+    """Each attribute assignment in source, plain, augmented or annotated,
+    whose attribute is in fields, as `<line>: <target>`, in source order."""
+    stores = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and node.attr in fields
+    ]
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in sorted(stores, key=lambda n: (n.lineno, n.col_offset))]
+
+
+def test_record_field_store_is_found():
+    source = (
+        "row = Row(p=1)\n"
+        "row.successes = 2\n"
+        "table.rows[0].trials += 1\n"
+        "rep.u, other = None, 3\n"
+        "self.note: int = 4\n"
+        "row.unlisted = row.successes\n"
+        "setattr(row, 'successes', 5)\n"
+    )
+    found = _field_stores(source, {"p", "successes", "trials", "u", "note"})
+    assert found == ["2: row.successes", "3: table.rows[0].trials", "4: rep.u", "5: self.note"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_sets_a_field_of_a_built_record(path):
+    fields = {f.name for record in _RECORDS for f in dataclasses.fields(record)}
+    assert _field_stores(path.read_text(), fields) == []
 
 
 def test_witness_path_never_loads_scipy_sparse():
