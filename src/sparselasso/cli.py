@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import ensemble, lasso, sweep, theory, witness
-from .errors import DataError, ParameterError, non_negative, one_of, positive
+from .errors import DataError, ParameterError, integer, non_negative, one_of, positive
 
 PROG = "sparselasso"
 
@@ -277,6 +277,7 @@ def _cmd_witness(cfg: dict, prov: dict) -> int:
 
 def _cmd_sweep(cfg: dict, prov: dict) -> int:
     scfg = _build(sweep.SweepConfig, cfg)
+    threads = integer("threads", cfg["threads"], 1)  # before the dry run, which must reject what the run rejects
     sweep.check_outputs([cfg["out_csv"], cfg["out_json"]])
     if cfg["dry_run"]:
         points = sweep.grid_points(scfg)
@@ -288,7 +289,7 @@ def _cmd_sweep(cfg: dict, prov: dict) -> int:
         for pt in points:
             print(f"  {pt.p:<6d} {pt.theta:<8.4g} {pt.k:<6d} {pt.n:<6d} {pt.gamma:<12.6g} {pt.lam:<.6g}")
         return 0
-    table = sweep.run_sweep(scfg, workers=cfg["threads"])
+    table = sweep.run_sweep(scfg, workers=threads)
     sweep.write_outputs(table, cfg["out_csv"], cfg["out_json"], provenance=prov)
     done = f"wrote {cfg['out_csv']}"
     if cfg["out_json"] is not None:

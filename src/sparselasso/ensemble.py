@@ -18,7 +18,7 @@ slabs: `row_blocks` cuts them from a matrix, and `sample_blocks` draws
 the same entries, in slabs cut at hash-block boundaries, without
 sampling the other columns.  One slab generator does all the sampling:
 `sample_matrix` is its one-slab case, all rows and columns at once.
-`scipy.sparse` is imported on demand, by the first `to_csr()`: sampling,
+`scipy.sparse` is imported on demand, by `to_csr()`: sampling,
 observing and the witness never load it.
 """
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Optional
 
 import numpy as np
@@ -84,21 +84,16 @@ class SparseMeasurementMatrix:
     indices: np.ndarray
     values: np.ndarray
     seed_info: SeedInfo
-    _csr: Optional[sp.csr_matrix] = field(default=None, repr=False, compare=False)
 
     @property
     def nnz(self) -> int:
         return int(self.indptr[-1])
 
     def to_csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            import scipy.sparse as sp
+        """A new scipy CSR matrix over its arrays, built on each call."""
+        import scipy.sparse as sp
 
-            self._csr = sp.csr_matrix(
-                (self.values, self.indices, self.indptr),
-                shape=(self.spec.n, self.spec.p),
-            )
-        return self._csr
+        return sp.csr_matrix((self.values, self.indices, self.indptr), shape=(self.spec.n, self.spec.p))
 
     def row_blocks(self, j0: int, j1: int):
         """Yield its entries in the columns [j0, j1) as row slabs
@@ -148,23 +143,16 @@ class SparseMeasurementMatrix:
                 raise DataError("stored values must be non-zero")
 
 
-def sample_matrix(spec: EnsembleSpec, seed: int, value_seed: Optional[int] = None) -> SparseMeasurementMatrix:
+def sample_matrix(spec: EnsembleSpec, seed: int) -> SparseMeasurementMatrix:
     """Draw a matrix from the ensemble.
 
     The Bernoulli pattern and the Gaussian values come from separate
-    streams keyed off `seed`; passing `value_seed` re-draws the values on
-    an identical pattern.  Entry (i, j) depends only on the stream keys
+    streams keyed off `seed`.  Entry (i, j) depends only on the stream keys
     and (i, j), so the result is independent of generation order.  Its
     arrays are the one slab of all rows and columns that sample_blocks'
     generator yields when a slab closes only at row n.
     """
-    seed = integer("seed", seed)
-    value_seed = seed if value_seed is None else integer("value_seed", value_seed)
-    info = SeedInfo(
-        seed=seed,
-        pattern_seed=rng.derive_key(seed, rng.TAG_PATTERN),
-        value_seed=rng.derive_key(value_seed, rng.TAG_VALUE),
-    )
+    info = _seed_info(seed)
     [(_, indptr, indices, values)] = _slabs(spec, info.pattern_seed, info.value_seed, 0, spec.p, math.inf)
     return SparseMeasurementMatrix(spec=spec, indptr=indptr, indices=indices, values=values, seed_info=info)
 
@@ -178,10 +166,15 @@ def sample_blocks(spec: EnsembleSpec, seed: int, j0: int, j1: int):
     rng.DRAW_CHUNK entries on average, and a slab here gathers the rows of
     consecutive hash blocks of rng.kept_blocks until it keeps at least
     rng.DRAW_CHUNK entries, so that its values are drawn in whole chunks."""
-    seed = integer("seed", seed)
+    info = _seed_info(seed)
     j0, j1 = _column_range(spec, j0, j1)
-    value_key = rng.derive_key(seed, rng.TAG_VALUE)
-    return _slabs(spec, rng.derive_key(seed, rng.TAG_PATTERN), value_key, j0, j1, rng.DRAW_CHUNK)
+    return _slabs(spec, info.pattern_seed, info.value_seed, j0, j1, rng.DRAW_CHUNK)
+
+
+def _seed_info(seed: int) -> SeedInfo:
+    """The checked seed of a matrix and its pattern and value stream keys."""
+    seed = integer("seed", seed)
+    return SeedInfo(seed=seed, pattern_seed=rng.derive_key(seed, rng.TAG_PATTERN), value_seed=rng.derive_key(seed, rng.TAG_VALUE))
 
 
 def _column_range(spec: EnsembleSpec, j0: int, j1: int) -> tuple[int, int]:

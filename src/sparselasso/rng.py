@@ -6,8 +6,7 @@ the bits for matrix entry (i, j) depend only on the stream key and the
 packed counter i * 2^32 + j, never on how many entries were drawn before
 it.  Keys for distinct purposes (Bernoulli pattern, Gaussian values,
 noise, ...) are derived from a user seed plus an ascii tag, so the
-pattern and value streams of a matrix are independent and can be
-re-seeded separately.
+pattern and value streams of a matrix are independent.
 
 Normals use the inverse CDF applied to a uniform built from the top 53
 bits m of a word as m * 2^-53 + 2^-54.  Below 1/2 that is exact, an odd

@@ -132,10 +132,10 @@ def witness_path_loads() -> dict:
         return json.loads(run_fresh("-c", _WITNESS_PATH_SCRIPT, tmp))
 
 
-def sample_matrix_unblocked(spec, seed, value_seed=None):
-    """The matrix `ensemble.sample_matrix(spec, seed, value_seed)` must equal byte for byte."""
+def sample_matrix_unblocked(spec, seed):
+    """The matrix `ensemble.sample_matrix(spec, seed)` must equal byte for byte."""
     pattern_seed = rng.derive_key(seed, rng.TAG_PATTERN)
-    value_seed_eff = rng.derive_key(seed if value_seed is None else value_seed, rng.TAG_VALUE)
+    value_seed = rng.derive_key(seed, rng.TAG_VALUE)
 
     n, p, gamma = spec.n, spec.p, spec.gamma
     dense = gamma == 1.0
@@ -159,12 +159,12 @@ def sample_matrix_unblocked(spec, seed, value_seed=None):
             counts[r0:r1] = mask.sum(axis=1)
             nz_counters = counters[mask]
             idx_parts.append(np.nonzero(mask)[1].astype(np.int64))
-        draws = rng.normals_at(value_seed_eff, nz_counters)
+        draws = rng.normals_at(value_seed, nz_counters)
         val_parts.append(draws if scale == 1.0 else draws * scale)
 
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    info = SeedInfo(seed=seed, pattern_seed=pattern_seed, value_seed=value_seed_eff)
+    info = SeedInfo(seed=seed, pattern_seed=pattern_seed, value_seed=value_seed)
     return SparseMeasurementMatrix(
         spec=spec, indptr=indptr, indices=np.concatenate(idx_parts), values=np.concatenate(val_parts), seed_info=info,
     )

@@ -279,7 +279,17 @@ def test_sweep_dry_run_resolves_grid_before_printing(capsys):
     assert "grid point p=4" in err
 
 
-_PLAIN_SWEEP = ["sweep", "--p-list", "64", "--theta-grid", "1", "--trials", "1", "--base-seed", "1", "--dry-run"]
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry_run"])
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_sweep_rejects_a_thread_count_below_one_with_or_without_dry_run(threads, dry_run, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--p-list", "64", "--theta-grid", "1", "--trials", "1", "--base-seed", "1", "--threads", threads]
+    assert main(argv + dry_run) == 2
+    assert capsys.readouterr() == ("", f"sparselasso sweep: error: threads must be at least 1, got {threads}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+_PLAIN_SWEEP =["sweep", "--p-list", "64", "--theta-grid", "1", "--trials", "1", "--base-seed", "1", "--dry-run"]
 
 
 @pytest.mark.parametrize(

@@ -177,7 +177,6 @@ def test_value_is_given_exactly_when_its_rule_choice_reads_it(target, name, valu
 
 _SEEDED_CALLS = [
     (sample_matrix, "seed", dict(spec=EnsembleSpec(n=4, p=4, gamma=0.5), seed=1)),
-    (sample_matrix, "value_seed", dict(spec=EnsembleSpec(n=4, p=4, gamma=0.5), seed=1, value_seed=2)),
     (noise_vector, "noise_seed", _VALID_CALLS[noise_vector]),
     (observe, "noise_seed", _VALID_CALLS[observe]),
     (thinned_squared_norm, "seed", _VALID_CALLS[thinned_squared_norm]),
@@ -198,7 +197,7 @@ def test_non_integer_seed_is_a_parameter_error_naming_it(target, name, call, see
 
 def test_negative_seeds_stay_masked_to_64_bits_except_for_the_bound_checks():
     spec = EnsembleSpec(n=6, p=5, gamma=0.5)
-    a, b = sample_matrix(spec, -1, value_seed=-2), sample_matrix(spec, 2**64 - 1, value_seed=2**64 - 2)
+    a, b = sample_matrix(spec, -1), sample_matrix(spec, 2**64 - 1)
     for field in ("indptr", "indices", "values"):
         assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
     assert noise_vector(3, 1.0, -5).tobytes() == noise_vector(3, 1.0, 2**64 - 5).tobytes()

@@ -59,15 +59,6 @@ def test_sampling_deterministic():
     assert not np.array_equal(a.values, c.values)
 
 
-def test_pattern_and_values_independent():
-    spec = EnsembleSpec(n=50, p=30, gamma=0.4)
-    a = sample_matrix(spec, seed=123)
-    b = sample_matrix(spec, seed=123, value_seed=999)
-    assert np.array_equal(a.indptr, b.indptr)
-    assert np.array_equal(a.indices, b.indices)
-    assert not np.array_equal(a.values, b.values)
-
-
 def test_nnz_concentration():
     spec = EnsembleSpec(n=200, p=100, gamma=0.3)
     m = sample_matrix(spec, seed=7)
@@ -275,16 +266,15 @@ def test_read_matrix_accepts_header_only_and_blank_lines():
     gamma=st.sampled_from([1.0, 0.5]) | st.floats(1e-3, 1.0),
     convention=st.sampled_from(["standard", "rescaled"]),
     seed=st.integers(0, 2**64 - 1),
-    value_seed=st.none() | st.integers(0, 2**64 - 1),
 )
-@example(n=300, p=700, gamma=0.1, convention="rescaled", seed=5, value_seed=None)  # 4 blocks, the last partial
-@example(n=3, p=70_000, gamma=0.05, convention="standard", seed=9, value_seed=2)  # p above the block: one row each
-@example(n=2, p=70_000, gamma=1.0, convention="rescaled", seed=1, value_seed=None)
-@example(n=1, p=1, gamma=0.3, convention="standard", seed=0, value_seed=None)
-def test_sample_matrix_matches_unblocked_oracle(n, p, gamma, convention, seed, value_seed):
+@example(n=300, p=700, gamma=0.1, convention="rescaled", seed=5)  # 4 blocks, the last partial
+@example(n=3, p=70_000, gamma=0.05, convention="standard", seed=9)  # p above the block: one row each
+@example(n=2, p=70_000, gamma=1.0, convention="rescaled", seed=1)
+@example(n=1, p=1, gamma=0.3, convention="standard", seed=0)
+def test_sample_matrix_matches_unblocked_oracle(n, p, gamma, convention, seed):
     spec = EnsembleSpec(n=n, p=p, gamma=gamma, convention=convention)
-    got = sample_matrix(spec, seed, value_seed=value_seed)
-    want = sample_matrix_unblocked(spec, seed, value_seed=value_seed)
+    got = sample_matrix(spec, seed)
+    want = sample_matrix_unblocked(spec, seed)
     for name in ("indptr", "indices", "values"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

@@ -1,7 +1,8 @@
 """Every import a library module binds is used in that module, every
 public name a module defines is exported or read in the package, every
 exported name is read by the package, the benchmark, the README's
-examples or the acceptance tests, no module reads a private name of
+examples or the acceptance tests, which also pass every defaulted
+parameter of a public function, no module reads a private name of
 another, `__all__` lists exactly what
 `__init__` imports, only errors.py tests a scalar for finiteness or
 words the message of `one_of`, `read_only_by` or `distinct`, no CLI
@@ -140,16 +141,84 @@ def test_unreached_export_is_found():
     assert _unreached_exports(sources, exported) == ["defined", "stored"]
 
 
-def test_every_export_is_read_outside_the_tests():
-    """Each exported name is read by a module of the package other than
-    __init__, by perfbench, by a python block of the README or by the
-    acceptance tests, so none is kept for the unit tests alone."""
+def _sources_outside_the_tests() -> list:
+    """The source texts of the package's modules other than __init__, of
+    perfbench, of the README's python blocks and of the acceptance tests."""
     root = pathlib.Path(__file__).resolve().parents[1]
     examples = re.findall(r"^```python\n(.*?)^```", (root / "README.md").read_text(), re.DOTALL | re.MULTILINE)
     paths = [*MODULES, *(root / "perfbench").glob("*.py"), root / "tests" / "test_acceptance.py"]
     assert examples and len(paths) > len(MODULES) + 1
+    return [*examples, *(path.read_text() for path in paths)]
+
+
+def test_every_export_is_read_outside_the_tests():
+    """Each exported name is read by a module of the package other than
+    __init__, by perfbench, by a python block of the README or by the
+    acceptance tests, so none is kept for the unit tests alone."""
     exported = set(sparselasso.__all__) - {"__version__"}
-    assert _unreached_exports([*examples, *(path.read_text() for path in paths)], exported) == []
+    assert _unreached_exports(_sources_outside_the_tests(), exported) == []
+
+
+def _unpassed_defaults(package: dict, sources: list) -> list:
+    """Each defaulted parameter of a public top-level function of a module in
+    package (module name to source text), as `<module>.<function>(<name>)`,
+    that no call in sources passes, by keyword or by position.  A call
+    names the function, an attribute of that name or a `from ... import`
+    alias of it, and a call with *args or **kwargs passes every parameter."""
+    passed = {}  # function name: the positions and keywords its calls pass, "*" for all
+    for tree in map(ast.parse, sources):
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        aliases = {a.asname: a.name for node in imports for a in node.names if a.asname}
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            if isinstance(call.func, ast.Name):
+                name = aliases.get(call.func.id, call.func.id)
+            elif isinstance(call.func, ast.Attribute):
+                name = call.func.attr
+            else:
+                continue
+            got = passed.setdefault(name, set())
+            got.update(range(len(call.args)), (k.arg or "*" for k in call.keywords))
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                got.add("*")
+    found = []
+    for mod, source in package.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            got = passed.get(node.name, set())
+            found.extend(f"{mod}.{node.name}({name})" for i, name in defaulted if not {"*", i, name} & got)
+    return sorted(found)
+
+
+def test_unpassed_default_is_found():
+    package = {
+        "a": (
+            "def f(x, y=1, z=2, *, w=3, v=4):\n    pass\n"
+            "def g(c=1):\n    pass\n"
+            "def h(c=1):\n    pass\n"
+            "def k(c=1, d=2):\n    pass\n"
+            "def _private(c=1):\n    pass\n"
+            "class C:\n    def method(self, c=1):\n        pass\n"
+        ),
+    }
+    sources = [
+        "from a import g as run\nf(0, 5, w=6)\nrun(*args)\n",
+        "import a\na.h(**kw)\nk(d=1)\n",
+    ]
+    assert _unpassed_defaults(package, sources) == ["a.f(v)", "a.f(z)", "a.k(c)"]
+
+
+def test_every_default_is_passed_outside_the_tests():
+    """Each defaulted parameter of a public function of the package is
+    passed by some call outside the unit tests, so none is kept for them."""
+    package = pathlib.Path(sparselasso.__file__).parent
+    modules = {path.stem: path.read_text() for path in package.glob("*.py")}
+    assert _unpassed_defaults(modules, _sources_outside_the_tests()) == []
 
 
 def test_all_lists_exactly_the_imported_names():

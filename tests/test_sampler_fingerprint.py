@@ -5,7 +5,7 @@ indptr/indices/values bytes of one sampled matrix, their dtypes, its
 SeedInfo, and the witness margins on it (as `repr` floats).  The
 instances are trials of the acceptance sweeps, drawn with
 `sweep.trial_seed` exactly as a sweep draws them, plus a dense
-(gamma = 1), a standard-convention and a `value_seed` instance.  The file
+(gamma = 1) and a standard-convention instance.  The file
 was recorded from the one-shot sampler (2-D counter blocks of 2^24
 entries); any rewrite of the sampler must reproduce it unchanged.
 
@@ -36,22 +36,21 @@ CRITERION_2 = dict(
     sparsity_rule="linear", linear_alpha=0.125,
 )
 
-# name: (SweepConfig fields, p, theta, trial index, value_seed)
+# name: (SweepConfig fields, p, theta, trial index)
 INSTANCES = {
-    "criterion_1_p512_theta1": (CRITERION_1, 512, 1.0, 0, None),
-    "criterion_1_p2048_theta2": (CRITERION_1, 2048, 2.0, 7, None),
-    "criterion_2_p1024_n3481": (CRITERION_2, 1024, 2.0, 0, None),
-    "gamma_1_p256": (dict(CRITERION_2, gamma_rule="constant", gamma_value=1.0), 256, 1.4, 3, None),
-    "standard_p1024": (dict(CRITERION_1, convention="standard"), 1024, 1.2, 5, None),
-    "value_seed_p1024": (CRITERION_1, 1024, 0.8, 2, 123456789),
+    "criterion_1_p512_theta1": (CRITERION_1, 512, 1.0, 0),
+    "criterion_1_p2048_theta2": (CRITERION_1, 2048, 2.0, 7),
+    "criterion_2_p1024_n3481": (CRITERION_2, 1024, 2.0, 0),
+    "gamma_1_p256": (dict(CRITERION_2, gamma_rule="constant", gamma_value=1.0), 256, 1.4, 3),
+    "standard_p1024": (dict(CRITERION_1, convention="standard"), 1024, 1.2, 5),
 }
 
 
-def fingerprint(fields: dict, p: int, theta: float, trial: int, value_seed) -> dict:
+def fingerprint(fields: dict, p: int, theta: float, trial: int) -> dict:
     cfg = SweepConfig(**fields)
     (pt,) = [pt for pt in grid_points(cfg) if pt.p == p and pt.theta == theta]
     seed = trial_seed(cfg.base_seed, pt.p_idx, pt.theta_idx, trial)
-    m = sample_matrix(pt.spec, seed, value_seed=value_seed)
+    m = sample_matrix(pt.spec, seed)
     rep = build(m, SignalSpec(p=pt.p, k=pt.k, beta_min=cfg.beta_min), noise_vector(pt.n, cfg.sigma2, seed), pt.lam)
     arrays = {"indptr": m.indptr, "indices": m.indices, "values": m.values}
     return {
