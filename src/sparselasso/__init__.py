@@ -12,7 +12,6 @@ from .errors import CapacityError, DataError, ParameterError
 from .ensemble import (
     EnsembleSpec,
     ObservationSet,
-    SeedInfo,
     SignalSpec,
     SparseMeasurementMatrix,
     make_signal,
@@ -37,7 +36,7 @@ from .theory import (
     singular_extremes,
     snr_diagnostic,
 )
-from .witness import HVector, Margins, WitnessReport, build, h_vector, thinned_squared_norm
+from .witness import Margins, WitnessReport, build, h_vector, thinned_squared_norm
 
 __version__ = "0.1.0"
 
@@ -47,7 +46,6 @@ __all__ = [
     "ParameterError",
     "EnsembleSpec",
     "ObservationSet",
-    "SeedInfo",
     "SignalSpec",
     "SparseMeasurementMatrix",
     "make_signal",
@@ -81,7 +79,6 @@ __all__ = [
     "run_bound_checks",
     "singular_extremes",
     "snr_diagnostic",
-    "HVector",
     "Margins",
     "WitnessReport",
     "build",

@@ -227,6 +227,7 @@ def _build(cls, cfg: dict, **given):
 
 def _cmd_gen(cfg: dict, prov: dict) -> int:
     spec = _build(ensemble.EnsembleSpec, cfg)
+    sweep.check_outputs([cfg["out"]])
     m = ensemble.sample_matrix(spec, cfg["seed"])
     if cfg["out"] is None:
         ensemble.write_matrix(m, sys.stdout)

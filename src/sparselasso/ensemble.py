@@ -64,26 +64,15 @@ class EnsembleSpec:
         one_of("convention", self.convention, CONVENTIONS)
 
 
-@dataclass(frozen=True)
-class SeedInfo:
-    """Provenance of a matrix: enough to regenerate it bit-for-bit."""
-
-    seed: int
-    pattern_seed: int
-    value_seed: int
-    generator: str = rng.GENERATOR_NAME
-    normal_method: str = rng.NORMAL_METHOD
-
-
 @dataclass
 class SparseMeasurementMatrix:
-    """Row-compressed sparse matrix plus its generating spec and seeds."""
+    """Row-compressed sparse matrix plus its generating spec and seed."""
 
     spec: EnsembleSpec
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
-    seed_info: SeedInfo
+    seed: int
 
     @property
     def nnz(self) -> int:
@@ -117,6 +106,8 @@ class SparseMeasurementMatrix:
     def dense_columns(self, cols) -> np.ndarray:
         """Dense n x len(cols) block of the requested columns."""
         cols = np.asarray(cols)
+        if cols.ndim != 1:
+            raise ParameterError(f"column indices must be 1-D, got shape {cols.shape}")
         if cols.size and (cols.dtype.kind not in "iu" or cols.min() < 0 or cols.max() >= self.spec.p):
             raise ParameterError(f"column indices must be integers in [0, p={self.spec.p})")
         return self.to_csr()[:, cols.astype(np.int64)].toarray()
@@ -152,9 +143,9 @@ def sample_matrix(spec: EnsembleSpec, seed: int) -> SparseMeasurementMatrix:
     arrays are the one slab of all rows and columns that sample_blocks'
     generator yields when a slab closes only at row n.
     """
-    info = _seed_info(seed)
-    [(_, indptr, indices, values)] = _slabs(spec, info.pattern_seed, info.value_seed, 0, spec.p, math.inf)
-    return SparseMeasurementMatrix(spec=spec, indptr=indptr, indices=indices, values=values, seed_info=info)
+    seed = integer("seed", seed)
+    [(_, indptr, indices, values)] = _slabs(spec, seed, 0, spec.p, math.inf)
+    return SparseMeasurementMatrix(spec=spec, indptr=indptr, indices=indices, values=values, seed=seed)
 
 
 def sample_blocks(spec: EnsembleSpec, seed: int, j0: int, j1: int):
@@ -166,15 +157,9 @@ def sample_blocks(spec: EnsembleSpec, seed: int, j0: int, j1: int):
     rng.DRAW_CHUNK entries on average, and a slab here gathers the rows of
     consecutive hash blocks of rng.kept_blocks until it keeps at least
     rng.DRAW_CHUNK entries, so that its values are drawn in whole chunks."""
-    info = _seed_info(seed)
-    j0, j1 = _column_range(spec, j0, j1)
-    return _slabs(spec, info.pattern_seed, info.value_seed, j0, j1, rng.DRAW_CHUNK)
-
-
-def _seed_info(seed: int) -> SeedInfo:
-    """The checked seed of a matrix and its pattern and value stream keys."""
     seed = integer("seed", seed)
-    return SeedInfo(seed=seed, pattern_seed=rng.derive_key(seed, rng.TAG_PATTERN), value_seed=rng.derive_key(seed, rng.TAG_VALUE))
+    j0, j1 = _column_range(spec, j0, j1)
+    return _slabs(spec, seed, j0, j1, rng.DRAW_CHUNK)
 
 
 def _column_range(spec: EnsembleSpec, j0: int, j1: int) -> tuple[int, int]:
@@ -186,9 +171,11 @@ def _column_range(spec: EnsembleSpec, j0: int, j1: int) -> tuple[int, int]:
     return j0, j1
 
 
-def _slabs(spec: EnsembleSpec, pattern_key: int, value_key: int, j0: int, j1: int, min_entries: float):
+def _slabs(spec: EnsembleSpec, seed: int, j0: int, j1: int, min_entries: float):
     """Yield the row slabs (r0, indptr, indices, values) of the columns
-    [j0, j1), each closed once it keeps min_entries entries or reaches row n."""
+    [j0, j1), each closed once it keeps min_entries entries or reaches row n.
+    The pattern and the values come from the seed's PATTERN and VALUE streams."""
+    pattern_key, value_key = rng.derive_key(seed, rng.TAG_PATTERN), rng.derive_key(seed, rng.TAG_VALUE)
     q = j1 - j0
     s0, parts, size = 0, [], 0
     for r0, r1, flat in rng.kept_blocks(pattern_key, spec.n, j0, j1, spec.gamma):
@@ -308,7 +295,7 @@ def write_matrix(m: SparseMeasurementMatrix, fh: IO[str]) -> None:
     float64 exactly.
     """
     spec = m.spec
-    fh.write(f"{spec.n} {spec.p} {spec.gamma:.17g} {spec.convention} {m.seed_info.seed}\n")
+    fh.write(f"{spec.n} {spec.p} {spec.gamma:.17g} {spec.convention} {m.seed}\n")
     rows = np.repeat(np.arange(spec.n), np.diff(m.indptr))
     fh.writelines(f"{r} {c} {v:.17g}\n" for r, c, v in zip(rows.tolist(), m.indices.tolist(), m.values.tolist()))
 
@@ -346,7 +333,7 @@ def read_matrix(fh: IO[str]) -> SparseMeasurementMatrix:
         indptr=np.searchsorted(body["row"], np.arange(n + 1)),
         indices=np.ascontiguousarray(body["col"]),
         values=np.ascontiguousarray(body["value"]),
-        seed_info=SeedInfo(seed=seed, pattern_seed=0, value_seed=0, generator="file", normal_method="file"),
+        seed=seed,
     )
     m.validate()
     return m

@@ -126,9 +126,6 @@ BLOCK_ENTRIES = 1 << 15
 # overwrites it holds one chunk-sized (128 KiB) uint64 scratch buffer.
 DRAW_CHUNK = 1 << 14
 
-GENERATOR_NAME = "splitmix64"
-NORMAL_METHOD = "inverse_cdf"
-
 
 def _finalize(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """splitmix64 output finalizer; bijective on 64-bit words.

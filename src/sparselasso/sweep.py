@@ -481,11 +481,14 @@ def dump_json(obj, fh) -> None:
 
 
 def check_outputs(paths) -> None:
-    """Raise ParameterError when two of the output paths not None name the
-    same file, so that one output would replace the other, and DataError
-    when one names an existing directory, which no file can replace."""
+    """Raise ParameterError when an output path not None is empty, or two
+    name the same file, so that one output would replace the other, and
+    DataError when one names an existing directory, which no file can
+    replace."""
     seen = {}
     for path in (p for p in paths if p is not None):
+        if path == "":
+            raise ParameterError("output paths must not be empty")
         real = os.path.realpath(path)
         if real in seen:
             raise ParameterError(f"output paths {seen[real]} and {path} name the same file")

@@ -162,11 +162,8 @@ def _build(n: int, p: int, blocks, s: SignalSpec, w: np.ndarray, lam: float) -> 
     return WitnessReport(invertible=True, u=u, va=va, vb=vb, margins=margins, **events._asdict())
 
 
-HVector = namedtuple("HVector", ["h", "squared_norm"])
-
-
 @blas.single_threaded()
-def h_vector(m: SparseMeasurementMatrix, s: SignalSpec) -> HVector:
+def h_vector(m: SparseMeasurementMatrix, s: SignalSpec) -> np.ndarray:
     """h = (1/n) X_S (X_S^T X_S / n)^{-1} 1 on the first-k support.
 
     With all-plus signs the signal part of the off-support dual is
@@ -176,8 +173,7 @@ def h_vector(m: SparseMeasurementMatrix, s: SignalSpec) -> HVector:
     Xs, fac = _support(m.spec.n, m.spec.p, m.row_blocks, s)
     if fac is None:
         raise ParameterError("support gram block is singular")
-    h = Xs @ blas.cholesky_solve(fac, np.ones(s.k)) / m.spec.n
-    return HVector(h=h, squared_norm=float(h @ h))
+    return Xs @ blas.cholesky_solve(fac, np.ones(s.k)) / m.spec.n
 
 
 def thinned_squared_norm(h: np.ndarray, gamma: float, seed: int) -> float:

@@ -36,7 +36,7 @@ import numpy as np
 
 import sparselasso
 from sparselasso import blas, rng
-from sparselasso.ensemble import SeedInfo, SignalSpec, SparseMeasurementMatrix, make_signal
+from sparselasso.ensemble import SignalSpec, SparseMeasurementMatrix, make_signal
 from sparselasso.errors import ParameterError
 from sparselasso.lasso import LassoSolution
 from sparselasso.witness import build
@@ -164,9 +164,8 @@ def sample_matrix_unblocked(spec, seed):
 
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    info = SeedInfo(seed=seed, pattern_seed=pattern_seed, value_seed=value_seed)
     return SparseMeasurementMatrix(
-        spec=spec, indptr=indptr, indices=np.concatenate(idx_parts), values=np.concatenate(val_parts), seed_info=info,
+        spec=spec, indptr=indptr, indices=np.concatenate(idx_parts), values=np.concatenate(val_parts), seed=seed,
     )
 
 

@@ -232,8 +232,8 @@ def test_criterion_6_h_norm_concentration():
     exceed = 0
     for s in range(200):
         m = sample_matrix(EnsembleSpec(n=n, p=p, gamma=gamma, convention="rescaled"), seed=3000 + s)
-        hv = h_vector(m, sig)
-        if thinned_squared_norm(hv.h, gamma, seed=3000 + s) > cap:
+        h = h_vector(m, sig)
+        if thinned_squared_norm(h, gamma, seed=3000 + s) > cap:
             exceed += 1
     ok = exceed <= 0.05 * 200
     assert _report(6, "support vector norm concentration", ok, f"{exceed}/200 above {cap:g}")

@@ -227,7 +227,7 @@ def _witness_outputs():
         m = ensemble.sample_matrix(spec, seed)
         reports += [witness.build(m, sig, w, 0.5), witness.build_sampled(spec, seed, sig, w, 0.5)]
         if reports[-1].invertible:
-            hs.append(witness.h_vector(m, sig).h.tobytes())
+            hs.append(witness.h_vector(m, sig).tobytes())
     cfg = sweep.SweepConfig(p_list=(64, 128), theta_grid=(0.4, 1.0, 1.6), trials=3, base_seed=5, sparsity_rule="linear")
     csvs = []
     for workers in (1, 2):

@@ -309,27 +309,6 @@ def test_value_its_rule_does_not_read_exits_2(argv, name, capsys):
     assert f"error: {name} is read only by " in err
 
 
-@pytest.mark.parametrize(
-    "extra, name",
-    [
-        (["--theta-grid", "nan"], "theta_grid"),
-        (["--theta-grid", "1,inf"], "theta_grid"),
-        (["--theta-grid", "1", "--sigma2", "nan"], "sigma2"),
-        (["--theta-grid", "1", "--beta-min", "inf"], "beta_min"),
-        (["--theta-grid", "1", "--gamma-rule", "constant", "--gamma-value", "nan"], "gamma_value"),
-        (["--theta-grid", "1", "--lambda-rule", "constant", "--lambda-value", "inf"], "lambda_value"),
-    ],
-    ids=["theta_nan", "theta_inf", "sigma2_nan", "beta_min_inf", "gamma_value_nan", "lambda_value_inf"],
-)
-def test_sweep_non_finite_float_exits_2(extra, name, capsys):
-    argv = ["sweep", "--p-list", "64", "--trials", "1", "--base-seed", "1", "--dry-run"] + extra
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert f"error: {name} " in err and "must be finite, got " in err
-    assert err.count("\n") == 1 and "Traceback" not in err
-
-
 _WITNESS = ["witness", "--matrix", "{m}", "--k", "3", "--noise-seed", "5"]
 _SOLVE = ["solve", "--matrix", "{m}", "--y", "{y}"]
 
@@ -614,6 +593,30 @@ def test_sweep_rejects_a_directory_output_before_any_trial(tmp_path, monkeypatch
     assert sorted(f.name for f in tmp_path.iterdir()) == ["out.csv", "out.json"]
     assert (tmp_path / "out.csv").read_text() == "earlier output\n"
     assert list((tmp_path / "out.json").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _sweep_args(["--out-csv", ""]),
+        _sweep_args(["--out-json", ""]),
+        ["gen", "--n", "20", "--p", "40", "--gamma", "0.5", "--seed", "1", "--out", ""],
+    ],
+    ids=["sweep_out_csv", "sweep_out_json", "gen_out"],
+)
+def test_empty_output_path_exits_2_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sweep, "run_sweep", no_work)
+    monkeypatch.setattr(ensemble, "sample_matrix", no_work)
+    (tmp_path / "sweep.csv").write_text("earlier output\n")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"sparselasso {argv[0]}: error: output paths must not be empty\n"
+    assert [(f.name, f.read_text()) for f in tmp_path.iterdir()] == [("sweep.csv", "earlier output\n")]
 
 
 # The required parameters of each subcommand, and a value each kind of option converts.

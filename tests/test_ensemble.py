@@ -1,6 +1,7 @@
 import io
 import math
 import pathlib
+import re
 import tracemalloc
 import warnings
 
@@ -132,6 +133,13 @@ def test_non_integer_column_indices_are_rejected():
         singular_extremes(m, [])
 
 
+def test_column_indices_that_are_not_1d_are_rejected():
+    m = sample_matrix(EnsembleSpec(n=30, p=20, gamma=0.6), seed=4)
+    for call in (lambda: m.dense_columns([[0, 1]]), lambda: singular_extremes(m, [[0, 1]])):
+        with pytest.raises(ParameterError, match=re.escape("column indices must be 1-D, got shape (1, 2)")):
+            call()
+
+
 def test_signal_patterns():
     assert np.array_equal(make_signal(SignalSpec(p=8, k=3, beta_min=2.0)), [2, 2, 2, 0, 0, 0, 0, 0])
     alt = SignalSpec(p=8, k=4, sign_pattern="alternating")
@@ -186,7 +194,7 @@ def test_serialization_roundtrip():
     buf.seek(0)
     back = read_matrix(buf)
     assert back.spec == m.spec
-    assert back.seed_info.seed == 77
+    assert back.seed == 77
     assert np.array_equal(back.indptr, m.indptr)
     assert np.array_equal(back.indices, m.indices)
     assert np.array_equal(back.values, m.values)
@@ -210,7 +218,7 @@ def test_serialization_roundtrips_bit_for_bit(n, p, gamma, convention, seed, dat
     write_matrix(m, buf)
     buf.seek(0)
     back = read_matrix(buf)
-    assert back.spec == m.spec and back.seed_info.seed == seed
+    assert back.spec == m.spec and back.seed == seed
     for name in ("indptr", "indices", "values"):
         a, b = getattr(back, name), getattr(m, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -278,7 +286,7 @@ def test_sample_matrix_matches_unblocked_oracle(n, p, gamma, convention, seed):
     for name in ("indptr", "indices", "values"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert got.seed_info == want.seed_info
+    assert got.seed == want.seed
 
 
 def test_sampling_holds_little_beyond_the_matrix():

@@ -8,7 +8,8 @@ another, `__all__` lists exactly what
 words the message of `one_of`, `read_only_by` or `distinct`, no CLI
 option that takes its default from a dataclass field also states one,
 only rng.py imports scipy.special, no module sets a field of a result
-record after building it, the witness path runs without
+record after building it, every file under tests/golden/ is named by a
+test module, the witness path runs without
 loading scipy.linalg, scipy.sparse, scipy.special's __init__ or scipy's
 array-API shim, and a serial sweep and the CLI run without loading
 multiprocessing."""
@@ -426,6 +427,26 @@ def test_record_field_store_is_found():
 def test_no_module_sets_a_field_of_a_built_record(path):
     fields = {f.name for record in _RECORDS for f in dataclasses.fields(record)}
     assert _field_stores(path.read_text(), fields) == []
+
+
+def _orphaned_goldens(golden_dir: pathlib.Path, test_dir: pathlib.Path) -> list:
+    """Names of the files in golden_dir that no test module in test_dir names."""
+    sources = [path.read_text() for path in test_dir.glob("test_*.py")]
+    return sorted(g.name for g in golden_dir.iterdir() if not any(g.name in source for source in sources))
+
+
+def test_orphaned_golden_is_found(tmp_path):
+    (tmp_path / "golden").mkdir()
+    for name in ("kept.json", "orphan.json"):
+        (tmp_path / "golden" / name).write_text("{}")
+    (tmp_path / "test_kept.py").write_text('GOLDEN = "golden/kept.json"\n')
+    (tmp_path / "helper.py").write_text('GOLDEN = "golden/orphan.json"\n')
+    assert _orphaned_goldens(tmp_path / "golden", tmp_path) == ["orphan.json"]
+
+
+def test_every_golden_is_named_by_a_test_module():
+    tests = pathlib.Path(__file__).parent
+    assert _orphaned_goldens(tests / "golden", tests) == []
 
 
 def test_witness_path_never_loads_scipy_sparse():
