@@ -33,10 +33,9 @@ from .theory import (
     recovery_conditions,
     required_sample_size,
     run_bound_checks,
-    singular_extremes,
     snr_diagnostic,
 )
-from .witness import Margins, WitnessReport, build, h_vector, thinned_squared_norm
+from .witness import Margins, WitnessReport, build, h_vector, singular_extremes, thinned_squared_norm
 
 __version__ = "0.1.0"
 
@@ -77,12 +76,12 @@ __all__ = [
     "recovery_conditions",
     "required_sample_size",
     "run_bound_checks",
-    "singular_extremes",
     "snr_diagnostic",
     "Margins",
     "WitnessReport",
     "build",
     "h_vector",
+    "singular_extremes",
     "thinned_squared_norm",
     "__version__",
 ]

@@ -11,9 +11,9 @@ pins every loaded OpenBLAS to one thread for the duration of a block.
 
 It decorates each function whose results come from dense BLAS/LAPACK:
 `witness.build`, `witness.build_sampled`, `witness.h_vector`,
-`lasso.solve` and `theory.singular_extremes`.  Sweeps, the CLI and direct calls all reach
-the dense algebra through these, so they compute the same floats
-whatever thread count the caller has set.
+`witness.singular_extremes` and `lasso.solve`.  Sweeps, the CLI and
+direct calls all reach the dense algebra through these, so they compute
+the same floats whatever thread count the caller has set.
 
 The libraries are found once per process from the memory map (Linux
 only), and each is opened once via ctypes into one `Library` record: its

@@ -11,9 +11,8 @@ The two are coupled pathwise: `sample_matrix` draws the same pattern and
 the same standard values for a seed under either convention, and the
 rescaled matrix multiplies those values by 1/sqrt(gamma).
 
-Matrices are stored row-compressed (CSR triple); dense consumers read
-through `to_csr()` / `dense_columns()`; nothing densifies the full
-matrix.  A consumer that needs only some columns reads them as row
+Matrices are stored row-compressed (CSR triple); nothing densifies the
+full matrix.  A consumer that needs only some columns reads them as row
 slabs: `row_blocks` cuts them from a matrix, and `sample_blocks` draws
 the same entries, in slabs cut at hash-block boundaries, without
 sampling the other columns.  One slab generator does all the sampling:
@@ -102,15 +101,6 @@ class SparseMeasurementMatrix:
             return r0, np.searchsorted(kept, self.indptr[r0 : r1 + 1] - lo), cols[kept], self.values[lo:hi][kept]
 
         return map(slab, range(0, n, rows_per_block))
-
-    def dense_columns(self, cols) -> np.ndarray:
-        """Dense n x len(cols) block of the requested columns."""
-        cols = np.asarray(cols)
-        if cols.ndim != 1:
-            raise ParameterError(f"column indices must be 1-D, got shape {cols.shape}")
-        if cols.size and (cols.dtype.kind not in "iu" or cols.min() < 0 or cols.max() >= self.spec.p):
-            raise ParameterError(f"column indices must be integers in [0, p={self.spec.p})")
-        return self.to_csr()[:, cols.astype(np.int64)].toarray()
 
     def validate(self) -> None:
         """Check the structural invariants; raises DataError on violation."""

@@ -112,6 +112,7 @@ def solve(X: MatrixLike, y: np.ndarray, config: LassoConfig) -> LassoSolution:
     for j in range(p):
         seg = data[indptr[j] : indptr[j + 1]]
         col_scale[j] = seg @ seg / n
+    finite_array("X^T X / n diagonal", col_scale)
 
     beta = np.zeros(p)
     r = y.copy()

@@ -3,7 +3,8 @@
 Natural logarithms throughout.  Everything here is a deterministic
 function of its arguments; the only sampling lives in
 `run_bound_checks`, which estimates tail probabilities to confirm the
-closed-form bounds dominate them.
+closed-form bounds dominate them.  Nothing here reads a matrix: the
+singular values of the support block are `witness.singular_extremes`.
 
 The asymptotic growth conditions are reported as raw scalars for trend
 analysis, never as pass/fail booleans: they are limits statements and
@@ -14,12 +15,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Sequence
 
 import numpy as np
 
-from . import blas
-from .ensemble import SparseMeasurementMatrix
 from .errors import ParameterError, finite, integer, non_negative, one_of, positive, unit_interval
 
 GAMMA_RULES = ("sixth_root", "log_over_sqrt")
@@ -131,20 +129,6 @@ def gaussian_bound(sigma2: float, delta: float) -> float:
     positive("sigma2", sigma2)
     non_negative("delta", delta)
     return 2.0 * math.exp(-delta * delta / (2.0 * sigma2))
-
-
-@blas.single_threaded()
-def singular_extremes(m: SparseMeasurementMatrix, cols: Sequence[int]) -> tuple[float, float]:
-    """(s_min, s_max) / sqrt(n) of the dense submatrix on the given columns."""
-    cols = np.asarray(cols)
-    n = m.spec.n
-    if cols.size > n:
-        raise ParameterError(f"column subset size {cols.size} exceeds n = {n}")
-    if cols.size == 0:
-        raise ParameterError("column subset must be non-empty")
-    s = np.linalg.svd(m.dense_columns(cols), compute_uv=False)
-    root_n = math.sqrt(n)
-    return float(s[-1] / root_n), float(s[0] / root_n)
 
 
 BoundCheck = namedtuple("BoundCheck", ["kind", "params", "bound", "estimate", "limit", "ok"])

@@ -22,11 +22,17 @@ The support Gram X_S^T X_S / n is factored and solved by
 potrs called directly, the same bits as `scipy.linalg.cho_factor` and
 `cho_solve` without loading `scipy.linalg`.  A non-finite Gram raises
 ValueError, as scipy's finiteness check does.
+
+Two diagnostics read the same support block, filled from the same row
+slabs: `h_vector`, the vector whose norm bounds the signal part of the
+off-support dual, and `singular_extremes`, the extreme singular values
+of X_S / sqrt(n).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
@@ -70,14 +76,21 @@ def _factor_gram(Xs: np.ndarray):
     return None if singular else fac
 
 
+def _first_columns(n: int, k: int, blocks) -> np.ndarray:
+    """The dense n x k block of the first k columns of a matrix with n rows,
+    from its row slabs blocks(0, k)."""
+    Xs = np.zeros((n, k))
+    for r0, indptr, cols, values in blocks(0, k):
+        Xs[np.repeat(np.arange(r0, r0 + indptr.size - 1), np.diff(indptr)), cols] = values
+    return Xs
+
+
 def _support(n: int, p: int, blocks, s: SignalSpec) -> tuple:
-    """The dense support columns X_S, from the row slabs blocks(0, k) of a
-    matrix with n rows and p columns, and their _factor_gram."""
+    """The dense support columns X_S (_first_columns) of a matrix with n rows
+    and p columns, and their _factor_gram."""
     if p != s.p:
         raise ParameterError(f"matrix has p={p} but signal has p={s.p}")
-    Xs = np.zeros((n, s.k))
-    for r0, indptr, cols, values in blocks(0, s.k):
-        Xs[np.repeat(np.arange(r0, r0 + indptr.size - 1), np.diff(indptr)), cols] = values
+    Xs = _first_columns(n, s.k, blocks)
     return Xs, _factor_gram(Xs)
 
 
@@ -174,6 +187,21 @@ def h_vector(m: SparseMeasurementMatrix, s: SignalSpec) -> np.ndarray:
     if fac is None:
         raise ParameterError("support gram block is singular")
     return Xs @ blas.cholesky_solve(fac, np.ones(s.k)) / m.spec.n
+
+
+@blas.single_threaded()
+def singular_extremes(m: SparseMeasurementMatrix, k: int) -> tuple[float, float]:
+    """(s_min, s_max) / sqrt(n) of the first k columns, k <= min(n, p).
+
+    For the rescaled convention both stay near 1 as n grows with k fixed,
+    so the scaled Gram X_S^T X_S / n of the support keeps its eigenvalues
+    near 1.
+    """
+    n, p, k = m.spec.n, m.spec.p, integer("k", k, 1)
+    if k > min(n, p):
+        raise ParameterError(f"k must be at most min(n, p) = {min(n, p)}, got {k}")
+    s = np.linalg.svd(_first_columns(n, k, m.row_blocks), compute_uv=False) / math.sqrt(n)
+    return float(s[-1]), float(s[0])
 
 
 def thinned_squared_norm(h: np.ndarray, gamma: float, seed: int) -> float:

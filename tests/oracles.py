@@ -66,7 +66,7 @@ _WITNESS_PATH_SCRIPT = """
 import contextlib, io, os, sys
 import numpy as np
 from sparselasso import EnsembleSpec, LassoConfig, SignalSpec, SweepConfig, blas, build, cli, h_vector, noise_vector
-from sparselasso import observe, make_signal, rng, run_sweep, sample_matrix, solve
+from sparselasso import observe, make_signal, rng, run_sweep, sample_matrix, singular_extremes, solve
 
 WATCHED = ("multiprocessing", "scipy.linalg", "scipy.sparse", "scipy.special", "scipy._lib._array_api")
 loaded = {}
@@ -85,6 +85,7 @@ m = sample_matrix(EnsembleSpec(n=60, p=64, gamma=0.5), 1)
 sig = SignalSpec(p=64, k=3)
 assert build(m, sig, noise_vector(60, 0.1, 2), 0.2).invertible
 h_vector(m, sig)
+singular_extremes(m, 3)
 obs = observe(m, make_signal(sig), 0.1, 2)
 path, y = os.path.join(sys.argv[1], "m.txt"), os.path.join(sys.argv[1], "y.txt")
 with open(y, "w") as fh:
@@ -240,7 +241,7 @@ def dual_identity_check(
     k = s.k
     dev_u = float(np.abs(report.u - (full_solution.beta_hat[:k] - beta_star[:k])).max())
 
-    Xs = m.dense_columns(np.arange(k))
+    Xs = m.to_csr()[:, :k].toarray()
     Q, _ = np.linalg.qr(Xs)
     proj = w - Q @ (Q.T @ w)
     vb_qr = (m.to_csr().T @ proj / m.spec.n)[k:]

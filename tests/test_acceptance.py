@@ -241,7 +241,6 @@ def test_criterion_6_h_norm_concentration():
 
 def test_criterion_7_singular_value_concentration():
     k = 40
-    cols = np.arange(k)
     ok = True
     details = []
     for gamma in (0.25, 0.5, 1.0):
@@ -253,7 +252,7 @@ def test_criterion_7_singular_value_concentration():
                 m = sample_matrix(
                     EnsembleSpec(n=n, p=k, gamma=gamma, convention="rescaled"), seed=4000 + s
                 )
-                smin, smax = singular_extremes(m, cols)
+                smin, smax = singular_extremes(m, k)
                 devs.append(max(abs(smin - 1.0), abs(smax - 1.0)))
             medians[n] = float(np.median(devs))
             if n == 4000:

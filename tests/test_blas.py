@@ -247,9 +247,9 @@ def test_scipy_linalg_fallback_gives_the_same_outputs(monkeypatch):
 
 
 def test_witness_path_never_loads_scipy_linalg():
-    """A witness-mode sweep, serial and forked, build, h_vector and the CLI's
-    gen, witness and solve never import scipy.linalg, and scipy's LAPACK is
-    found; a serial sweep and the CLI's gen, witness and solve never import
+    """A witness-mode sweep, serial and forked, build, h_vector,
+    singular_extremes and the CLI's gen, witness and solve never import
+    scipy.linalg, and scipy's LAPACK is found; a serial sweep and the CLI's gen, witness and solve never import
     multiprocessing or concurrent.futures' process pool."""
     loaded = witness_path_loads()
     assert "multiprocessing" not in loaded["serial sweep"], "a serial sweep loaded multiprocessing"

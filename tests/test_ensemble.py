@@ -1,7 +1,6 @@
 import io
 import math
 import pathlib
-import re
 import tracemalloc
 import warnings
 
@@ -23,7 +22,6 @@ from sparselasso import (
     run_trial,
     sample_matrix,
     signal_signs,
-    singular_extremes,
     write_matrix,
 )
 
@@ -97,47 +95,6 @@ def test_rescaled_matches_coupled_standard_exactly():
     res = sample_matrix(EnsembleSpec(n=60, p=40, gamma=0.5, convention="rescaled"), seed=9)
     assert np.array_equal(std.indices, res.indices)
     assert np.array_equal(res.values, std.values * (1.0 / math.sqrt(0.5)))
-
-
-def test_dense_columns_matches_csr():
-    spec = EnsembleSpec(n=30, p=20, gamma=0.6)
-    m = sample_matrix(spec, seed=4)
-    cols = np.array([0, 3, 19])
-    assert np.array_equal(m.dense_columns(cols), m.to_csr().toarray()[:, cols])
-    with pytest.raises(ParameterError):
-        m.dense_columns([20])
-    with pytest.raises(ParameterError):
-        m.dense_columns([-1])
-
-
-def test_dense_columns_keeps_duplicate_and_unordered_columns():
-    m = sample_matrix(EnsembleSpec(n=30, p=20, gamma=0.6), seed=4)
-    cols = [5, 0, 0, 19, 5]
-    got = m.dense_columns(cols)
-    assert np.array_equal(got, m.to_csr().toarray()[:, cols])
-    assert np.array_equal(got[:, 1], got[:, 2]) and np.any(got[:, 1])
-
-
-def test_non_integer_column_indices_are_rejected():
-    # a cast would read [0.9] as column 0 and a boolean mask as columns 1 and 0
-    m = sample_matrix(EnsembleSpec(n=30, p=20, gamma=0.6), seed=4)
-    for call in (
-        lambda: m.dense_columns([0.9]),
-        lambda: m.dense_columns(np.array([True, False])),
-        lambda: singular_extremes(m, [0.5, 1.7]),
-    ):
-        with pytest.raises(ParameterError, match="column indices must be integers in"):
-            call()
-    assert m.dense_columns([]).shape == (30, 0)
-    with pytest.raises(ParameterError, match="must be non-empty"):
-        singular_extremes(m, [])
-
-
-def test_column_indices_that_are_not_1d_are_rejected():
-    m = sample_matrix(EnsembleSpec(n=30, p=20, gamma=0.6), seed=4)
-    for call in (lambda: m.dense_columns([[0, 1]]), lambda: singular_extremes(m, [[0, 1]])):
-        with pytest.raises(ParameterError, match=re.escape("column indices must be 1-D, got shape (1, 2)")):
-            call()
 
 
 def test_signal_patterns():

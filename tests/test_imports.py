@@ -450,11 +450,11 @@ def test_every_golden_is_named_by_a_test_module():
 
 
 def test_witness_path_never_loads_scipy_sparse():
-    """A witness-mode sweep, serial and forked, build, h_vector and the CLI's
-    gen and witness never import scipy.sparse, run scipy.special's __init__
-    or load scipy._lib._array_api; to_csr and the solver load scipy.sparse
-    when they are called, and scipy.special imported later holds rng's
-    ndtri."""
+    """A witness-mode sweep, serial and forked, build, h_vector,
+    singular_extremes and the CLI's gen and witness never import
+    scipy.sparse, run scipy.special's __init__ or load
+    scipy._lib._array_api; to_csr and the solver load scipy.sparse when
+    they are called, and scipy.special imported later holds rng's ndtri."""
     loaded = witness_path_loads()
     assert "scipy.sparse" not in loaded["witness path"], "the witness path loaded scipy.sparse"
     assert "scipy.special" not in loaded["witness path"], "the witness path ran scipy.special's __init__"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -167,18 +168,19 @@ def test_singular_extremes():
     lines = [f"{n} 4 1.0 standard 0"]
     lines += [f"{j} {j} 4.0" for j in range(4)]
     m = read_matrix(io.StringIO("\n".join(lines) + "\n"))
-    smin, smax = singular_extremes(m, [0, 1, 2, 3])
+    smin, smax = singular_extremes(m, 4)
     assert smin == pytest.approx(1.0, rel=1e-12)
     assert smax == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ParameterError):
-        singular_extremes(m, list(range(17)) + [0] * 3)
-    with pytest.raises(ParameterError):
-        singular_extremes(m, [])
+    # k = 2.0 is not an integer, k = 0 is no column, and the n x p matrix has only p = 4 < n columns
+    for k, message in ((2.0, "k: expected an integer, got 2.0"), (0, "k must be at least 1, got 0"),
+                       (5, "k must be at most min(n, p) = 4, got 5")):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            singular_extremes(m, k)
 
 
 def test_singular_extremes_concentrate():
     m = sample_matrix(EnsembleSpec(n=4000, p=30, gamma=0.5, convention="rescaled"), seed=5)
-    smin, smax = singular_extremes(m, np.arange(30))
+    smin, smax = singular_extremes(m, 30)
     assert abs(smin - 1.0) < 0.2
     assert abs(smax - 1.0) < 0.2
 

@@ -25,10 +25,11 @@ from sparselasso import (
     read_matrix,
     sample_matrix,
     signed_support,
+    singular_extremes,
     solve,
     thinned_squared_norm,
 )
-from sparselasso import rng, witness
+from sparselasso import blas, rng, witness
 from sparselasso.ensemble import sample_blocks
 from sparselasso.witness import build_sampled
 
@@ -347,8 +348,35 @@ def test_h_vector_orthonormal_is_row_sums():
     m = _scaled_identity(16, 6)
     s = SignalSpec(p=6, k=3, beta_min=1.0)
     h = h_vector(m, s)
-    Xs = m.dense_columns(np.arange(3))
+    Xs = m.to_csr()[:, :3].toarray()
     assert np.array_equal(h, Xs.sum(axis=1) / 16.0)
+
+
+@st.composite
+def _extremes_shapes(draw):
+    """(n, p, k) with 1 <= k <= min(n, p)."""
+    n, p = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    return n, p, draw(st.integers(1, min(n, p)))
+
+
+@settings(max_examples=80, deadline=None)
+@example(shape=(7, 3, 3), gamma=1.0, convention="standard", seed=1)  # gamma = 1, k = p < n
+@example(shape=(4, 9, 4), gamma=0.5, convention="rescaled", seed=2)  # k = n < p
+@given(
+    shape=_extremes_shapes(),
+    gamma=st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.just(1.0)),
+    convention=st.sampled_from(["standard", "rescaled"]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_singular_extremes_equal_the_svd_of_the_csr_columns(shape, gamma, convention, seed):
+    """(s_min, s_max) are the extreme singular values of the first k CSR
+    columns, densified by scipy and divided by sqrt(n), byte for byte."""
+    n, p, k = shape
+    m = sample_matrix(EnsembleSpec(n=n, p=p, gamma=gamma, convention=convention), seed)
+    with blas.single_threaded():
+        s = np.linalg.svd(m.to_csr()[:, :k].toarray(), compute_uv=False)
+    want = np.array([s[-1], s[0]]) / math.sqrt(n)
+    assert same_bytes(np.array(singular_extremes(m, k)), want)
 
 
 def test_thinned_squared_norm():
