@@ -28,17 +28,12 @@ from .errors import DataError, ParameterError, integer, non_negative, one_of, po
 
 PROG = "sparselasso"
 
-_TRUE_WORDS = {"1", "true", "yes", "on"}
-_FALSE_WORDS = {"0", "false", "no", "off"}
-
 
 def boolean(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in _TRUE_WORDS:
-        return True
-    if low in _FALSE_WORDS:
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
 def _items(raw: str) -> list:

@@ -19,6 +19,9 @@ sampling the other columns.  One slab generator does all the sampling:
 `sample_matrix` is its one-slab case, all rows and columns at once.
 `scipy.sparse` is imported on demand, by `to_csr()`: sampling,
 observing and the witness never load it.
+
+`read_matrix` is the one place that checks a matrix file; a matrix built
+in code is taken as it is.
 """
 
 from __future__ import annotations
@@ -101,27 +104,6 @@ class SparseMeasurementMatrix:
             return r0, np.searchsorted(kept, self.indptr[r0 : r1 + 1] - lo), cols[kept], self.values[lo:hi][kept]
 
         return map(slab, range(0, n, rows_per_block))
-
-    def validate(self) -> None:
-        """Check the structural invariants; raises DataError on violation."""
-        n, p = self.spec.n, self.spec.p
-        if self.indptr.shape != (n + 1,) or self.indptr[0] != 0:
-            raise DataError("indptr must have length n+1 and start at 0")
-        if np.any(np.diff(self.indptr) < 0):
-            raise DataError("indptr must be non-decreasing")
-        if self.indices.shape != self.values.shape or self.indices.shape != (self.nnz,):
-            raise DataError("indices/values length must equal nnz")
-        if self.nnz:
-            if self.indices.min() < 0 or self.indices.max() >= p:
-                raise DataError("column index out of range")
-            rows = np.repeat(np.arange(n), np.diff(self.indptr))
-            bad = (np.diff(self.indices) <= 0) & (np.diff(rows) == 0)
-            if bad.any():
-                raise DataError(f"row {rows[np.argmax(bad)]} columns must be strictly increasing")
-            if not np.all(np.isfinite(self.values)):
-                raise DataError("stored values must be finite")
-            if np.any(self.values == 0.0):
-                raise DataError("stored values must be non-zero")
 
 
 def sample_matrix(spec: EnsembleSpec, seed: int) -> SparseMeasurementMatrix:
@@ -291,7 +273,10 @@ def write_matrix(m: SparseMeasurementMatrix, fh: IO[str]) -> None:
 
 
 def read_matrix(fh: IO[str]) -> SparseMeasurementMatrix:
-    """Parse the `write_matrix` format; validates structure on load."""
+    """Parse the `write_matrix` format, checking, in this order, the header,
+    the `row col value` lines, that rows lie in [0, n) and columns in
+    [0, p), that no (row, col) repeats, and that every value is finite and
+    non-zero; the first rule broken raises DataError."""
     header = fh.readline().split()
     if len(header) != 5:
         raise DataError("matrix header must be 'n p gamma convention seed'")
@@ -314,16 +299,24 @@ def read_matrix(fh: IO[str]) -> SparseMeasurementMatrix:
     except ValueError as exc:
         raise DataError(f"expected 'row col value' lines after the header: {str(exc).split(';')[0]}") from exc
 
-    rows = body["row"]
+    rows, cols, values = body["row"], body["col"], body["value"]
     if rows.size and (rows.min() < 0 or rows.max() >= n):
         raise DataError("row index out of range")
-    body = body[np.lexsort((body["col"], rows))]
-    m = SparseMeasurementMatrix(
+    if cols.size and (cols.min() < 0 or cols.max() >= p):
+        raise DataError("column index out of range")
+    order = np.lexsort((cols, rows))
+    rows, cols, values = rows[order], cols[order], values[order]
+    repeated = (np.diff(rows) == 0) & (np.diff(cols) == 0)
+    if repeated.any():
+        raise DataError(f"row {rows[np.argmax(repeated)]} columns must be strictly increasing")
+    if not np.all(np.isfinite(values)):
+        raise DataError("stored values must be finite")
+    if np.any(values == 0.0):
+        raise DataError("stored values must be non-zero")
+    return SparseMeasurementMatrix(
         spec=spec,
-        indptr=np.searchsorted(body["row"], np.arange(n + 1)),
-        indices=np.ascontiguousarray(body["col"]),
-        values=np.ascontiguousarray(body["value"]),
+        indptr=np.searchsorted(rows, np.arange(n + 1)),
+        indices=cols,
+        values=values,
         seed=seed,
     )
-    m.validate()
-    return m

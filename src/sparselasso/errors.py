@@ -6,8 +6,9 @@ data (unreadable or inconsistent inputs discovered at run time, exit code 1).
 Public constructors and entry points check each parameter where they take
 it, with one of nine rules; each raises ParameterError naming the parameter.
 Six check a scalar and return it (numbers as a plain int or float, numpy
-scalars included): `integer(name, value, low=None)` (at least low when
-given), `finite` (a real number, neither NaN nor infinite), `positive`,
+scalars included; a bool is not a number, though Python counts True as 1):
+`integer(name, value, low=None)` (at least low when given), `finite` (a
+real number, neither NaN nor infinite), `positive`,
 `non_negative`, `unit_interval` (finite and in (0, 1]) and
 `one_of(name, value, allowed)` (a member of the tuple allowed).
 `read_only_by(name, value, rule_name, rule, reader)` checks an optional value
@@ -40,6 +41,8 @@ class DataError(RuntimeError):
 
 def integer(name: str, value, low=None) -> int:
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ParameterError(f"{name}: expected an integer, got {value!r}") from None
@@ -49,7 +52,7 @@ def integer(name: str, value, low=None) -> int:
 
 
 def finite(name: str, value) -> float:
-    if not isinstance(value, numbers.Real):
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ParameterError(f"{name}: expected a real number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):

@@ -109,9 +109,10 @@ def solve(X: MatrixLike, y: np.ndarray, config: LassoConfig) -> LassoSolution:
 
     indptr, indices, data = Xc.indptr, Xc.indices, Xc.data
     col_scale = np.zeros(p)
-    for j in range(p):
-        seg = data[indptr[j] : indptr[j + 1]]
-        col_scale[j] = seg @ seg / n
+    with np.errstate(over="ignore"):  # an overflowed norm fails the check below
+        for j in range(p):
+            seg = data[indptr[j] : indptr[j + 1]]
+            col_scale[j] = seg @ seg / n
     finite_array("X^T X / n diagonal", col_scale)
 
     beta = np.zeros(p)

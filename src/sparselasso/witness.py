@@ -68,7 +68,8 @@ class WitnessReport:
 def _factor_gram(Xs: np.ndarray):
     """The lower Cholesky factor (blas.cholesky) of X_S^T X_S / n for the
     n x k support columns Xs, or None when that block is numerically singular."""
-    G = Xs.T @ Xs / Xs.shape[0]
+    with np.errstate(over="ignore"):  # an overflowed G fails blas.cholesky's finiteness check
+        G = Xs.T @ Xs / Xs.shape[0]
     fac = blas.cholesky(G)
     if fac is None:
         return None

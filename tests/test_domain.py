@@ -94,6 +94,16 @@ def test_non_finite_float_is_a_parameter_error_naming_it(target, name, value):
         target(**{**_VALID_CALLS[target], name: value})
 
 
+@pytest.mark.parametrize(
+    "target, name",
+    [pytest.param(t, n, id=f"{t.__name__}.{n}") for t, n in [(LassoConfig, "lam"), (EnsembleSpec, "gamma"), (SweepConfig, "sigma2")]],
+)
+def test_bool_is_not_a_real_number(target, name):
+    """True is a numbers.Real that float() reads as 1.0; a float parameter still rejects it."""
+    with pytest.raises(ParameterError, match=f"^{name}: expected a real number, got True$"):
+        target(**{**_VALID_CALLS[target], name: True})
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     n=st.integers(1, 40),
@@ -188,7 +198,7 @@ _SEEDED_CALLS = [
 @pytest.mark.parametrize(
     "target, name, call", [pytest.param(*c, id=f"{c[0].__name__}.{c[1]}") for c in _SEEDED_CALLS]
 )
-@pytest.mark.parametrize("seed", [1.5, np.float64(2.0), "3"])
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.0), "3", True])
 def test_non_integer_seed_is_a_parameter_error_naming_it(target, name, call, seed):
     target(**{**call, name: np.int64(call[name])})
     with pytest.raises(ParameterError, match=f"^{name}: expected an integer, got "):

@@ -64,7 +64,12 @@ def test_nnz_concentration():
     mean = 200 * 100 * 0.3
     sd = math.sqrt(200 * 100 * 0.3 * 0.7)
     assert abs(m.nnz - mean) < 5 * sd
-    m.validate()
+    buf = io.StringIO()
+    write_matrix(m, buf)
+    buf.seek(0)
+    back = read_matrix(buf)
+    for name in ("indptr", "indices", "values"):
+        assert np.array_equal(getattr(back, name), getattr(m, name)), name
 
 
 def test_values_standard_unit_variance():
@@ -204,6 +209,12 @@ def test_serialization_golden():
         ("4 4 0.5 standard 1\n0 0 nan\n", "finite"),
         ("4 4 0.5 standard 1\n0 0 -inf\n", "finite"),
         ("4 4.5 0.5 standard 1\n", "bad matrix header"),
+        # several faults in one file: the first rule in read_matrix's order names it
+        ("4 4 0.5 standard 1\n0 9 nan\n", "column index out of range"),
+        ("4 4 0.5 standard 1\n0 0 nan\n0 0 1.0\n", "row 0 columns must be strictly increasing"),
+        ("4 4 0.5 standard 1\n0 1 0.0\n0 2 inf\n", "stored values must be finite"),
+        ("4 4 0.5 standard 1\n9 9 0.0\n", "row index out of range"),
+        ("4 4 0.5 standard 1\n1 -1 2.0\n", "column index out of range"),
     ],
 )
 def test_read_matrix_rejects_malformed(text, fragment):

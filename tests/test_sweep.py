@@ -135,8 +135,9 @@ def test_config_rejects_a_repeated_grid_value(overrides, name):
         dict(trials=2.5),
         dict(base_seed=1.5),
         dict(p_list=("64",)),
+        dict(trials=True),
     ],
-    ids=["p_list", "k_list", "trials", "base_seed", "p_list_str"],
+    ids=["p_list", "k_list", "trials", "base_seed", "p_list_str", "trials_bool"],
 )
 def test_config_rejects_non_integer_counts(overrides):
     with pytest.raises(ParameterError, match="expected an integer"):

@@ -129,7 +129,7 @@ def test_build_input_validation():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_support_value_raises_value_error(bad):
-    # read_matrix and validate reject such a value; a matrix built in code
+    # read_matrix rejects such a value; a matrix built in code
     # can still carry one, and the witness must not factor it
     m = _scaled_identity(16, 6)
     values = m.values.copy()
