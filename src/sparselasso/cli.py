@@ -263,12 +263,7 @@ def _cmd_witness(cfg: dict, prov: dict) -> int:
     m = _read_matrix_file(cfg["matrix"])
     sig = _build(ensemble.SignalSpec, cfg, p=m.spec.p)
     obs = ensemble.observe(m, ensemble.make_signal(sig), cfg["sigma2"], cfg["noise_seed"])
-    try:
-        report = witness.build(m, sig, obs.w, cfg["lam"])
-    except ParameterError:
-        raise
-    except ValueError as exc:  # the support Gram overflowed
-        raise DataError(f"matrix file {cfg['matrix']} has a non-finite support Gram: {exc}") from exc
+    report = witness.build(m, sig, obs.w, cfg["lam"])
     out = dataclasses.asdict(report)
     # asdict keeps Margins a namedtuple, which JSON would write as a list.
     out["margins"] = None if report.margins is None else report.margins._asdict()

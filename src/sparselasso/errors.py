@@ -17,7 +17,9 @@ that only one rule choice reads: it is given (not None) exactly when
 once. `vector(name, values, size_name, length)` returns a float64 copy of a
 data vector, which must have shape (length,). Input data must be finite:
 `finite_array` raises DataError when an entry is NaN or infinite, and `vector`
-applies it to its copy.
+applies it to its copy.  The witness and the solver also apply
+`finite_array` to what they compute from finite data, so a product that
+overflows is a DataError naming that product.
 """
 
 import math

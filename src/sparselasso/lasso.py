@@ -3,7 +3,8 @@
 Minimizes (1/2n) ||y - X b||^2 + lam * ||b||_1.  The iterate is declared
 converged when a full sweep moves no coordinate by more than `tol` and
 the subgradient residual is within 10 * tol; hitting max_iter first
-reports converged=False rather than raising.
+reports converged=False rather than raising.  An iterate or objective
+that overflows raises DataError (errors.finite_array).
 """
 
 from __future__ import annotations
@@ -103,16 +104,16 @@ def signed_support(beta: np.ndarray, zero_tol: float = LassoConfig.zero_tol) -> 
 
 
 @blas.single_threaded()
+@np.errstate(over="ignore", invalid="ignore")  # what overflows fails a finite_array check below
 def solve(X: MatrixLike, y: np.ndarray, config: LassoConfig) -> LassoSolution:
     Xc, y = _problem(X, y)
     n, p = Xc.shape
 
     indptr, indices, data = Xc.indptr, Xc.indices, Xc.data
     col_scale = np.zeros(p)
-    with np.errstate(over="ignore"):  # an overflowed norm fails the check below
-        for j in range(p):
-            seg = data[indptr[j] : indptr[j + 1]]
-            col_scale[j] = seg @ seg / n
+    for j in range(p):
+        seg = data[indptr[j] : indptr[j + 1]]
+        col_scale[j] = seg @ seg / n
     finite_array("X^T X / n diagonal", col_scale)
 
     beta = np.zeros(p)
@@ -137,6 +138,7 @@ def solve(X: MatrixLike, y: np.ndarray, config: LassoConfig) -> LassoSolution:
                 r[idx] -= vals * (bj_new - bj)
                 beta[j] = bj_new
                 delta_max = max(delta_max, abs(bj_new - bj))
+        finite_array("coordinate descent iterate", beta)
         if delta_max <= tol:
             kkt = kkt_residual(Xc, y, lam, beta, config.zero_tol)
             if kkt <= 10.0 * tol:
@@ -145,9 +147,11 @@ def solve(X: MatrixLike, y: np.ndarray, config: LassoConfig) -> LassoSolution:
     if not converged:
         kkt = kkt_residual(Xc, y, lam, beta, config.zero_tol)
 
+    objective = 0.5 / n * (r @ r) + lam * np.abs(beta).sum()
+    finite_array("objective", objective)
     return LassoSolution(
         beta_hat=beta,
-        objective=0.5 / n * (r @ r) + lam * np.abs(beta).sum(),
+        objective=objective,
         kkt_residual=kkt,
         iterations=it,
         converged=converged,

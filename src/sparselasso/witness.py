@@ -20,8 +20,10 @@ margin lower-bounds the sign margin.
 The support Gram X_S^T X_S / n is factored and solved by
 `blas.cholesky` and `blas.cholesky_solve`: scipy's LAPACK potrf and
 potrs called directly, the same bits as `scipy.linalg.cho_factor` and
-`cho_solve` without loading `scipy.linalg`.  A non-finite Gram raises
-ValueError, as scipy's finiteness check does.
+`cho_solve` without loading `scipy.linalg`.  A product that overflows
+raises DataError (errors.finite_array), and no numpy warning: the Gram
+before it is factored, X_S^T w / n before it is solved for, and the
+off-support dual va + vb before its margin is read.
 
 Two diagnostics read the same support block, filled from the same row
 slabs: `h_vector`, the vector whose norm bounds the signal part of the
@@ -68,13 +70,12 @@ class WitnessReport:
 def _factor_gram(Xs: np.ndarray):
     """The lower Cholesky factor (blas.cholesky) of X_S^T X_S / n for the
     n x k support columns Xs, or None when that block is numerically singular."""
-    with np.errstate(over="ignore"):  # an overflowed G fails blas.cholesky's finiteness check
-        G = Xs.T @ Xs / Xs.shape[0]
+    G = Xs.T @ Xs / Xs.shape[0]
+    finite_array("support Gram X_S^T X_S / n", G)
     fac = blas.cholesky(G)
-    if fac is None:
+    if fac is None or float(np.diagonal(fac).min()) ** 2 <= _SINGULAR_REL * float(G.diagonal().max()):
         return None
-    singular = float(np.diagonal(fac).min()) ** 2 <= _SINGULAR_REL * float(G.diagonal().max())
-    return None if singular else fac
+    return fac
 
 
 def _first_columns(n: int, k: int, blocks) -> np.ndarray:
@@ -106,6 +107,7 @@ def _support_terms(n: int, p: int, blocks, s: SignalSpec, w: np.ndarray, lam: fl
     if fac is None:
         return None
     xtw = Xs.T @ w / n
+    finite_array("support product X_S^T w / n", xtw)
     u = blas.cholesky_solve(fac, xtw - lam * signs)
     hs = Xs @ blas.cholesky_solve(fac, signs)
     g = (w - Xs @ blas.cholesky_solve(fac, xtw)) / n
@@ -156,6 +158,7 @@ def build_sampled(spec: EnsembleSpec, seed: int, s: SignalSpec, w: np.ndarray, l
     return _build(spec.n, spec.p, functools.partial(sample_blocks, spec, seed), s, w, lam)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # what overflows fails a finite_array check
 def _build(n: int, p: int, blocks, s: SignalSpec, w: np.ndarray, lam: float) -> WitnessReport:
     """The witness of an n x p matrix whose entries in the columns [j0, j1)
     blocks(j0, j1) yields as row slabs (r0, indptr, indices, values)."""
@@ -170,13 +173,16 @@ def _build(n: int, p: int, blocks, s: SignalSpec, w: np.ndarray, lam: float) -> 
     u, hs, g = terms
     xh, vb = _off_support_products(blocks, s.k, p, hs, g)
     va = lam * xh / n
+    v = va + vb
+    finite_array("off-support dual va + vb", v)
 
-    margins = _margins(u, va + vb, lam, s.beta_min, signs)
+    margins = _margins(u, v, lam, s.beta_min, signs)
     events = _events(margins)
     return WitnessReport(invertible=True, u=u, va=va, vb=vb, margins=margins, **events._asdict())
 
 
 @blas.single_threaded()
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed Gram fails _factor_gram's check
 def h_vector(m: SparseMeasurementMatrix, s: SignalSpec) -> np.ndarray:
     """h = (1/n) X_S (X_S^T X_S / n)^{-1} 1 on the first-k support.
 

@@ -14,6 +14,8 @@ The witness oracle checks `witness.build` against a converged Lasso
 solution and against a QR projection of the noise.
 
 `same_bytes` compares two arrays bit for bit: dtype, shape and bytes.
+`strict_json` parses JSON that must hold no NaN or Infinity, which
+`json.loads` alone accepts.
 
 `run_fresh` runs Python in a fresh interpreter with this package on its
 path, for the tests that need a sys.modules, a start method or an
@@ -45,6 +47,15 @@ from sparselasso.witness import build
 def same_bytes(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _non_finite_constant(name: str):
+    raise ValueError(f"JSON holds the non-finite constant {name}")
+
+
+def strict_json(text: str):
+    """json.loads(text), refusing NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_non_finite_constant)
 
 
 def run_fresh(*argv: str, **environ: str) -> str:

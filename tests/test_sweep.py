@@ -2,7 +2,6 @@ import csv
 import dataclasses
 import functools
 import io
-import json
 import math
 import multiprocessing
 import os
@@ -29,7 +28,7 @@ from sparselasso import (
 from sparselasso import blas, ensemble, lasso, sweep, witness
 from sparselasso.sweep import CSV_HEADER, table_to_dict, trial_seed, write_csv, write_json
 
-from oracles import run_fresh
+from oracles import run_fresh, strict_json
 
 
 def _small_cfg(**overrides):
@@ -428,9 +427,7 @@ def test_write_outputs(tmp_path):
     json_path = tmp_path / "out.json"
     write_outputs(table, csv_path, json_path)
     assert csv_path.read_text() == _csv_of(table)
-    import json
-
-    payload = json.loads(json_path.read_text())
+    payload = strict_json(json_path.read_text())
     assert payload["config"]["base_seed"] == cfg.base_seed
     assert len(payload["rows"]) == len(table.rows)
     assert payload["rows"][0]["realized_theta"] >= payload["rows"][0]["theta"]
@@ -450,9 +447,9 @@ def test_write_json_provenance_is_optional():
     plain, tagged = io.StringIO(), io.StringIO()
     write_json(table, plain)
     write_json(table, tagged, provenance={"trials": "flag"})
-    payload = json.loads(tagged.getvalue())
+    payload = strict_json(tagged.getvalue())
     assert payload.pop("provenance") == {"trials": "flag"}
-    assert payload == json.loads(plain.getvalue())
+    assert payload == strict_json(plain.getvalue())
 
 
 def test_write_outputs_leaves_earlier_files_intact_on_failure(tmp_path, monkeypatch):
@@ -494,7 +491,7 @@ def test_write_outputs_to_a_path_and_its_tmp_sibling_keeps_both(tmp_path):
     write_outputs(table, tmp_path / "X.tmp", tmp_path / "X")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["X", "X.tmp"]
     assert (tmp_path / "X.tmp").read_text() == _csv_of(table)
-    assert json.loads((tmp_path / "X").read_text())["config"]["base_seed"] == 11
+    assert strict_json((tmp_path / "X").read_text())["config"]["base_seed"] == 11
 
 
 def test_write_outputs_leaves_a_users_tmp_file_alone_and_keeps_the_open_mode(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sparselasso import (
+    DataError,
     EnsembleSpec,
     LassoConfig,
     Margins,
@@ -127,16 +129,28 @@ def test_build_input_validation():
         build(m, SignalSpec(p=8, k=3, beta_min=0.5), np.zeros(16), lam=0.1)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_support_value_raises_value_error(bad):
-    # read_matrix rejects such a value; a matrix built in code
-    # can still carry one, and the witness must not factor it
+_GRAM_MESSAGE = "support Gram X_S^T X_S / n contains non-finite values"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "column, message",
+    [(1, _GRAM_MESSAGE), (4, "off-support dual va + vb contains non-finite values")],
+    ids=["support", "off_support"],
+)
+def test_non_finite_value_is_a_data_error(bad, column, message):
+    # read_matrix rejects such a value; a matrix built in code can still
+    # carry one, and the witness reports the product it spoils as bad data
     m = _scaled_identity(16, 6)
     values = m.values.copy()
-    values[1] = bad  # column 1, inside the k=3 support
+    values[column] = bad  # the scaled identity stores column j's entry at index j
     m = dataclasses.replace(m, values=values)
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="array must not contain infs or NaNs"):
-        build(m, SignalSpec(p=6, k=3, beta_min=0.5), np.zeros(16), lam=0.1)
+    s = SignalSpec(p=6, k=3, beta_min=0.5)
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        build(m, s, np.zeros(16), lam=0.1)
+    if column < s.k:
+        with pytest.raises(DataError, match=f"^{re.escape(_GRAM_MESSAGE)}$"):
+            h_vector(m, s)
 
 
 def _events_at(u, v, signs, lam=0.25, beta_min=0.5):
