@@ -17,8 +17,12 @@ slabs: `row_blocks` cuts them from a matrix, and `sample_blocks` draws
 the same entries, in slabs cut at hash-block boundaries, without
 sampling the other columns.  One slab generator does all the sampling:
 `sample_matrix` is its one-slab case, all rows and columns at once.
-`scipy.sparse` is imported on demand, by `to_csr()`: sampling,
-observing and the witness never load it.
+
+The products X v (`matvec`) and X^T z (`rmatvec`) and the column view
+the solver reads (`columns`) are built with numpy from the CSR triple,
+the same bits as scipy.sparse gives, so no module of the package loads
+scipy.sparse.  A caller that wants a scipy matrix builds it from the
+arrays: `csr_matrix((m.values, m.indices, m.indptr), shape=(n, p))`.
 
 `read_matrix` is the one place that checks a matrix file; a matrix built
 in code is taken as it is.
@@ -29,15 +33,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Optional
+from typing import IO, Optional
 
 import numpy as np
 
 from .errors import CapacityError, DataError, ParameterError, integer, non_negative, one_of, positive, read_only_by, unit_interval, vector
 from . import rng
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 CONVENTIONS = ("standard", "rescaled")
 SIGN_PATTERNS = ("all_plus", "alternating", "seeded_random")
@@ -79,12 +80,6 @@ class SparseMeasurementMatrix:
     @property
     def nnz(self) -> int:
         return int(self.indptr[-1])
-
-    def to_csr(self) -> sp.csr_matrix:
-        """A new scipy CSR matrix over its arrays, built on each call."""
-        import scipy.sparse as sp
-
-        return sp.csr_matrix((self.values, self.indices, self.indptr), shape=(self.spec.n, self.spec.p))
 
     def row_blocks(self, j0: int, j1: int):
         """Yield its entries in the columns [j0, j1) as row slabs
@@ -252,12 +247,46 @@ def observe(m: SparseMeasurementMatrix, beta_star: np.ndarray, sigma2: float, no
     non_negative("sigma2", sigma2)
     variance = sigma2 / m.spec.gamma if m.spec.convention == "rescaled" else sigma2
     w = noise_vector(m.spec.n, variance, noise_seed)
-    # X beta* summed along each row in column order from 0.0, as scipy's
-    # CSR matvec sums it, so y is the same bit for bit without scipy.sparse.
-    y = np.zeros(m.spec.n)
-    np.add.at(y, np.repeat(np.arange(m.spec.n), np.diff(m.indptr)), m.values * beta_star[m.indices])
-    y += w
-    return ObservationSet(y=y, w=w, noise_variance=variance)
+    return ObservationSet(y=matvec(m, beta_star) + w, w=w, noise_variance=variance)
+
+
+def _entry_rows(m: SparseMeasurementMatrix) -> np.ndarray:
+    """The row of each stored entry of m, in storage order."""
+    return np.repeat(np.arange(m.spec.n), np.diff(m.indptr))
+
+
+def _sums(size: int, at: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """out[i] = the sum of the terms[t] with at[t] == i, from 0.0 in the
+    order of t, one add at a time."""
+    out = np.zeros(size)
+    np.add.at(out, at, terms)
+    return out
+
+
+def matvec(m: SparseMeasurementMatrix, v: np.ndarray) -> np.ndarray:
+    """X v for a float64 vector v of length p.  Each row's sum runs from
+    0.0 over the row's entries in column order, one multiply and one add
+    at a time, as scipy's CSR product sums it, so the result is the same
+    bit for bit."""
+    return _sums(m.spec.n, _entry_rows(m), m.values * v[m.indices])
+
+
+def rmatvec(m: SparseMeasurementMatrix, z: np.ndarray) -> np.ndarray:
+    """X^T z for a float64 vector z of length n.  Each column's sum runs
+    from 0.0 over the column's entries in row order, as scipy's X.T @ z
+    sums it, so the result is the same bit for bit."""
+    return _sums(m.spec.p, m.indices, m.values * z[_entry_rows(m)])
+
+
+def columns(m: SparseMeasurementMatrix) -> tuple:
+    """m column-compressed: (indptr, rows, values), where column j's
+    entries are rows[indptr[j]:indptr[j + 1]] (ascending) and the matching
+    values; the arrays of scipy's tocsc(), value for value."""
+    rows = _entry_rows(m)
+    # Column-major keys are unique, so any sort gives the one order; they
+    # stay below n * p <= 2^40.
+    order = np.argsort(m.indices * m.spec.n + rows)
+    return np.searchsorted(m.indices[order], np.arange(m.spec.p + 1)), rows[order], m.values[order]
 
 
 def write_matrix(m: SparseMeasurementMatrix, fh: IO[str]) -> None:
@@ -268,8 +297,7 @@ def write_matrix(m: SparseMeasurementMatrix, fh: IO[str]) -> None:
     """
     spec = m.spec
     fh.write(f"{spec.n} {spec.p} {spec.gamma:.17g} {spec.convention} {m.seed}\n")
-    rows = np.repeat(np.arange(spec.n), np.diff(m.indptr))
-    fh.writelines(f"{r} {c} {v:.17g}\n" for r, c, v in zip(rows.tolist(), m.indices.tolist(), m.values.tolist()))
+    fh.writelines(f"{r} {c} {v:.17g}\n" for r, c, v in zip(_entry_rows(m).tolist(), m.indices.tolist(), m.values.tolist()))
 
 
 def read_matrix(fh: IO[str]) -> SparseMeasurementMatrix:

@@ -1,33 +1,26 @@
 """Lasso solver: cyclic coordinate descent with a maintained residual.
 
-Minimizes (1/2n) ||y - X b||^2 + lam * ||b||_1.  The iterate is declared
-converged when a full sweep moves no coordinate by more than `tol` and
-the subgradient residual is within 10 * tol; hitting max_iter first
-reports converged=False rather than raising.  An iterate or objective
-that overflows raises DataError (errors.finite_array).
+Minimizes (1/2n) ||y - X b||^2 + lam * ||b||_1 for a
+SparseMeasurementMatrix X.  Coordinate descent reads X column by column
+from `ensemble.columns`, the arrays of scipy's tocsc(), and the KKT
+check forms its gradient with `ensemble.matvec` and `ensemble.rmatvec`;
+scipy.sparse is never loaded.  The iterate is declared converged when a
+full sweep moves no coordinate by more than `tol` and the subgradient
+residual is within 10 * tol; hitting max_iter first reports
+converged=False rather than raising.  A non-finite entry of X, or a
+column norm, iterate, gradient or objective that overflows, raises
+DataError (errors.finite_array).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Union
 
 import numpy as np
 
-from . import blas
+from . import blas, ensemble
 from .ensemble import SparseMeasurementMatrix
 from .errors import finite_array, integer, non_negative, positive, vector
-
-
-class SparseMatrix(Protocol):
-    """A scipy.sparse matrix or array, which the solver reads through
-    tocsc(); named by its method so that importing this module does not
-    load scipy.sparse."""
-
-    def tocsc(self): ...
-
-
-MatrixLike = Union[SparseMeasurementMatrix, SparseMatrix, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -57,26 +50,7 @@ def soft_threshold(x, lam: float):
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
 
-def _as_csc(X: MatrixLike):
-    """X as a scipy.sparse CSC matrix."""
-    import scipy.sparse as sp
-
-    if isinstance(X, SparseMeasurementMatrix):
-        return X.to_csr().tocsc()
-    if sp.issparse(X):
-        return X.tocsc()
-    return sp.csc_matrix(np.asarray(X, dtype=np.float64))
-
-
-def _problem(X: MatrixLike, y: np.ndarray) -> tuple:
-    """X as CSC and a float64 copy of y, a vector of length n; both finite."""
-    Xc = _as_csc(X)
-    y = vector("y", y, "n", Xc.shape[0])
-    finite_array("X", Xc.data)
-    return Xc, y
-
-
-def kkt_residual(X: MatrixLike, y: np.ndarray, lam: float, beta: np.ndarray, zero_tol: float = LassoConfig.zero_tol) -> float:
+def kkt_residual(m: SparseMeasurementMatrix, y: np.ndarray, lam: float, beta: np.ndarray, zero_tol: float) -> float:
     """Worst-coordinate violation of the stationarity conditions.
 
     With g = (1/n) X^T (X beta - y), an exact minimizer has
@@ -85,10 +59,16 @@ def kkt_residual(X: MatrixLike, y: np.ndarray, lam: float, beta: np.ndarray, zer
     """
     lam = non_negative("lam", lam)
     zero_tol = non_negative("zero_tol", zero_tol)
-    Xc, y = _problem(X, y)
-    n, p = Xc.shape
-    beta = vector("beta", beta, "p", p)
-    g = Xc.T @ (Xc @ beta - y) / n
+    y = vector("y", y, "n", m.spec.n)
+    beta = vector("beta", beta, "p", m.spec.p)
+    return _kkt(m, y, lam, beta, zero_tol)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # what overflows fails the finite_array check
+def _kkt(m: SparseMeasurementMatrix, y: np.ndarray, lam: float, beta: np.ndarray, zero_tol: float) -> float:
+    """kkt_residual on arguments already checked."""
+    g = ensemble.rmatvec(m, ensemble.matvec(m, beta) - y) / m.spec.n
+    finite_array("gradient X^T (X beta - y) / n", g)
     active = np.abs(beta) > zero_tol
     viol = np.where(active, np.abs(g + lam * np.sign(beta)), np.maximum(np.abs(g) - lam, 0.0))
     return float(viol.max()) if viol.size else 0.0
@@ -105,11 +85,12 @@ def signed_support(beta: np.ndarray, zero_tol: float = LassoConfig.zero_tol) -> 
 
 @blas.single_threaded()
 @np.errstate(over="ignore", invalid="ignore")  # what overflows fails a finite_array check below
-def solve(X: MatrixLike, y: np.ndarray, config: LassoConfig) -> LassoSolution:
-    Xc, y = _problem(X, y)
-    n, p = Xc.shape
+def solve(m: SparseMeasurementMatrix, y: np.ndarray, config: LassoConfig) -> LassoSolution:
+    n, p = m.spec.n, m.spec.p
+    y = vector("y", y, "n", n)
 
-    indptr, indices, data = Xc.indptr, Xc.indices, Xc.data
+    indptr, indices, data = ensemble.columns(m)
+    # Finite column norms mean finite entries, so this checks X too.
     col_scale = np.zeros(p)
     for j in range(p):
         seg = data[indptr[j] : indptr[j + 1]]
@@ -140,12 +121,12 @@ def solve(X: MatrixLike, y: np.ndarray, config: LassoConfig) -> LassoSolution:
                 delta_max = max(delta_max, abs(bj_new - bj))
         finite_array("coordinate descent iterate", beta)
         if delta_max <= tol:
-            kkt = kkt_residual(Xc, y, lam, beta, config.zero_tol)
+            kkt = _kkt(m, y, lam, beta, config.zero_tol)
             if kkt <= 10.0 * tol:
                 converged = True
                 break
     if not converged:
-        kkt = kkt_residual(Xc, y, lam, beta, config.zero_tol)
+        kkt = _kkt(m, y, lam, beta, config.zero_tol)
 
     objective = 0.5 / n * (r @ r) + lam * np.abs(beta).sum()
     finite_array("objective", objective)

@@ -275,8 +275,7 @@ def _execute(cfg: SweepConfig, point: GridPoint, trial_index: int) -> TrialRecor
             out["u_ratio"] = (cfg.beta_min - rep.margins.magnitude) / cfg.beta_min
     if cfg.mode in ("full", "both"):
         beta_star = ensemble.make_signal(sig)
-        X = m.to_csr()
-        sol = lasso.solve(X, X @ beta_star + w, lasso.LassoConfig(lam=point.lam))
+        sol = lasso.solve(m, ensemble.matvec(m, beta_star) + w, lasso.LassoConfig(lam=point.lam))
         out["converged"] = bool(sol.converged)
         out["full_success"] = out["converged"] and np.array_equal(
             lasso.signed_support(sol.beta_hat), lasso.signed_support(beta_star, 0.0)

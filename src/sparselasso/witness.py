@@ -23,7 +23,8 @@ potrs called directly, the same bits as `scipy.linalg.cho_factor` and
 `cho_solve` without loading `scipy.linalg`.  A product that overflows
 raises DataError (errors.finite_array), and no numpy warning: the Gram
 before it is factored, X_S^T w / n before it is solved for, and the
-off-support dual va + vb before its margin is read.
+off-support dual va + vb before its margin is read.  singular_extremes
+checks the support block itself before its SVD.
 
 Two diagnostics read the same support block, filled from the same row
 slabs: `h_vector`, the vector whose norm bounds the signal part of the
@@ -207,7 +208,9 @@ def singular_extremes(m: SparseMeasurementMatrix, k: int) -> tuple[float, float]
     n, p, k = m.spec.n, m.spec.p, integer("k", k, 1)
     if k > min(n, p):
         raise ParameterError(f"k must be at most min(n, p) = {min(n, p)}, got {k}")
-    s = np.linalg.svd(_first_columns(n, k, m.row_blocks), compute_uv=False) / math.sqrt(n)
+    Xs = _first_columns(n, k, m.row_blocks)
+    finite_array("support block X_S", Xs)
+    s = np.linalg.svd(Xs, compute_uv=False) / math.sqrt(n)
     return float(s[-1]), float(s[0])
 
 

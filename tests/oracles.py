@@ -13,6 +13,11 @@ boolean mask and draws their values block by block.
 The witness oracle checks `witness.build` against a converged Lasso
 solution and against a QR projection of the noise.
 
+scipy.sparse stays the tests' oracle for the package's own CSR arrays:
+`csr(m)` is the scipy matrix over a matrix's arrays, and `from_dense(X)`
+the matrix that stores a dense test design's non-zero entries, as
+scipy's csr_matrix(X) stores them.
+
 `same_bytes` compares two arrays bit for bit: dtype, shape and bytes.
 `strict_json` parses JSON that must hold no NaN or Infinity, which
 `json.loads` alone accepts.
@@ -20,9 +25,9 @@ solution and against a QR projection of the noise.
 `run_fresh` runs Python in a fresh interpreter with this package on its
 path, for the tests that need a sys.modules, a start method or an
 environment that no other test has touched.  `witness_path_loads` runs
-every witness route once in such an interpreter and reports which of the
-watched packages each stage loaded; the loading guards of test_blas and
-test_imports read that one run.
+every witness route, both solves and a mode="both" sweep once in such an
+interpreter and reports which of the watched packages each stage loaded;
+the loading guards of test_blas and test_imports read that one run.
 """
 
 import functools
@@ -35,10 +40,11 @@ import sys
 import tempfile
 
 import numpy as np
+import scipy.sparse as sp
 
 import sparselasso
 from sparselasso import blas, rng
-from sparselasso.ensemble import SignalSpec, SparseMeasurementMatrix, make_signal
+from sparselasso.ensemble import EnsembleSpec, SignalSpec, SparseMeasurementMatrix, make_signal
 from sparselasso.errors import ParameterError
 from sparselasso.lasso import LassoSolution
 from sparselasso.witness import build
@@ -47,6 +53,19 @@ from sparselasso.witness import build
 def same_bytes(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def csr(m: SparseMeasurementMatrix) -> sp.csr_matrix:
+    """The scipy CSR matrix over m's arrays."""
+    return sp.csr_matrix((m.values, m.indices, m.indptr), shape=(m.spec.n, m.spec.p))
+
+
+def from_dense(X) -> SparseMeasurementMatrix:
+    """The matrix that stores the non-zero entries of the dense design X,
+    row by row in column order, as scipy's csr_matrix(X) stores them."""
+    A = sp.csr_matrix(np.asarray(X, dtype=np.float64))
+    spec = EnsembleSpec(n=A.shape[0], p=A.shape[1], gamma=1.0)
+    return SparseMeasurementMatrix(spec=spec, indptr=A.indptr.astype(np.int64), indices=A.indices.astype(np.int64), values=A.data, seed=0)
 
 
 def _non_finite_constant(name: str):
@@ -70,9 +89,10 @@ def run_fresh(*argv: str, **environ: str) -> str:
     return proc.stdout
 
 
-# Every witness route a user reaches, the CLI's solve, then the two calls
-# that do need scipy.sparse, then the scipy packages a user may import next.
-# After each stage it notes which watched packages are in sys.modules.
+# Every witness route a user reaches, the CLI's and the library's solve, a
+# mode="both" sweep at 1 and 2 workers, then the scipy packages a user may
+# import next.  After each stage it notes which watched packages are in
+# sys.modules.
 _WITNESS_PATH_SCRIPT = """
 import contextlib, io, os, sys
 import numpy as np
@@ -120,9 +140,11 @@ run_cli("solve", "--matrix", path, "--y", y, "--lam", "0.2")
 note("CLI solve")
 sys.modules.update(forked)
 vars(futures).update(pool)
-assert np.array_equal(m.to_csr() @ make_signal(sig) + obs.w, obs.y)
 assert solve(m, obs.y, LassoConfig(lam=0.2)).converged
 note("solve")
+both = SweepConfig(p_list=(32,), theta_grid=(1.0, 2.0), trials=2, base_seed=3, mode="both")
+assert run_sweep(both, workers=1) == run_sweep(both, workers=2)
+note("both sweep")
 
 import scipy.special, scipy.stats, scipy.linalg, scipy.sparse
 assert scipy.special.ndtri is rng.ndtri
@@ -137,8 +159,8 @@ print(json.dumps({**loaded, "lapack": lapack}))
 def witness_path_loads() -> dict:
     """The watched packages loaded after each stage of `_WITNESS_PATH_SCRIPT`,
     keyed "serial sweep", "gen, witness", "witness path" (after the forked
-    sweep), "CLI solve" (with multiprocessing unloaded for it) and "solve",
-    and under "lapack" whether `blas._lapack()` found scipy's dpotrf and
+    sweep), "CLI solve" (with multiprocessing unloaded for it), "solve" and
+    "both sweep", and under "lapack" whether `blas._lapack()` found scipy's dpotrf and
     dpotrs, from one run in a fresh interpreter."""
     with tempfile.TemporaryDirectory() as tmp:
         return json.loads(run_fresh("-c", _WITNESS_PATH_SCRIPT, tmp))
@@ -252,9 +274,9 @@ def dual_identity_check(
     k = s.k
     dev_u = float(np.abs(report.u - (full_solution.beta_hat[:k] - beta_star[:k])).max())
 
-    Xs = m.to_csr()[:, :k].toarray()
-    Q, _ = np.linalg.qr(Xs)
+    X = csr(m)
+    Q, _ = np.linalg.qr(X[:, :k].toarray())
     proj = w - Q @ (Q.T @ w)
-    vb_qr = (m.to_csr().T @ proj / m.spec.n)[k:]
+    vb_qr = (X.T @ proj / m.spec.n)[k:]
     dev_b = float(np.abs(report.vb - vb_qr).max())
     return max(dev_u, dev_b)

@@ -33,7 +33,7 @@ from sparselasso import (
 from sparselasso.cli import main as cli_main
 from sparselasso.sweep import write_csv
 
-from oracles import fista_kkt, fista_lasso
+from oracles import csr, fista_kkt, fista_lasso, from_dense
 
 GOLDEN_SWEEP = pathlib.Path(__file__).parent / "golden" / "sweep_p128.csv"
 
@@ -149,7 +149,7 @@ def test_criterion_3_witness_solver_equivalence():
                 if not r.invertible or min(abs(r.margins.dual), abs(r.margins.sign)) <= 1e-6:
                     boundary += 1
                     continue
-                y = m.to_csr() @ make_signal(sig) + w
+                y = csr(m) @ make_signal(sig) + w
                 sol = solve(m, y, LassoConfig(lam=lam, tol=1e-10))
                 recovered = bool(
                     sol.converged
@@ -180,7 +180,7 @@ def test_criterion_4_solver_soundness():
         beta_star[:k] = gen.choice([-1.0, 1.0], size=k) * (1.0 + gen.random(k))
         y = X @ beta_star + 0.25 * gen.standard_normal(n)
         cfg = LassoConfig(lam=float(0.02 + 0.2 * gen.random()))
-        sol = solve(X, y, cfg)
+        sol = solve(from_dense(X), y, cfg)
         if sol.converged:
             converged += 1
             kkt_ok += sol.kkt_residual <= 10.0 * cfg.tol
@@ -198,7 +198,7 @@ def test_criterion_4_solver_soundness():
         lam = float(0.03 + 0.15 * gen.random())
         ref = fista_lasso(X, y, lam)
         assert fista_kkt(X, y, ref, lam) <= 1e-7
-        sol = solve(X, y, LassoConfig(lam=lam, tol=1e-10))
+        sol = solve(from_dense(X), y, LassoConfig(lam=lam, tol=1e-10))
         oracle_ok += bool(
             sol.converged
             and np.array_equal(signed_support(sol.beta_hat, 1e-6), signed_support(ref, 1e-6))

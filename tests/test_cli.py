@@ -15,7 +15,7 @@ from sparselasso import blas, cli, ensemble, sample_matrix, sweep, write_matrix
 from sparselasso.cli import main
 from sparselasso.sweep import SPARSITY_RULES, _point_batch
 
-from oracles import run_fresh, strict_json
+from oracles import csr, run_fresh, strict_json
 
 
 def _gen_args(path, n=16, p=6, gamma=0.7, seed=3, convention="standard"):
@@ -159,7 +159,7 @@ def test_solve_round_trip(tmp_path, capsys):
     m = read_matrix(io.StringIO(mat.read_text()))
     beta = np.zeros(8)
     beta[:2] = [1.5, -2.0]
-    y = m.to_csr() @ beta
+    y = csr(m) @ beta
     yfile = tmp_path / "y.txt"
     yfile.write_text("".join(f"{float(v)!r}\n" for v in y))
     capsys.readouterr()

@@ -37,10 +37,12 @@ from sparselasso import (
 from sparselasso.ensemble import sample_blocks
 from sparselasso.sweep import derive_k
 
+from oracles import csr
+
 _M = sample_matrix(EnsembleSpec(n=40, p=20, gamma=1.0), 3)
 _S = SignalSpec(p=20, k=2)
 _W = noise_vector(40, 0.01, 1)
-_Y = _M.to_csr() @ make_signal(_S) + _W
+_Y = csr(_M) @ make_signal(_S) + _W
 
 # One valid call of each target, by keyword; the tests swap one float in.
 _VALID_CALLS = {
@@ -52,7 +54,7 @@ _VALID_CALLS = {
     observe: dict(m=_M, beta_star=make_signal(_S), sigma2=0.01, noise_seed=1),
     build: dict(m=_M, s=_S, w=_W, lam=0.1),
     thinned_squared_norm: dict(h=np.ones(5), gamma=0.5, seed=1),
-    kkt_residual: dict(X=_M, y=_Y, lam=0.1, beta=make_signal(_S), zero_tol=1e-8),
+    kkt_residual: dict(m=_M, y=_Y, lam=0.1, beta=make_signal(_S), zero_tol=1e-8),
     signed_support: dict(beta=make_signal(_S), zero_tol=1e-8),
     theory.sample_size: dict(theta=1.0, p=100, k=5),
     theory.required_sample_size: dict(p=100, k=5, eps=0.0),
@@ -123,7 +125,7 @@ def test_numpy_scalars_sample_the_same_matrix_bytes(n, p, gamma, seed):
 def test_numpy_scalars_are_accepted_by_signal_and_solver_configs():
     s = SignalSpec(p=np.int64(20), k=np.int32(2), beta_min=np.float32(0.5))
     assert s == SignalSpec(p=20, k=2, beta_min=0.5) and type(s.p) is int and type(s.k) is int
-    y = _M.to_csr() @ make_signal(_S) + _W
+    y = csr(_M) @ make_signal(_S) + _W
     plain = solve(_M, y, LassoConfig(lam=0.1, max_iter=50))
     scalars = solve(_M, y, LassoConfig(lam=np.float64(0.1), zero_tol=np.float32(1e-8), max_iter=np.int64(50)))
     assert scalars.beta_hat.tobytes() == plain.beta_hat.tobytes()
@@ -260,7 +262,7 @@ _VECTORS = [
     (thinned_squared_norm, "h", None, _VALID_CALLS[thinned_squared_norm]),
     (kkt_residual, "y", "n=40", _VALID_CALLS[kkt_residual]),
     (kkt_residual, "beta", "p=20", _VALID_CALLS[kkt_residual]),
-    (solve, "y", "n=40", dict(X=_M, y=_Y, config=LassoConfig(lam=0.1, max_iter=50))),
+    (solve, "y", "n=40", dict(m=_M, y=_Y, config=LassoConfig(lam=0.1, max_iter=50))),
 ]
 
 

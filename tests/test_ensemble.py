@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import pathlib
@@ -27,7 +28,7 @@ from sparselasso import (
 
 from sparselasso import ensemble, witness
 
-from oracles import sample_matrix_unblocked
+from oracles import csr, same_bytes, sample_matrix_unblocked
 
 GOLDEN_MATRIX = pathlib.Path(__file__).parent / "golden" / "matrix_n6_p4_seed3.txt"
 
@@ -89,7 +90,7 @@ def test_gamma_one_dense_pattern():
     m = sample_matrix(spec, seed=2)
     assert m.nnz == 12 * 9
     assert np.all(m.values != 0.0)
-    dense = m.to_csr().toarray()
+    dense = csr(m).toarray()
     assert np.all(dense != 0.0)
 
 
@@ -126,7 +127,7 @@ def test_observe_noise_variance_reset():
     res = sample_matrix(EnsembleSpec(n=40, p=20, gamma=0.25, convention="rescaled"), seed=1)
     obs_res = observe(res, beta, sigma2=0.16, noise_seed=6)
     assert obs_res.noise_variance == pytest.approx(0.64)
-    assert np.allclose(obs_res.y, res.to_csr() @ beta + obs_res.w, rtol=0, atol=0)
+    assert np.allclose(obs_res.y, csr(res) @ beta + obs_res.w, rtol=0, atol=0)
     # same noise seed, different variance: pathwise scaled normals
     assert np.allclose(obs_res.w, 2.0 * obs_std.w, rtol=1e-15)
 
@@ -145,7 +146,7 @@ def test_observe_sums_rows_as_scipy_does(n, p, gamma, seed, beta):
     m = sample_matrix(EnsembleSpec(n=n, p=p, gamma=gamma), seed)
     beta = np.array(beta[:p])
     obs = observe(m, beta, sigma2=0.5, noise_seed=seed)
-    assert obs.y.tobytes() == (m.to_csr() @ beta + obs.w).tobytes()
+    assert obs.y.tobytes() == (csr(m) @ beta + obs.w).tobytes()
 
 
 def test_serialization_roundtrip():
@@ -161,6 +162,50 @@ def test_serialization_roundtrip():
     assert np.array_equal(back.indices, m.indices)
     assert np.array_equal(back.values, m.values)
 
+
+
+def _emptied(m, row, col):
+    """m without its entries in the given row and column."""
+    rows = np.repeat(np.arange(m.spec.n), np.diff(m.indptr))
+    keep = (rows != row) & (m.indices != col)
+    indptr = np.searchsorted(rows[keep], np.arange(m.spec.n + 1))
+    return dataclasses.replace(m, indptr=indptr, indices=m.indices[keep], values=m.values[keep])
+
+
+@settings(max_examples=80, deadline=None)
+@example(n=1, p=6, gamma=0.5, convention="standard", seed=4, empty=False, round_trip=False, v=[1.5] * 30, z=[-2.0] * 30)
+@example(n=9, p=5, gamma=1.0, convention="rescaled", seed=8, empty=True, round_trip=True, v=[0.25] * 30, z=[3.0] * 30)
+@given(
+    n=st.integers(1, 30),
+    p=st.integers(1, 30),
+    gamma=st.one_of(st.floats(0.01, 1.0), st.just(1.0)),
+    convention=st.sampled_from(ensemble.CONVENTIONS),
+    seed=st.integers(0, 2**64 - 1),
+    empty=st.booleans(),
+    round_trip=st.booleans(),
+    v=st.lists(st.floats(-1e3, 1e3), min_size=30, max_size=30),
+    z=st.lists(st.floats(-1e3, 1e3), min_size=30, max_size=30),
+)
+def test_column_view_and_products_equal_scipy(n, p, gamma, convention, seed, empty, round_trip, v, z):
+    """columns(m) holds the arrays of scipy's tocsc(), and matvec and
+    rmatvec are scipy's X v and X^T z byte for byte, on a sampled matrix,
+    with an empty middle row and an all-zero middle column when `empty`,
+    and after a write_matrix / read_matrix round trip when `round_trip`."""
+    m = sample_matrix(EnsembleSpec(n=n, p=p, gamma=gamma, convention=convention), seed)
+    if empty:
+        m = _emptied(m, n // 2, p // 2)
+    if round_trip:
+        buf = io.StringIO()
+        write_matrix(m, buf)
+        buf.seek(0)
+        m = read_matrix(buf)
+    X = csr(m)
+    C = X.tocsc()
+    indptr, rows, values = ensemble.columns(m)
+    assert np.array_equal(indptr, C.indptr) and np.array_equal(rows, C.indices) and same_bytes(values, C.data)
+    v, z = np.array(v[:p]), np.array(z[:n])
+    assert same_bytes(ensemble.matvec(m, v), X @ v)
+    assert same_bytes(ensemble.rmatvec(m, z), X.T @ z)
 
 @settings(max_examples=100, deadline=None)
 @given(
@@ -285,7 +330,6 @@ def test_witness_trial_holds_little_beyond_the_support_block(monkeypatch):
         raise AssertionError("a witness-mode trial built the matrix")
 
     monkeypatch.setattr(ensemble, "sample_matrix", no_matrix)
-    monkeypatch.setattr(ensemble.SparseMeasurementMatrix, "to_csr", no_matrix)
     cfg = SweepConfig(
         p_list=(256, 512, 1024), theta_grid=(1.0, 2.0), trials=1, base_seed=1002,
         sparsity_rule="linear", linear_alpha=0.125,

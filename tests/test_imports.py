@@ -7,12 +7,12 @@ another, `__all__` lists exactly what
 `__init__` imports, only errors.py tests a scalar for finiteness or
 words the message of `one_of`, `read_only_by` or `distinct`, no CLI
 option that takes its default from a dataclass field also states one,
-only rng.py imports scipy.special, no module sets a field of a result
-record after building it, every file under tests/golden/ is named by a
-test module, the witness path runs without
-loading scipy.linalg, scipy.sparse, scipy.special's __init__ or scipy's
-array-API shim, and a serial sweep and the CLI run without loading
-multiprocessing."""
+only rng.py imports scipy.special, no module imports scipy.sparse, no
+module sets a field of a result record after building it, every file
+under tests/golden/ is named by a test module, nothing the package runs
+loads scipy.sparse, the witness path runs without loading scipy.linalg,
+scipy.special's __init__ or scipy's array-API shim, and a serial sweep
+and the CLI run without loading multiprocessing."""
 
 import ast
 import dataclasses
@@ -351,13 +351,15 @@ def test_filled_options_state_no_default_of_their_own():
     assert _dead_literals(pathlib.Path(cli.__file__).read_text(), fields_of) == []
 
 
-def _special_imports(source: str) -> list:
-    """Each import of scipy.special, of a module under it or of a name from
-    it in source, and each `scipy.special` attribute read, which imports
-    the package through scipy's module __getattr__."""
+def _imports_of(source: str, package: str) -> list:
+    """Each import of package, of a module under it or of a name from it in
+    source, each attribute read of it, which imports a scipy subpackage
+    through scipy's module __getattr__, and each string that names it or a
+    module under it, as importlib.import_module would take it."""
+    parent, _, child = package.rpartition(".")
 
     def under(name):
-        return name == "scipy.special" or name.startswith("scipy.special.")
+        return name == package or name.startswith(package + ".")
 
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -366,11 +368,12 @@ def _special_imports(source: str) -> list:
         elif isinstance(node, ast.ImportFrom) and not node.level and node.module is not None:
             if under(node.module):
                 found.extend(f"{node.module}.{alias.name}" for alias in node.names)
-            elif node.module == "scipy":
-                found.extend(f"scipy.{alias.name}" for alias in node.names if alias.name == "special")
-        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            if (node.value.id, node.attr) == ("scipy", "special"):
-                found.append("scipy.special")
+            elif node.module == parent:
+                found.extend(f"{parent}.{alias.name}" for alias in node.names if alias.name == child)
+        elif isinstance(node, ast.Attribute) and _dotted(node) == package:
+            found.append(package)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and under(node.value):
+            found.append(node.value)
     return sorted(found)
 
 
@@ -384,14 +387,38 @@ def test_scipy_special_import_is_found():
         "from .special import y\n"
         "z = scipy.special.ndtr(0.0) + scipy.sparse.eye(1)\n"
     )
-    assert _special_imports(source) == ["scipy.special", "scipy.special", "scipy.special._ufuncs", "scipy.special.erf"]
+    assert _imports_of(source, "scipy.special") == ["scipy.special", "scipy.special", "scipy.special._ufuncs", "scipy.special.erf"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "rng.py"] + [pathlib.Path(sparselasso.__file__)], ids=lambda p: p.stem)
 def test_only_rng_imports_scipy_special(path):
     """scipy.special's __init__ loads scipy's array-API shim, about 280
     modules; rng.py takes ndtri without it, and nothing else may load it."""
-    assert _special_imports(path.read_text()) == []
+    assert _imports_of(path.read_text(), "scipy.special") == []
+
+
+def test_scipy_sparse_import_is_found():
+    source = (
+        "import scipy, scipy.sparse\n"
+        "import scipy.sparse.linalg as sla\n"
+        "from scipy.sparse import csr_matrix\n"
+        "from scipy import linalg, sparse as sps\n"
+        "from scipy.sparsetools import x\n"
+        "from .sparse import y\n"
+        "z = scipy.sparse.eye(1) + scipy.special.ndtr(0.0)\n"
+        "mod = importlib.import_module('scipy.sparse')\n"
+        "note = 'scipy.sparse is not loaded'\n"
+    )
+    want = ["scipy.sparse"] * 4 + ["scipy.sparse.csr_matrix", "scipy.sparse.linalg"]
+    assert _imports_of(source, "scipy.sparse") == want
+
+
+@pytest.mark.parametrize("path", MODULES + [pathlib.Path(sparselasso.__file__)], ids=lambda p: p.stem)
+def test_no_module_imports_scipy_sparse(path):
+    """The package reads its matrices as its own CSR arrays (ensemble.matvec,
+    rmatvec and columns); scipy.sparse costs 130-180 ms, about 290 modules
+    and 19 MB to import, and no module may load it."""
+    assert _imports_of(path.read_text(), "scipy.sparse") == []
 
 
 # The result records: each is built once, from the values that compute it.
@@ -449,14 +476,17 @@ def test_every_golden_is_named_by_a_test_module():
     assert _orphaned_goldens(tests / "golden", tests) == []
 
 
-def test_witness_path_never_loads_scipy_sparse():
-    """A witness-mode sweep, serial and forked, build, h_vector,
-    singular_extremes and the CLI's gen and witness never import
-    scipy.sparse, run scipy.special's __init__ or load
-    scipy._lib._array_api; to_csr and the solver load scipy.sparse when
-    they are called, and scipy.special imported later holds rng's ndtri."""
+def test_no_stage_loads_scipy_sparse():
+    """No stage of one fresh-interpreter run imports scipy.sparse: a
+    witness-mode sweep, serial and forked, build, h_vector,
+    singular_extremes, the CLI's gen, witness and solve, the library's solve
+    and a mode="both" sweep at 1 and 2 workers.  The witness path neither
+    runs scipy.special's __init__ nor loads scipy._lib._array_api, and
+    scipy.special imported later holds rng's ndtri."""
     loaded = witness_path_loads()
-    assert "scipy.sparse" not in loaded["witness path"], "the witness path loaded scipy.sparse"
+    stages = [stage for stage in loaded if stage != "lapack"]
+    assert stages == ["serial sweep", "gen, witness", "witness path", "CLI solve", "solve", "both sweep"]
+    for stage in stages:
+        assert "scipy.sparse" not in loaded[stage], f"{stage} loaded scipy.sparse"
     assert "scipy.special" not in loaded["witness path"], "the witness path ran scipy.special's __init__"
     assert "scipy._lib._array_api" not in loaded["witness path"], "the witness path loaded scipy's array-API shim"
-    assert "scipy.sparse" in loaded["solve"]

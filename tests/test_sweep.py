@@ -28,7 +28,7 @@ from sparselasso import (
 from sparselasso import blas, ensemble, lasso, sweep, witness
 from sparselasso.sweep import CSV_HEADER, table_to_dict, trial_seed, write_csv, write_json
 
-from oracles import run_fresh, strict_json
+from oracles import csr, run_fresh, strict_json
 
 
 def _small_cfg(**overrides):
@@ -551,7 +551,7 @@ def test_direct_calls_do_not_depend_on_caller_blas_threads(caller_blas):
     m = ensemble.sample_matrix(pt.spec, seed)
     sig = ensemble.SignalSpec(p=pt.p, k=pt.k, beta_min=cfg.beta_min)
     w = ensemble.noise_vector(pt.n, cfg.sigma2, seed)
-    y = m.to_csr() @ ensemble.make_signal(sig) + w
+    y = csr(m) @ ensemble.make_signal(sig) + w
     results = []
     # at least two threads on the second pass, also when the caller runs on one
     for counts in ((1,) * len(caller_blas), tuple(max(2, c) for c in caller_blas)):

@@ -35,7 +35,7 @@ from sparselasso import blas, rng, witness
 from sparselasso.ensemble import sample_blocks
 from sparselasso.witness import build_sampled
 
-from oracles import dual_identity_check, same_bytes
+from oracles import csr, dual_identity_check, same_bytes
 
 
 def _matrix(n, p, entries, gamma=1.0, convention="standard"):
@@ -151,6 +151,8 @@ def test_non_finite_value_is_a_data_error(bad, column, message):
     if column < s.k:
         with pytest.raises(DataError, match=f"^{re.escape(_GRAM_MESSAGE)}$"):
             h_vector(m, s)
+        with pytest.raises(DataError, match="^support block X_S contains non-finite values$"):
+            singular_extremes(m, s.k)
 
 
 def _events_at(u, v, signs, lam=0.25, beta_min=0.5):
@@ -223,7 +225,7 @@ def test_verdict_matches_full_solve(seed):
     r = build(m, s, w, 0.25)
     if not r.invertible or min(abs(x) for x in r.margins) <= 1e-6:
         pytest.skip("instance sits on a decision boundary")
-    y = m.to_csr() @ make_signal(s) + w
+    y = csr(m) @ make_signal(s) + w
     sol = solve(m, y, LassoConfig(lam=0.25, tol=1e-10))
     assert sol.converged
     recovered = np.array_equal(
@@ -273,7 +275,7 @@ def test_dual_identity_check():
     s = SignalSpec(p=16, k=4, beta_min=1.0, sign_pattern="all_plus")
     w = noise_vector(60, 0.01, 3)
     lam = 0.3
-    y = m.to_csr() @ make_signal(s) + w
+    y = csr(m) @ make_signal(s) + w
     sol = solve(m, y, LassoConfig(lam=lam, tol=1e-12))
     assert dual_identity_check(m, s, w, lam, sol) <= 1e-5
 
@@ -282,7 +284,7 @@ def test_dual_identity_check():
     w0 = np.zeros(60)
     r0 = build(m, s, w0, lam)
     assert np.all(r0.vb == 0.0)
-    y0 = m.to_csr() @ make_signal(s)
+    y0 = csr(m) @ make_signal(s)
     sol0 = solve(m, y0, LassoConfig(lam=lam, tol=1e-12))
     assert dual_identity_check(m, s, w0, lam, sol0) <= 1e-5
 
@@ -292,7 +294,7 @@ def test_dual_identity_check_preconditions():
     s = SignalSpec(p=16, k=4, beta_min=1.0, sign_pattern="all_plus")
     w = noise_vector(60, 0.01, 3)
     lam = 0.3
-    y = m.to_csr() @ make_signal(s) + w
+    y = csr(m) @ make_signal(s) + w
 
     # unconverged solution
     shallow = solve(m, y, LassoConfig(lam=lam, max_iter=1))
@@ -304,7 +306,7 @@ def test_dual_identity_check_preconditions():
     w_big = noise_vector(60, 25.0, 3)
     r_big = build(m, s, w_big, lam)
     assert not r_big.success
-    y_big = m.to_csr() @ make_signal(s) + w_big
+    y_big = csr(m) @ make_signal(s) + w_big
     sol_big = solve(m, y_big, LassoConfig(lam=lam, tol=1e-12))
     with pytest.raises(ParameterError):
         dual_identity_check(m, s, w_big, lam, sol_big)
@@ -319,9 +321,9 @@ def test_solver_dual_matches_witness_dual():
     lam = 0.3
     r = build(m, s, w, lam)
     assert r.success and min(r.margins) > 1e-6
-    y = m.to_csr() @ make_signal(s) + w
+    y = csr(m) @ make_signal(s) + w
     sol = solve(m, y, LassoConfig(lam=lam, tol=1e-12))
-    X = m.to_csr()
+    X = csr(m)
     solver_dual = (X.T @ (y - X @ sol.beta_hat) / m.spec.n)[s.k :]
     assert np.abs(solver_dual - (r.va + r.vb)).max() <= 1e-6
 
@@ -362,7 +364,7 @@ def test_h_vector_orthonormal_is_row_sums():
     m = _scaled_identity(16, 6)
     s = SignalSpec(p=6, k=3, beta_min=1.0)
     h = h_vector(m, s)
-    Xs = m.to_csr()[:, :3].toarray()
+    Xs = csr(m)[:, :3].toarray()
     assert np.array_equal(h, Xs.sum(axis=1) / 16.0)
 
 
@@ -388,7 +390,7 @@ def test_singular_extremes_equal_the_svd_of_the_csr_columns(shape, gamma, conven
     n, p, k = shape
     m = sample_matrix(EnsembleSpec(n=n, p=p, gamma=gamma, convention=convention), seed)
     with blas.single_threaded():
-        s = np.linalg.svd(m.to_csr()[:, :k].toarray(), compute_uv=False)
+        s = np.linalg.svd(csr(m)[:, :k].toarray(), compute_uv=False)
     want = np.array([s[-1], s[0]]) / math.sqrt(n)
     assert same_bytes(np.array(singular_extremes(m, k)), want)
 
