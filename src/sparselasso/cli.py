@@ -90,7 +90,7 @@ _SOLVE_OPTS = _filling(
     Opt("lam", float, help="regularization weight"),
     Opt("tol", float, help="convergence tolerance"),
     Opt("max_iter", int, help="sweep cap"),
-    Opt("zero_tol", float, help="support threshold"),
+    Opt("zero_tol", float, help="entries of beta-hat within this of zero count as zero in the KKT check"),
 )
 
 _WITNESS_OPTS = _filling(

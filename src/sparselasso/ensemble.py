@@ -18,11 +18,16 @@ the same entries, in slabs cut at hash-block boundaries, without
 sampling the other columns.  One slab generator does all the sampling:
 `sample_matrix` is its one-slab case, all rows and columns at once.
 
-The products X v (`matvec`) and X^T z (`rmatvec`) and the column view
-the solver reads (`columns`) are built with numpy from the CSR triple,
-the same bits as scipy.sparse gives, so no module of the package loads
-scipy.sparse.  A caller that wants a scipy matrix builds it from the
-arrays: `csr_matrix((m.values, m.indices, m.indptr), shape=(n, p))`.
+No other module reads a row slab.  `first_columns` fills the dense
+block of the first k columns from the slabs, and `rmatvec` forms
+(X^T z)[j0:j1] over them for one or more z at once: the witness's
+off-support products and the solver's KKT gradient over every column
+are the same product.  `matvec` (X v) and `columns`, the column view the
+solver reads, take the CSR triple.  Both products add one entry at a
+time with `np.add.at`, in the order of scipy's CSR products, so they
+give the same bits as scipy.sparse and no module of the package loads
+it.  A caller that wants a scipy matrix builds it from the arrays:
+`csr_matrix((m.values, m.indices, m.indptr), shape=(n, p))`.
 
 `read_matrix` is the one place that checks a matrix file; a matrix built
 in code is taken as it is.
@@ -86,7 +91,8 @@ class SparseMeasurementMatrix:
         (r0, indptr, indices, values), in row order, of as many rows as
         hold rng.DRAW_CHUNK stored entries on average: the entries of row
         r0 + r are indices[indptr[r]:indptr[r + 1]] (ascending) and the
-        matching values."""
+        matching values.  Slabs of all p columns are views of the matrix's
+        own arrays; the callers only read them."""
         j0, j1 = _column_range(self.spec, j0, j1)
         n = self.spec.n
         rows_per_block = max(1, rng.DRAW_CHUNK * n // max(self.nnz, 1))
@@ -95,6 +101,8 @@ class SparseMeasurementMatrix:
             r1 = min(n, r0 + rows_per_block)
             lo, hi = self.indptr[r0], self.indptr[r1]
             cols = self.indices[lo:hi]
+            if j1 - j0 == self.spec.p:  # every entry is kept; the KKT gradient reads all columns
+                return r0, self.indptr[r0 : r1 + 1] - lo, cols, self.values[lo:hi]
             kept = np.flatnonzero((cols >= j0) & (cols < j1))
             return r0, np.searchsorted(kept, self.indptr[r0 : r1 + 1] - lo), cols[kept], self.values[lo:hi][kept]
 
@@ -255,27 +263,37 @@ def _entry_rows(m: SparseMeasurementMatrix) -> np.ndarray:
     return np.repeat(np.arange(m.spec.n), np.diff(m.indptr))
 
 
-def _sums(size: int, at: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """out[i] = the sum of the terms[t] with at[t] == i, from 0.0 in the
-    order of t, one add at a time."""
-    out = np.zeros(size)
-    np.add.at(out, at, terms)
-    return out
-
-
 def matvec(m: SparseMeasurementMatrix, v: np.ndarray) -> np.ndarray:
     """X v for a float64 vector v of length p.  Each row's sum runs from
     0.0 over the row's entries in column order, one multiply and one add
     at a time, as scipy's CSR product sums it, so the result is the same
     bit for bit."""
-    return _sums(m.spec.n, _entry_rows(m), m.values * v[m.indices])
+    out = np.zeros(m.spec.n)
+    np.add.at(out, _entry_rows(m), m.values * v[m.indices])
+    return out
 
 
-def rmatvec(m: SparseMeasurementMatrix, z: np.ndarray) -> np.ndarray:
-    """X^T z for a float64 vector z of length n.  Each column's sum runs
-    from 0.0 over the column's entries in row order, as scipy's X.T @ z
-    sums it, so the result is the same bit for bit."""
-    return _sums(m.spec.p, m.indices, m.values * z[_entry_rows(m)])
+def first_columns(blocks, n: int, k: int) -> np.ndarray:
+    """The dense n x k block of the first k columns of a matrix with n rows,
+    from its row slabs blocks(0, k)."""
+    Xs = np.zeros((n, k))
+    for r0, indptr, cols, values in blocks(0, k):
+        Xs[np.repeat(np.arange(r0, r0 + indptr.size - 1), np.diff(indptr)), cols] = values
+    return Xs
+
+
+def rmatvec(blocks, j0: int, j1: int, *zs: np.ndarray) -> np.ndarray:
+    """(X^T z)[j0:j1] for each float64 n-vector z, one row each, from the
+    row slabs blocks(j0, j1) of X (SparseMeasurementMatrix.row_blocks or
+    a partial of sample_blocks).  Each column's sum runs from 0.0 over its
+    entries in row order, one multiply and one add at a time, as scipy's
+    X.T @ z sums it, so the products are the same bit for bit."""
+    out = np.zeros((len(zs), j1))
+    for r0, indptr, cols, values in blocks(j0, j1):
+        for acc, z in zip(out, zs):
+            terms = z[r0 : r0 + indptr.size - 1].repeat(np.diff(indptr))
+            np.add.at(acc, cols, np.multiply(values, terms, out=terms))
+    return out[:, j0:]
 
 
 def columns(m: SparseMeasurementMatrix) -> tuple:

@@ -3,13 +3,14 @@
 Minimizes (1/2n) ||y - X b||^2 + lam * ||b||_1 for a
 SparseMeasurementMatrix X.  Coordinate descent reads X column by column
 from `ensemble.columns`, the arrays of scipy's tocsc(), and the KKT
-check forms its gradient with `ensemble.matvec` and `ensemble.rmatvec`;
-scipy.sparse is never loaded.  The iterate is declared converged when a
-full sweep moves no coordinate by more than `tol` and the subgradient
-residual is within 10 * tol; hitting max_iter first reports
-converged=False rather than raising.  A non-finite entry of X, or a
-column norm, iterate, gradient or objective that overflows, raises
-DataError (errors.finite_array).
+check forms its gradient X^T (X beta - y) / n with `ensemble.matvec` and
+`ensemble.rmatvec` over the row slabs of every column, the product the
+witness runs off the support; scipy.sparse is never loaded.  The iterate
+is declared converged when a full sweep moves no coordinate by more than
+`tol` and the subgradient residual is within 10 * tol; hitting max_iter
+first reports converged=False rather than raising.  A non-finite entry
+of X, or a column norm, iterate, gradient or objective that overflows,
+raises DataError (errors.finite_array).
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def kkt_residual(m: SparseMeasurementMatrix, y: np.ndarray, lam: float, beta: np
 @np.errstate(over="ignore", invalid="ignore")  # what overflows fails the finite_array check
 def _kkt(m: SparseMeasurementMatrix, y: np.ndarray, lam: float, beta: np.ndarray, zero_tol: float) -> float:
     """kkt_residual on arguments already checked."""
-    g = ensemble.rmatvec(m, ensemble.matvec(m, beta) - y) / m.spec.n
+    g = ensemble.rmatvec(m.row_blocks, 0, m.spec.p, ensemble.matvec(m, beta) - y)[0] / m.spec.n
     finite_array("gradient X^T (X beta - y) / n", g)
     active = np.abs(beta) > zero_tol
     viol = np.where(active, np.abs(g + lam * np.sign(beta)), np.maximum(np.abs(g) - lam, 0.0))

@@ -482,8 +482,8 @@ def dump_json(obj, fh) -> None:
 def check_outputs(paths) -> None:
     """Raise ParameterError when an output path not None is empty, or two
     name the same file, so that one output would replace the other, and
-    DataError when one names an existing directory, which no file can
-    replace."""
+    DataError when one's directory is missing or not a directory, or when
+    it names an existing directory, which no file can replace."""
     seen = {}
     for path in (p for p in paths if p is not None):
         if path == "":
@@ -493,15 +493,20 @@ def check_outputs(paths) -> None:
             raise ParameterError(f"output paths {seen[real]} and {path} name the same file")
         seen[real] = path
     for path in seen.values():
+        head = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(head):
+            raise DataError(f"cannot write {path}: no directory {head}")
         if os.path.isdir(path):
             raise DataError(f"cannot write {path}: is a directory")
 
 
 def _create_staging(head: str, tail: str):
-    """(fd, path) of a new file `.<tail>.<random>.tmp` in directory head,
-    opened for writing with mode 0o666 less the umask, as open() applies it."""
+    """(fd, path) of a new file `.<stem>.<random>.tmp` in directory head,
+    opened for writing with mode 0o666 less the umask, as open() applies it.
+    The stem is tail's first 50 characters, at most 200 bytes, so the name
+    stays within the 255 bytes a file name may have however long tail is."""
     for _ in range(100):
-        tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+        tmp = os.path.join(head, f".{tail[:50]}.{os.urandom(6).hex()}.tmp")
         try:
             return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
         except FileExistsError:

@@ -26,10 +26,14 @@ before it is factored, X_S^T w / n before it is solved for, and the
 off-support dual va + vb before its margin is read.  singular_extremes
 checks the support block itself before its SVD.
 
-Two diagnostics read the same support block, filled from the same row
-slabs: `h_vector`, the vector whose norm bounds the signal part of the
-off-support dual, and `singular_extremes`, the extreme singular values
-of X_S / sqrt(n).
+The matrix is read through `ensemble`: the support block X_S comes from
+`ensemble.first_columns` and the off-support products X^T h and X^T g
+from one `ensemble.rmatvec` pass over the row slabs of the other
+columns, so this module holds only the dense algebra: the Gram, its
+Cholesky factor, the solves and the margins.  Two diagnostics read the
+same support block: `h_vector`, the vector whose norm bounds the signal
+part of the off-support dual, and `singular_extremes`, the extreme
+singular values of X_S / sqrt(n).
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ensemble import EnsembleSpec, SignalSpec, SparseMeasurementMatrix, sample_blocks, signal_signs
+from .ensemble import EnsembleSpec, SignalSpec, SparseMeasurementMatrix, first_columns, rmatvec, sample_blocks, signal_signs
 from .errors import ParameterError, finite_array, integer, positive, unit_interval, vector
 from . import blas, rng
 
@@ -79,21 +83,12 @@ def _factor_gram(Xs: np.ndarray):
     return fac
 
 
-def _first_columns(n: int, k: int, blocks) -> np.ndarray:
-    """The dense n x k block of the first k columns of a matrix with n rows,
-    from its row slabs blocks(0, k)."""
-    Xs = np.zeros((n, k))
-    for r0, indptr, cols, values in blocks(0, k):
-        Xs[np.repeat(np.arange(r0, r0 + indptr.size - 1), np.diff(indptr)), cols] = values
-    return Xs
-
-
 def _support(n: int, p: int, blocks, s: SignalSpec) -> tuple:
-    """The dense support columns X_S (_first_columns) of a matrix with n rows
-    and p columns, and their _factor_gram."""
+    """The dense support columns X_S (ensemble.first_columns) of a matrix
+    with n rows and p columns, and their _factor_gram."""
     if p != s.p:
         raise ParameterError(f"matrix has p={p} but signal has p={s.p}")
-    Xs = _first_columns(n, s.k, blocks)
+    Xs = first_columns(blocks, n, s.k)
     return Xs, _factor_gram(Xs)
 
 
@@ -113,20 +108,6 @@ def _support_terms(n: int, p: int, blocks, s: SignalSpec, w: np.ndarray, lam: fl
     hs = Xs @ blas.cholesky_solve(fac, signs)
     g = (w - Xs @ blas.cholesky_solve(fac, xtw)) / n
     return u, hs, g
-
-
-def _off_support_products(blocks, k: int, p: int, *zs: np.ndarray) -> np.ndarray:
-    """(X^T z)[k:] for each n-vector z, one row each, from the row slabs
-    blocks(k, p).  Each column's sum runs over its entries in row order,
-    one multiply and one add at a time, as scipy's sparse X^T z runs it, so
-    the products are the same bit for bit."""
-    out = np.zeros((len(zs), p))
-    for r0, indptr, cols, values in blocks(k, p):
-        counts = np.diff(indptr)
-        for acc, z in zip(out, zs):
-            terms = z[r0 : r0 + counts.size].repeat(counts)
-            np.add.at(acc, cols, np.multiply(values, terms, out=terms))
-    return out[:, k:]
 
 
 def _margins(u: np.ndarray, v: np.ndarray, lam: float, beta_min: float, signs: np.ndarray) -> Margins:
@@ -172,7 +153,7 @@ def _build(n: int, p: int, blocks, s: SignalSpec, w: np.ndarray, lam: float) -> 
         return WitnessReport(invertible=False)
 
     u, hs, g = terms
-    xh, vb = _off_support_products(blocks, s.k, p, hs, g)
+    xh, vb = rmatvec(blocks, s.k, p, hs, g)
     va = lam * xh / n
     v = va + vb
     finite_array("off-support dual va + vb", v)
@@ -208,7 +189,7 @@ def singular_extremes(m: SparseMeasurementMatrix, k: int) -> tuple[float, float]
     n, p, k = m.spec.n, m.spec.p, integer("k", k, 1)
     if k > min(n, p):
         raise ParameterError(f"k must be at most min(n, p) = {min(n, p)}, got {k}")
-    Xs = _first_columns(n, k, m.row_blocks)
+    Xs = first_columns(m.row_blocks, n, k)
     finite_array("support block X_S", Xs)
     s = np.linalg.svd(Xs, compute_uv=False) / math.sqrt(n)
     return float(s[-1]), float(s[0])

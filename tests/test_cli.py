@@ -633,6 +633,24 @@ def test_sweep_rejects_a_directory_output_before_any_trial(tmp_path, monkeypatch
     assert list((tmp_path / "out.json").iterdir()) == []
 
 
+@pytest.mark.parametrize("path", ["missing/x.csv", "file/x.csv"], ids=["missing", "not_a_directory"])
+@pytest.mark.parametrize("argv", [_gen_args("PATH"), _sweep_args(["--out-csv", "PATH"])], ids=["gen", "sweep"])
+def test_output_without_a_directory_is_found_before_any_work(tmp_path, monkeypatch, capsys, argv, path):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the output directory was checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ensemble, "sample_matrix", no_work)
+    monkeypatch.setattr(sweep, "_execute", no_work)
+    (tmp_path / "file").write_text("")
+    rc = main([path if a == "PATH" else a for a in argv])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"sparselasso {argv[0]}: error: cannot write {path}: no directory {path.split('/')[0]}\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["file"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

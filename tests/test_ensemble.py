@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import math
 import pathlib
@@ -27,6 +28,7 @@ from sparselasso import (
 )
 
 from sparselasso import ensemble, witness
+from sparselasso.ensemble import sample_blocks
 
 from oracles import csr, same_bytes, sample_matrix_unblocked
 
@@ -173,8 +175,8 @@ def _emptied(m, row, col):
 
 
 @settings(max_examples=80, deadline=None)
-@example(n=1, p=6, gamma=0.5, convention="standard", seed=4, empty=False, round_trip=False, v=[1.5] * 30, z=[-2.0] * 30)
-@example(n=9, p=5, gamma=1.0, convention="rescaled", seed=8, empty=True, round_trip=True, v=[0.25] * 30, z=[3.0] * 30)
+@example(n=1, p=6, gamma=0.5, convention="standard", seed=4, empty=False, round_trip=False, cut=(0, 30), v=[1.5] * 30, z=[-2.0] * 30, z2=[0.5] * 30)
+@example(n=9, p=5, gamma=1.0, convention="rescaled", seed=8, empty=True, round_trip=True, cut=(4, 2), v=[0.25] * 30, z=[3.0] * 30, z2=[-1.0] * 30)
 @given(
     n=st.integers(1, 30),
     p=st.integers(1, 30),
@@ -183,14 +185,19 @@ def _emptied(m, row, col):
     seed=st.integers(0, 2**64 - 1),
     empty=st.booleans(),
     round_trip=st.booleans(),
+    cut=st.tuples(st.integers(0, 30), st.integers(0, 30)),
     v=st.lists(st.floats(-1e3, 1e3), min_size=30, max_size=30),
     z=st.lists(st.floats(-1e3, 1e3), min_size=30, max_size=30),
+    z2=st.lists(st.floats(-1e3, 1e3), min_size=30, max_size=30),
 )
-def test_column_view_and_products_equal_scipy(n, p, gamma, convention, seed, empty, round_trip, v, z):
-    """columns(m) holds the arrays of scipy's tocsc(), and matvec and
-    rmatvec are scipy's X v and X^T z byte for byte, on a sampled matrix,
-    with an empty middle row and an all-zero middle column when `empty`,
-    and after a write_matrix / read_matrix round trip when `round_trip`."""
+def test_column_view_and_products_equal_scipy(n, p, gamma, convention, seed, empty, round_trip, cut, v, z, z2):
+    """columns(m) holds the arrays of scipy's tocsc(), matvec is scipy's
+    X v byte for byte, and over the row slabs of both sources (m.row_blocks,
+    and sample_blocks when m is the sampled matrix) rmatvec gives scipy's
+    (X^T z)[j0:j1] for two z at once, byte for byte, and first_columns the
+    dense X[:, :j1].  m is a sampled matrix, with an empty middle row and
+    an all-zero middle column when `empty`, and after a write_matrix /
+    read_matrix round trip when `round_trip`."""
     m = sample_matrix(EnsembleSpec(n=n, p=p, gamma=gamma, convention=convention), seed)
     if empty:
         m = _emptied(m, n // 2, p // 2)
@@ -203,9 +210,29 @@ def test_column_view_and_products_equal_scipy(n, p, gamma, convention, seed, emp
     C = X.tocsc()
     indptr, rows, values = ensemble.columns(m)
     assert np.array_equal(indptr, C.indptr) and np.array_equal(rows, C.indices) and same_bytes(values, C.data)
-    v, z = np.array(v[:p]), np.array(z[:n])
+    v, z, z2 = np.array(v[:p]), np.array(z[:n]), np.array(z2[:n])
     assert same_bytes(ensemble.matvec(m, v), X @ v)
-    assert same_bytes(ensemble.rmatvec(m, z), X.T @ z)
+    j0, j1 = sorted(min(c, p) for c in cut)
+    sources = [m.row_blocks] + ([] if empty else [functools.partial(sample_blocks, m.spec, seed)])
+    for blocks in sources:
+        xz, xz2 = ensemble.rmatvec(blocks, j0, j1, z, z2)
+        assert same_bytes(xz, (X.T @ z)[j0:j1]) and same_bytes(xz2, (X.T @ z2)[j0:j1])
+        assert same_bytes(ensemble.first_columns(blocks, n, j1), X[:, :j1].toarray())
+
+
+@pytest.mark.parametrize("j0, j1", [(0, 200), (0, 7), (50, 200)])
+def test_products_over_several_row_blocks_equal_scipy(j0, j1):
+    """On a matrix that row_blocks cuts into several slabs, rmatvec and
+    first_columns are scipy's bytes, both when the range holds every
+    column (the slabs are then views of the matrix's arrays) and when it
+    holds some."""
+    m = sample_matrix(EnsembleSpec(n=300, p=200, gamma=1.0), 5)
+    assert len(list(m.row_blocks(j0, j1))) == 4
+    X, z = csr(m), np.linspace(-1.0, 2.0, 300)
+    (xz,) = ensemble.rmatvec(m.row_blocks, j0, j1, z)
+    assert same_bytes(xz, (X.T @ z)[j0:j1])
+    assert same_bytes(ensemble.first_columns(m.row_blocks, 300, j1), X[:, :j1].toarray())
+
 
 @settings(max_examples=100, deadline=None)
 @given(
@@ -354,13 +381,13 @@ def test_off_support_pass_starts_without_the_support_block(monkeypatch):
     that pass starts is below X_S's 8 n k bytes, and the trial's traced
     peak is at most X_S plus 2 MiB of hash-block buffers and slabs."""
     held = []
-    products = witness._off_support_products
+    products = witness.rmatvec
 
     def traced_products(*args):
         held.append(tracemalloc.get_traced_memory()[0] - base)
         return products(*args)
 
-    monkeypatch.setattr(witness, "_off_support_products", traced_products)
+    monkeypatch.setattr(witness, "rmatvec", traced_products)
     cfg = SweepConfig(
         p_list=(256, 512, 1024), theta_grid=(1.0, 2.0), trials=1, base_seed=1002,
         sparsity_rule="linear", linear_alpha=0.125,

@@ -7,7 +7,8 @@ another, `__all__` lists exactly what
 `__init__` imports, only errors.py tests a scalar for finiteness or
 words the message of `one_of`, `read_only_by` or `distinct`, no CLI
 option that takes its default from a dataclass field also states one,
-only rng.py imports scipy.special, no module imports scipy.sparse, no
+only rng.py imports scipy.special, no module imports scipy.sparse, only
+ensemble.py calls np.add.at, no
 module sets a field of a result record after building it, every file
 under tests/golden/ is named by a test module, nothing the package runs
 loads scipy.sparse, the witness path runs without loading scipy.linalg,
@@ -419,6 +420,49 @@ def test_no_module_imports_scipy_sparse(path):
     rmatvec and columns); scipy.sparse costs 130-180 ms, about 290 modules
     and 19 MB to import, and no module may load it."""
     assert _imports_of(path.read_text(), "scipy.sparse") == []
+
+
+def _add_at_reads(source: str) -> list:
+    """Each read of numpy's add.at in source, as `<line>: <name>`: through
+    a name bound to numpy (`np.add.at`) or to numpy's add
+    (`from numpy import add`)."""
+    tree = ast.parse(source)
+    adds = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            adds.update(f"{alias.asname or alias.name}.add" for alias in node.names if alias.name == "numpy")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy" and not node.level:
+            adds.update(alias.asname or alias.name for alias in node.names if alias.name == "add")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "at" and _dotted(node.value) in adds:
+            found.append((node.lineno, _dotted(node)))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_add_at_read_is_found():
+    source = (
+        "import numpy as np\n"
+        "import numpy\n"
+        "from numpy import add, add as plus, multiply\n"
+        "np.add.at(a, i, t)\n"
+        "numpy.add.at(a, i, t)\n"
+        "f = plus.at\n"
+        "add.at(a, i, t)\n"
+        "np.multiply.at(a, i, t)\n"
+        "multiply.at(a, i, t)\n"
+        "np.add(a, b, out=a)\n"
+        "other.add.at(a, i, t)\n"
+    )
+    assert _add_at_reads(source) == ["4: np.add.at", "5: numpy.add.at", "6: plus.at", "7: add.at"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "ensemble.py"] + [pathlib.Path(sparselasso.__file__)], ids=lambda p: p.stem)
+def test_only_ensemble_calls_add_at(path):
+    """np.add.at adds one term at a time, in the order given, which is what
+    makes ensemble.matvec and rmatvec scipy's products bit for bit; the
+    summation order lives there, and no other module may sum that way."""
+    assert _add_at_reads(path.read_text()) == []
 
 
 # The result records: each is built once, from the values that compute it.

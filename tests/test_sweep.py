@@ -506,6 +506,16 @@ def test_write_outputs_leaves_a_users_tmp_file_alone_and_keeps_the_open_mode(tmp
     assert (tmp_path / "out.csv").stat().st_mode & 0o777 == 0o640
 
 
+@pytest.mark.parametrize("name", ["a" * 255, "\u00e9" * 127 + "x"], ids=["ascii", "two_byte"])
+def test_write_outputs_takes_a_name_of_255_bytes(tmp_path, name):
+    # the staging file beside it must not be longer than the name allows
+    assert len(os.fsencode(name)) == 255
+    table = run_sweep(_small_cfg())
+    write_outputs(table, tmp_path / name)
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert (tmp_path / name).read_text() == _csv_of(table)
+
+
 def test_write_outputs_never_changes_the_umask(tmp_path):
     # a thread's file created while the umask were 0 would get mode 0o666
     table = run_sweep(_small_cfg())
